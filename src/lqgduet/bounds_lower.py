@@ -1,6 +1,7 @@
 """Converse machinery: information-limited MMSE, power-expansion, the
 state-amplification mutual-information bounds, the four lower-bound families
-D_L1..D_L4, and the weighted-cost lower bound.
+D_L1..D_L4, the region partition of the power plane with its closed-form
+disturbance floors, and the weighted-cost lower bound.
 
 All families are nonincreasing in the power arguments, which the weighted
 optimizer exploits: on each grid cell the objective q D + r1 P1 + r2 P2 is
@@ -11,12 +12,14 @@ the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, classify, noise_floor
+from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify, \
+    noise_floor
 
 #: geometric slicing ratio used by the converse bounds
 RCONST = 2.5
@@ -335,6 +338,156 @@ def dl4(p: ProblemParams, k: int, P1t, P2t):
 
 
 # ---------------------------------------------------------------------------
+# region partition of the power plane
+# ---------------------------------------------------------------------------
+
+#: every region's disturbance floor is at least FLOOR_COEF max(1, a^2 sv1^2)
+FLOOR_COEF = 0.295
+#: weak-regime thresholds T1 = a^2 m / 400, T2 = a^2 max(1, a^2 sv2^2) / 400
+WEAK_T_DIV = 400.0
+#: strong-regime thresholds t1 = sv2^2 / (70 a^{2(s-1)}),
+#: t1hi = max(a^2, a^4 sv1^2) / 20000 and t2a = a^4 sv2^2 / 28000
+STRONG_T1_DIV = 70.0
+STRONG_T1HI_DIV = 20000.0
+STRONG_T2A_DIV = 28000.0
+
+#: regions where no strategy stabilizes the loop (disturbance floor +inf)
+_UNSTABLE = ("weak-i", "strong-i", "strong-iii")
+
+
+@dataclass(frozen=True, eq=False)
+class RegionPartition:
+    """Regime-wise partition of the power plane (P1, P2) with the
+    closed-form disturbance floor of each region.  Weight-independent; built
+    once per parameter set (requires |a| > 1).
+
+    Weak regime: weak-i (P1 <= T1, P2 <= T2), weak-ii (P1 <= T1, P2 > T2),
+    weak-iii (P1 > T1).  Strong regime at stage s: for P1 <= t1, strong-i
+    (P2 <= t2a) or strong-ii; inside the signaling bracket t1 < P1 <= t1hi,
+    strong-iii (P2 <= t2c(P1)) or strong-iv; strong-v for
+    P1 > v_edge = max(t1, t1hi).  The other regime's thresholds are None.
+    """
+
+    p: ProblemParams
+    regime: Regime = field(init=False)
+    m: float = field(init=False)
+    #: disturbance floor of region ii
+    d_ii: float = field(init=False)
+    T1: Optional[float] = field(init=False, default=None)
+    T2: Optional[float] = field(init=False, default=None)
+    t1: Optional[float] = field(init=False, default=None)
+    t1hi: Optional[float] = field(init=False, default=None)
+    t2a: Optional[float] = field(init=False, default=None)
+    v_edge: Optional[float] = field(init=False, default=None)
+    #: strong-iv bracket cells (empty when the bracket is): lower P1 edge,
+    #: and the disturbance floor and stabilization threshold at the cell's
+    #: smallest signaling factor
+    iv_p1: np.ndarray = field(init=False, repr=False,
+                                default_factory=partial(np.empty, 0))
+    iv_floor: np.ndarray = field(init=False, repr=False,
+                                   default_factory=partial(np.empty, 0))
+    iv_t2c: np.ndarray = field(init=False, repr=False,
+                                 default_factory=partial(np.empty, 0))
+
+    def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        p = self.p
+        A = abs(p.a)
+        sv2 = p.sigmav2_sq
+        regime = classify(p)
+        m = noise_floor(p)
+        put("regime", regime)
+        put("m", m)
+        if regime.kind == "weak":
+            put("T1", A ** 2 * m / WEAK_T_DIV)
+            put("T2", A ** 2 * max(1.0, A ** 2 * sv2) / WEAK_T_DIV)
+            put("d_ii", max(0.176 * A ** 2 * sv2 + 1.0, FLOOR_COEF * m))
+            return
+        t1 = sv2 / (STRONG_T1_DIV * A ** (2 * (regime.s - 1)))
+        t1hi = max(A ** 2, A ** 4 * p.sigmav1_sq) / STRONG_T1HI_DIV
+        put("t1", t1)
+        put("t1hi", t1hi)
+        put("t2a", A ** 4 * sv2 / STRONG_T2A_DIV)
+        put("v_edge", max(t1, t1hi))
+        put("d_ii", max(0.008 * A ** 2 * sv2 + 1.0, FLOOR_COEF * m))
+        if t1 < t1hi:
+            # cell-wise 1-D minimization over the bracket; the unimodal
+            # signaling factor attains its cell minimum at an endpoint
+            edges = np.geomspace(t1, t1hi, 201)
+            f = self._sig(edges)
+            f_min = np.minimum(f[:-1], f[1:])
+            put("iv_p1", edges[:-1])
+            put("iv_floor", self._iv_floor(f_min))
+            put("iv_t2c", self._t2c_of(f_min))
+
+    def _sig(self, P1):
+        """Signaling factor P1 e^{-50 a^{2(s-1)} P1 / sv2^2}."""
+        decay_c = 50.0 * abs(self.p.a) ** (2 * (self.regime.s - 1)) \
+            / self.p.sigmav2_sq
+        return P1 * np.exp(-decay_c * P1)
+
+    def _iv_floor(self, f):
+        A2s = abs(self.p.a) ** (2 * self.regime.s)
+        return np.maximum(0.2541 * A2s * f + 0.066 * A2s * self.m + 1.0,
+                          FLOOR_COEF * self.m)
+
+    def _t2c_of(self, f):
+        A = abs(self.p.a)
+        A2s = A ** (2 * self.regime.s)
+        return 0.0457 * A ** 2 * A2s * f + 0.0113 * A ** 2 * A2s * self.m
+
+    def t2c(self, P1):
+        """Second-controller stabilization threshold in the signaling
+        bracket: 0.0457 a^{2(s+1)} P1 e^{-50 a^{2(s-1)} P1 / sv2^2}
+        + 0.0113 a^{2(s+1)} m.  Broadcasts over P1."""
+        return self._t2c_of(self._sig(P1))
+
+    def label(self, P1: float, P2: float) -> str:
+        """The region the point (P1, P2) falls in."""
+        if self.regime.kind == "weak":
+            if P1 <= self.T1:
+                return "weak-i" if P2 <= self.T2 else "weak-ii"
+            return "weak-iii"
+        if P1 <= self.t1:
+            return "strong-i" if P2 <= self.t2a else "strong-ii"
+        if P1 <= self.t1hi:
+            return "strong-iii" if P2 <= self.t2c(P1) else "strong-iv"
+        return "strong-v"
+
+    def floor(self, P1: float, P2: float) -> float:
+        """Closed-form disturbance floor at (P1, P2); +inf on the regions
+        where no strategy stabilizes the loop."""
+        label = self.label(P1, P2)
+        if label in _UNSTABLE:
+            return math.inf
+        if label.endswith("-ii"):
+            return self.d_ii
+        if label == "strong-iv":
+            return float(self._iv_floor(self._sig(P1)))
+        return FLOOR_COEF * self.m
+
+    def corollary(self, q: float, r1: float,
+                  r2: float) -> Tuple[float, str]:
+        """Lower bound on min q D + r1 P1 + r2 P2 from the region floors,
+        with the label of the region where the minimum lands."""
+        weak = self.regime.kind == "weak"
+        if q == 0:
+            return 0.0, "weak-i" if weak else "strong-i"
+        if weak:
+            options = [(q * self.d_ii + r2 * self.T2, "weak-ii"),
+                       (q * FLOOR_COEF * self.m + r1 * self.T1, "weak-iii")]
+        else:
+            options = [(q * self.d_ii + r2 * self.t2a, "strong-ii")]
+            if self.iv_p1.size:
+                vals = q * self.iv_floor + r1 * self.iv_p1 \
+                    + r2 * self.iv_t2c
+                options.append((float(vals.min()), "strong-iv"))
+            options.append((q * FLOOR_COEF * self.m + r1 * self.v_edge,
+                            "strong-v"))
+        return min(options, key=lambda x: x[0])
+
+
+# ---------------------------------------------------------------------------
 # weighted-cost lower bound
 # ---------------------------------------------------------------------------
 
@@ -364,28 +517,27 @@ def _cell_min(q: float, r1: float, r2: float, D_hi: np.ndarray,
     return best
 
 
-def _slicing_candidates(p: ProblemParams) -> Tuple[List[SliceParams],
-                                                   List[Tuple[int, int,
-                                                              float]]]:
+def _slicing_candidates(p: ProblemParams, part: RegionPartition
+                        ) -> Tuple[List[SliceParams],
+                                   List[Tuple[int, int, float]]]:
     """Parameter recipes (with perturbations) for the dl1 and dl2 families."""
     a2sv1 = p.a * p.a * p.sigmav1_sq
     A = abs(p.a)
-    m = noise_floor(p)
+    m = part.m
     # k1 recipe: a^{2(k1-2)} <= a^2 sv1^2 < a^{2(k1-1)}, else k1 = 1
     if a2sv1 < 1:
         k1_base = 1
     else:
         k1_base = 2 + int(math.floor(math.log(a2sv1) / (2 * math.log(A))))
-    regime = classify(p)
-    s = regime.s if regime.kind == "strong" else 1
+    s = part.regime.s if part.regime.kind == "strong" else 1
 
-    sigma_targets = [0.295 * m]
+    sigma_targets = [FLOOR_COEF * m]
     dl1_cands: List[SliceParams] = []
     dl2_cands: List[Tuple[int, int, float]] = []
     sv2p_options = [p.sigmav2_sq]
     if p.sigmav2_sq > 0:
         # large-deviation variance inflation near the signaling power scale
-        base_P = p.sigmav2_sq / (70.0 * A ** (2 * (s - 1)))
+        base_P = p.sigmav2_sq / (STRONG_T1_DIV * A ** (2 * (s - 1)))
         for f in (1.0, 16.0):
             sv2p_options.append(100.0 * A ** (2 * (s - 1)) * base_P * f)
     for k1 in sorted({max(1, k1_base + off) for off in (-1, 0, 1)}):
@@ -420,14 +572,16 @@ class LowerBoundEvaluator:
         self.grid = _power_grid()
         self.families: List[Tuple[np.ndarray, float]] = []
         self.dl3_best = 1.0
-        self.certified = abs(p.a) >= A_MIN_CERTIFIED and abs(p.a) > 1
+        self.certified = abs(p.a) >= A_MIN_CERTIFIED
+        self.partition: Optional[RegionPartition] = None
         if not self.certified:
             return
+        self.partition = RegionPartition(p)
         for k1 in range(1, 40):
             self.dl3_best = max(self.dl3_best, dl3(p, k1))
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
-        dl1_cands, dl2_cands = _slicing_candidates(p)
+        dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
         if p.sigmav2_sq > 0:
             for sp in dl1_cands:
                 try:
@@ -450,15 +604,20 @@ class LowerBoundEvaluator:
 
     def weighted(self, q: float, r1: float, r2: float,
                  with_label: bool = False):
+        """Valid lower bound on the infimum weighted average cost.
+
+        Combines the universal disturbance floor (E[x^2] >= 1), the
+        region-wise corollary floors, and the slicing families (cell-wise
+        minimized so the result bounds the continuum minimum).  Outside
+        |a| >= 2.5 only the universal floor is used.  With with_label, also
+        returns the binding route: 'floor', 'slicing', a region label, or
+        'degenerate' for q = 0.
+        """
         if q == 0:
             return (0.0, "degenerate") if with_label else 0.0
         best, label = q * 1.0, "floor"
         if self.certified:
-            pw = ProblemParams(a=self.p.a, q=q, r1=r1, r2=r2,
-                               sigma0_sq=self.p.sigma0_sq,
-                               sigmav1_sq=self.p.sigmav1_sq,
-                               sigmav2_sq=self.p.sigmav2_sq)
-            val, lab = _corollary_route(pw)
+            val, lab = self.partition.corollary(q, r1, r2)
             if val > best:
                 best, label = val, lab
             val = self.slicing_bound(q, r1, r2)
@@ -469,134 +628,7 @@ class LowerBoundEvaluator:
         return best
 
 
-def _slicing_route(p: ProblemParams) -> float:
-    return LowerBoundEvaluator(p).slicing_bound(p.q, p.r1, p.r2)
-
-
-def strong_thresholds(p: ProblemParams, s: int) -> dict:
-    """Power thresholds of the strong-regime region partition."""
-    A = abs(p.a)
-    m = noise_floor(p)
-    return {
-        "t1": p.sigmav2_sq / (70.0 * A ** (2 * (s - 1))),
-        "t1hi": max(A ** 2, A ** 4 * p.sigmav1_sq) / 20000.0,
-        "t2a": A ** 4 * p.sigmav2_sq / 28000.0,
-        "m": m,
-    }
-
-
-def strong_t2c(p: ProblemParams, s: int, P1) -> np.ndarray:
-    """Second-controller stabilization threshold in the bracketed region:
-    0.0457 a^{2(s+1)} P1 e^{-50 a^{2(s-1)} P1 / sv2^2}
-    + 0.0113 a^{2(s+1)} m."""
-    A = abs(p.a)
-    m = noise_floor(p)
-    P1 = np.asarray(P1, dtype=float)
-    decay = np.exp(-50.0 * A ** (2 * (s - 1)) * P1 / p.sigmav2_sq)
-    return 0.0457 * A ** (2 * (s + 1)) * P1 * decay \
-        + 0.0113 * A ** (2 * (s + 1)) * m
-
-
-def strong_region_floor(p: ProblemParams, s: int, P1: float,
-                        P2: float) -> float:
-    """Region-wise disturbance floor for the strongly degraded regime
-    (+inf on the instability regions)."""
-    t = strong_thresholds(p, s)
-    A = abs(p.a)
-    m = t["m"]
-    floor_e = 0.295 * m
-    if P1 <= t["t1"]:
-        if P2 <= t["t2a"]:
-            return math.inf
-        return max(0.008 * A ** 2 * p.sigmav2_sq + 1.0, floor_e)
-    if t["t1"] < P1 <= t["t1hi"]:
-        if P2 <= float(strong_t2c(p, s, P1)):
-            return math.inf
-        decay = math.exp(-50.0 * A ** (2 * (s - 1)) * P1 / p.sigmav2_sq)
-        return max(0.2541 * A ** (2 * s) * P1 * decay
-                   + 0.066 * A ** (2 * s) * m + 1.0, floor_e)
-    return floor_e
-
-
-def weak_region_floor(p: ProblemParams, P1: float, P2: float) -> float:
-    """Region-wise disturbance floor for the weakly degraded regime."""
-    A = abs(p.a)
-    m = noise_floor(p)
-    T1 = A ** 2 * m / 400.0
-    T2 = A ** 2 * max(1.0, A ** 2 * p.sigmav2_sq) / 400.0
-    floor_c = 0.295 * m
-    if P1 <= T1:
-        if P2 <= T2:
-            return math.inf
-        return max(0.176 * A ** 2 * p.sigmav2_sq + 1.0, floor_c)
-    return floor_c
-
-
-def _corollary_route(p: ProblemParams) -> Tuple[float, str]:
-    """Lower bound from the region-wise floors; returns (value, label of the
-    region where the minimum lands)."""
-    q, r1, r2 = p.q, p.r1, p.r2
-    A = abs(p.a)
-    regime = classify(p)
-    m = noise_floor(p)
-    options: List[Tuple[float, str]] = []
-    if regime.kind == "weak":
-        T1 = A ** 2 * m / 400.0
-        T2 = A ** 2 * max(1.0, A ** 2 * p.sigmav2_sq) / 400.0
-        if q == 0:
-            options.append((0.0, "weak-i"))
-        options.append((q * max(0.176 * A ** 2 * p.sigmav2_sq + 1.0,
-                                0.295 * m) + r2 * T2, "weak-ii"))
-        options.append((q * 0.295 * m + r1 * T1, "weak-iii"))
-    else:
-        s = regime.s
-        t = strong_thresholds(p, s)
-        if q == 0:
-            options.append((0.0, "strong-i"))
-        options.append((q * max(0.008 * A ** 2 * p.sigmav2_sq + 1.0,
-                                0.295 * m) + r2 * t["t2a"], "strong-ii"))
-        if t["t1"] < t["t1hi"]:
-            # bracketed signaling region: cell-wise 1-D minimization; the
-            # unimodal P1 e^{-c P1} factor attains its cell minimum at an
-            # endpoint
-            edges = np.geomspace(t["t1"], t["t1hi"], 201)
-            A2s = A ** (2 * s)
-            decay_c = 50.0 * A ** (2 * (s - 1)) / p.sigmav2_sq
-            f = edges * np.exp(-decay_c * edges)
-            f_min = np.minimum(f[:-1], f[1:])
-            d_floor = np.maximum(0.2541 * A2s * f_min
-                                 + 0.066 * A2s * m + 1.0, 0.295 * m)
-            t2c = 0.0457 * A ** 2 * A2s * f_min + 0.0113 * A ** 2 * A2s * m
-            vals = q * d_floor + r1 * edges[:-1] + r2 * t2c
-            options.append((float(vals.min()), "strong-iv"))
-            p1_edge = t["t1hi"]
-        else:
-            p1_edge = t["t1"]
-        options.append((q * 0.295 * m + r1 * p1_edge, "strong-v"))
-    val, label = min(options, key=lambda x: x[0])
-    return val, label
-
-
-def lower_weighted_cost(p: ProblemParams,
-                        with_label: bool = False):
-    """Valid lower bound on the infimum weighted average cost.
-
-    Combines the universal disturbance floor (E[x^2] >= 1), the region-wise
-    corollary floors, and the slicing families (cell-wise minimized so the
-    result bounds the continuum minimum).  Outside |a| >= 2.5 only the
-    universal floor is used.
-    """
-    q = p.q
-    if q == 0:
-        return (0.0, "degenerate") if with_label else 0.0
-    best, label = q * 1.0, "floor"
-    if abs(p.a) >= A_MIN_CERTIFIED and abs(p.a) > 1:
-        val, lab = _corollary_route(p)
-        if val > best:
-            best, label = val, lab
-        val = _slicing_route(p)
-        if val > best:
-            best, label = val, "slicing"
-    if with_label:
-        return best, label
-    return best
+def lower_weighted_cost(p: ProblemParams, with_label: bool = False):
+    """Valid lower bound on the infimum weighted average cost at p's own
+    weights (see LowerBoundEvaluator.weighted)."""
+    return LowerBoundEvaluator(p).weighted(p.q, p.r1, p.r2, with_label)

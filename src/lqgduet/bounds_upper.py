@@ -10,7 +10,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ProblemParams, TradeoffPoint, classify, noise_floor
+from .bounds_lower import RegionPartition
+from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
+    classify, noise_floor
 from .lattice import SeriesNonConvergent, q_tail, truncated_sum
 from .strategies import StrategySpec
 
@@ -114,12 +116,14 @@ def linbb_bound(p: ProblemParams, controller: int) -> TradeoffPoint:
 
 
 def simplified_bracket(p: ProblemParams, s: int) -> Tuple[float, float]:
-    """Validity bracket for the simplified signaling envelope:
-    sv2^2/(70 a^{2(s-1)}) <= P <= max(a^2, a^4 sv1^2)/20000."""
-    a2 = p.a * p.a
-    lo = p.sigmav2_sq / (70.0 * abs(p.a) ** (2 * (s - 1)))
-    hi = max(a2, a2 * a2 * p.sigmav1_sq) / 20000.0
-    return lo, hi
+    """Validity bracket [t1, t1hi] of the simplified signaling envelope: the
+    stage-s signaling bracket of the region partition,
+    sv2^2/(70 a^{2(s-1)}) <= P <= max(a^2, a^4 sv1^2)/20000.  Raises unless
+    p is strongly degraded at stage s."""
+    part = RegionPartition(p)
+    if part.regime != Regime("strong", s):
+        raise ValueError("s does not bracket sigmav2_sq")
+    return part.t1, part.t1hi
 
 
 def simplified_upper(p: ProblemParams, s: int, P: float) -> TradeoffPoint:
@@ -132,14 +136,12 @@ def simplified_upper(p: ProblemParams, s: int, P: float) -> TradeoffPoint:
     with m = max(1, a^2 sv1^2), valid on the bracket of simplified_bracket.
     """
     A = abs(p.a)
-    if A < 2.5:
-        raise ValueError("requires |a| >= 2.5")
-    m = noise_floor(p)
-    if not (A ** (2 * (s - 1)) * m <= p.sigmav2_sq <= A ** (2 * s) * m):
-        raise ValueError("s does not bracket sigmav2_sq")
+    if A < A_MIN_CERTIFIED:
+        raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
     lo, hi = simplified_bracket(p, s)
     if not (lo <= P <= hi):
         raise ValueError(f"P outside the validity bracket [{lo}, {hi}]")
+    m = noise_floor(p)
     decay = math.exp(-50.0 * A ** (2 * (s - 1)) * P / p.sigmav2_sq)
     A2s = A ** (2 * s)
     A2s1 = A ** (2 * (s + 1))
@@ -257,12 +259,6 @@ def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
             if point.P1 <= P1 and point.P2 <= P2:
                 best = min(best, point.D)
     return best
-
-
-def sig_envelope_points(p: ProblemParams) -> List[TradeoffPoint]:
-    """Signaling tradeoff points over the design grid (strong regime only),
-    for envelope queries."""
-    return [point for _, point in sig_candidate_points(p)]
 
 
 def sweep_labels(a: float, l_values) -> List[dict]:

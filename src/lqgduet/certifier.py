@@ -1,5 +1,5 @@
-"""Constant-ratio certification: region partition of the power plane,
-ratio-transfer hypothesis checks with the closed-form region constants,
+"""Constant-ratio certification: ratio-transfer hypothesis checks over the
+region partition of the power plane with the closed-form region constants,
 grid certification reports, and the large-a linear/nonlinear divergence
 table.
 """
@@ -11,12 +11,11 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify, \
-    noise_floor
-from .bounds_lower import LowerBoundEvaluator, lower_weighted_cost, \
-    strong_t2c, strong_thresholds, strong_region_floor, weak_region_floor
-from .bounds_upper import linbb_bound, optimize_upper, \
-    sig_candidate_points, simplified_bracket, simplified_upper
+from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify
+from .bounds_lower import FLOOR_COEF, STRONG_T1HI_DIV, STRONG_T2A_DIV, \
+    WEAK_T_DIV, LowerBoundEvaluator, RegionPartition
+from .bounds_upper import optimize_upper, sig_candidate_points, \
+    simplified_upper, upper_envelope_D
 
 #: default certification caps by regime
 CAP_WEAK = 1200.0
@@ -39,30 +38,6 @@ class CertReport:
     degenerate: bool = False
 
 
-def region_label(p: ProblemParams, P1: float, P2: float) -> str:
-    """Which region of the power-plane partition the point (P1, P2) falls
-    in.  Weak regime: i (both powers small), ii (only P1 small),
-    iii (P1 large).  Strong regime: i/ii split P2 at the stabilization
-    threshold for P1 below the signaling bracket, iii/iv inside the
-    bracket, v above it."""
-    regime = classify(p)
-    A = abs(p.a)
-    m = noise_floor(p)
-    if regime.kind == "weak":
-        T1 = A ** 2 * m / 400.0
-        T2 = A ** 2 * max(1.0, A ** 2 * p.sigmav2_sq) / 400.0
-        if P1 <= T1:
-            return "weak-i" if P2 <= T2 else "weak-ii"
-        return "weak-iii"
-    t = strong_thresholds(p, regime.s)
-    if P1 <= t["t1"]:
-        return "strong-i" if P2 <= t["t2a"] else "strong-ii"
-    if P1 <= t["t1hi"]:
-        t2c = float(strong_t2c(p, regime.s, P1))
-        return "strong-iii" if P2 <= t2c else "strong-iv"
-    return "strong-v"
-
-
 def ratio_transfer_check(DU: Callable[[float, float], float],
                          DL: Callable[[float, float], float],
                          c: float,
@@ -82,29 +57,16 @@ def ratio_transfer_check(DU: Callable[[float, float], float],
     return True
 
 
-def _envelope_DU(p: ProblemParams) -> Callable[[float, float], float]:
-    """Achievable disturbance at a power budget: best of the two linear
-    candidates and (strong regime) the closed-form signaling envelope."""
-    regime = classify(p)
-    cands = [linbb_bound(p, 1), linbb_bound(p, 2)]
+def _envelope_DU(part: RegionPartition) -> Callable[[float, float], float]:
+    """Achievable disturbance at a power budget: upper_envelope_D over the
+    two linear candidates and (strong regime) the closed-form signaling
+    envelope sampled on its bracket."""
+    p = part.p
     sig: List = []
-    if regime.kind == "strong":
-        lo, hi = simplified_bracket(p, regime.s)
-        if lo <= hi:
-            for P in np.geomspace(lo, hi, 120):
-                sig.append(simplified_upper(p, regime.s, float(P)))
-
-    def DU(P1: float, P2: float) -> float:
-        best = math.inf
-        for pt in cands:
-            if pt.P1 <= P1 and pt.P2 <= P2:
-                best = min(best, pt.D)
-        for pt in sig:
-            if pt.P1 <= P1 and pt.P2 <= P2:
-                best = min(best, pt.D)
-        return best
-
-    return DU
+    if part.regime.kind == "strong" and part.t1 <= part.t1hi:
+        sig = [simplified_upper(p, part.regime.s, float(P))
+               for P in np.geomspace(part.t1, part.t1hi, 120)]
+    return lambda P1, P2: upper_envelope_D(p, P1, P2, sig)
 
 
 def region_constants(p: ProblemParams) -> dict:
@@ -113,76 +75,49 @@ def region_constants(p: ProblemParams) -> dict:
     regime = classify(p)
     if regime.kind == "weak":
         return {"weak-i": 1.0,
-                "weak-ii": max(1.0 / 0.176, 3 * 400.0),
-                "weak-iii": max(2.0 / 0.295, 1200.0)}
+                "weak-ii": max(1.0 / 0.176, 3 * WEAK_T_DIV),
+                "weak-iii": max(2.0 / FLOOR_COEF, 1200.0)}
     return {"strong-i": 1.0,
-            "strong-ii": max(1.0 / 0.008, 1.32 * 28000.0),
+            "strong-ii": max(1.0 / 0.008, 1.32 * STRONG_T2A_DIV),
             "strong-iii": 1.0,
             "strong-iv": max(832.0 / 0.2541, 63.0 / 0.066, 80000.0,
                              6656.0 / 0.0457, 564.0 / 0.0113),
-            "strong-v": max(2.0 / 0.295, 3 * 20000.0)}
+            "strong-v": max(2.0 / FLOOR_COEF, 3 * STRONG_T1HI_DIV)}
 
 
-def _region_grid(p: ProblemParams, label: str,
+def _region_grid(part: RegionPartition, label: str,
                  n: int = 8) -> List[Tuple[float, float]]:
-    """Sample points inside one region of the partition."""
-    A = abs(p.a)
-    m = noise_floor(p)
-    regime = classify(p)
+    """Sample points inside one region of the partition (none for the
+    unstable regions and an empty signaling bracket)."""
     mults_hi = np.geomspace(1.01, 1e4, n)
     mults_lo = np.geomspace(1e-6, 0.99, n)
-    pts: List[Tuple[float, float]] = []
-    if regime.kind == "weak":
-        T1 = A ** 2 * m / 400.0
-        T2 = A ** 2 * max(1.0, A ** 2 * p.sigmav2_sq) / 400.0
-        if label == "weak-ii":
-            for f1 in mults_lo:
-                for f2 in mults_hi:
-                    pts.append((T1 * f1, T2 * f2))
-        elif label == "weak-iii":
-            for f1 in mults_hi:
-                for f2 in np.geomspace(1e-6, 1e4, n):
-                    pts.append((T1 * f1, T2 * f2))
-        return pts
-    t = strong_thresholds(p, regime.s)
-    if label == "strong-ii":
-        for f1 in mults_lo:
-            for f2 in mults_hi:
-                pts.append((t["t1"] * f1, t["t2a"] * f2))
-    elif label == "strong-iv":
-        if t["t1"] < t["t1hi"]:
-            for P1 in np.geomspace(t["t1"] * 1.001, t["t1hi"] * 0.999, n):
-                t2c = float(strong_t2c(p, regime.s, P1))
-                for f2 in mults_hi:
-                    pts.append((float(P1), t2c * f2))
-    elif label == "strong-v":
-        for f1 in mults_hi:
-            for f2 in np.geomspace(1e-6, 1e4, n):
-                pts.append((t["t1hi"] * f1, t["t2a"] * f2))
-    return pts
+    mults_all = np.geomspace(1e-6, 1e4, n)
+    weak = part.regime.kind == "weak"
+    p1_lo, p2_lo = (part.T1, part.T2) if weak else (part.t1, part.t2a)
+    if label in ("weak-ii", "strong-ii"):
+        return [(p1_lo * f1, p2_lo * f2)
+                for f1 in mults_lo for f2 in mults_hi]
+    if label in ("weak-iii", "strong-v"):
+        p1_hi = part.T1 if weak else part.v_edge
+        return [(p1_hi * f1, p2_lo * f2)
+                for f1 in mults_hi for f2 in mults_all]
+    if label == "strong-iv" and part.t1 < part.t1hi:
+        return [(float(P1), float(part.t2c(P1)) * f2)
+                for P1 in np.geomspace(part.t1 * 1.001, part.t1hi * 0.999, n)
+                for f2 in mults_hi]
+    return []
 
 
 def appendix_region_checks(p: ProblemParams) -> dict:
     """Run the ratio-transfer hypothesis check region by region with the
     closed-form constants; returns {region label: bool}."""
-    regime = classify(p)
-    consts = region_constants(p)
-    DU = _envelope_DU(p)
-
-    if regime.kind == "weak":
-        def DL(x1, x2):
-            return weak_region_floor(p, x1, x2)
-    else:
-        def DL(x1, x2):
-            return strong_region_floor(p, regime.s, x1, x2)
-
+    part = RegionPartition(p)
+    DU = _envelope_DU(part)
     out = {}
-    for label, c in consts.items():
-        grid = _region_grid(p, label)
-        if not grid:
-            out[label] = True
-            continue
-        out[label] = ratio_transfer_check(DU, DL, max(c, 1.0), grid)
+    for label, c in region_constants(p).items():
+        grid = _region_grid(part, label)
+        out[label] = not grid or ratio_transfer_check(
+            DU, part.floor, max(c, 1.0), grid)
     return out
 
 
@@ -194,15 +129,15 @@ def certify_point(p: ProblemParams,
     against the regime's cap."""
     if abs(p.a) < A_MIN_CERTIFIED:
         raise ValueError("certification requires |a| >= 2.5")
-    regime = classify(p)
+    if evaluator is None:
+        evaluator = LowerBoundEvaluator(p)
+    partition = evaluator.partition
+    regime = partition.regime
     if cap is None:
         cap = CAP_WEAK if regime.kind == "weak" else CAP_STRONG
     res = optimize_upper(p, sig_points=sig_points)
     upper = res.cost
-    if evaluator is not None:
-        lower = evaluator.weighted(p.q, p.r1, p.r2)
-    else:
-        lower = lower_weighted_cost(p)
+    lower = evaluator.weighted(p.q, p.r1, p.r2)
     degenerate = lower == 0 and upper > 0
     if lower > 0:
         ratio = upper / lower
@@ -211,7 +146,7 @@ def certify_point(p: ProblemParams,
     else:
         ratio = math.inf
     label = ("Degenerate" if degenerate
-             else region_label(p, res.point.P1, res.point.P2))
+             else partition.label(res.point.P1, res.point.P2))
     passed = (not degenerate) and ratio <= cap
     if p.q == p.r1 == p.r2 == 0:
         label, passed = "Degenerate", True

@@ -41,7 +41,8 @@ def _fmt(x) -> str:
             return "inf" if x > 0 else "-inf"
         if math.isnan(x):
             return "nan"
-        return repr(x)
+        # float() drops numpy scalars' type from the repr (np.float64(...))
+        return repr(float(x))
     return str(x)
 
 

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-#: Threshold on |a| below which the converse machinery is not certified.
-#: Exposed as a knob; the default is the value the closed-form constants
-#: were derived for.
+#: Threshold on |a| below which the converse machinery is not certified:
+#: the value the closed-form constants were derived for.  A constant of the
+#: derivation, not a setting; changing it does not re-derive the constants.
 A_MIN_CERTIFIED = 2.5
 
 

@@ -16,10 +16,6 @@ Provenance = FrozenSet[Atom]
 
 _EMPTY: Provenance = frozenset()
 
-#: any admissible strategy leaves this upper level on the state of the
-#: shift-2 instance (structural converse)
-DET_CONVERSE_LEVEL = 2
-
 
 class BitWord(dict):
     """Map from bit-level index to a nonempty provenance set.

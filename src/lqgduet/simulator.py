@@ -19,6 +19,10 @@ from .strategies import StrategySpec, make_strategy
 
 DIVERGENCE_THRESHOLD = 1e150
 
+#: counter_normals packs the trial index into 20 bits; beyond that the
+#: streams of different trials and steps would coincide
+MAX_TRIALS = 2 ** 20
+
 _CH_W = 0
 _CH_V1 = 1
 _CH_V2 = 2
@@ -68,8 +72,8 @@ class SimConfig:
     def __post_init__(self):
         if not (self.horizon > self.burn_in >= 0):
             raise ValueError("require horizon > burn_in >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials < MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS})")
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,8 @@ class SimResult:
 
 def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     """Simulate the closed loop and return time-and-trial averages over the
-    steps >= burn_in.  Divergence (|x| > 1e150) is reported as unstable with
-    weighted cost +inf."""
+    steps >= burn_in.  Divergence (|x| > 1e150, or a non-finite state in any
+    trial) is reported as unstable with weighted cost +inf."""
     n_tr = cfg.trials
     strat = make_strategy(spec, p)
     strat.reset(n_tr)
@@ -127,7 +131,7 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
                 su1 += u1 * u1
                 su2 += u2 * u2
             x = a * x + u1 + u2 + wc[j]
-            if np.max(np.abs(x)) > DIVERGENCE_THRESHOLD:
+            if not np.max(np.abs(x)) <= DIVERGENCE_THRESHOLD:
                 return SimResult(math.inf, math.inf, math.inf, math.inf,
                                  math.nan, math.nan, math.nan,
                                  unstable=True, unstable_step=n)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from lqgduet.core import ProblemParams
-from lqgduet.bounds_lower import (LowerBoundEvaluator, SliceParams, dl1, dl2,
-                                  dl3, dl4, info_mmse, lower_weighted_cost,
-                                  mmse_floor, mutual_info_ik,
-                                  mutual_info_ik_doubleprime,
+from lqgduet.bounds_lower import (LowerBoundEvaluator, RegionPartition,
+                                  SliceParams, dl1, dl2, dl3, dl4, info_mmse,
+                                  lower_weighted_cost, mmse_floor,
+                                  mutual_info_ik, mutual_info_ik_doubleprime,
                                   mutual_info_ik_prime, mmse_from_info,
-                                  power_expand, strong_region_floor,
-                                  strong_thresholds, weak_region_floor)
+                                  power_expand)
 
 
 def test_info_mmse_symmetric_single_round():
@@ -143,19 +142,18 @@ def test_slice_params_validation():
 
 def test_region_floors():
     p = ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=100.0)
-    s = 2
-    t = strong_thresholds(p, s)
-    assert math.isinf(strong_region_floor(p, s, t["t1"] / 2, t["t2a"] / 2))
-    v = strong_region_floor(p, s, t["t1"] / 2, t["t2a"] * 2)
+    t = RegionPartition(p)
+    assert t.regime.s == 2
+    assert math.isinf(t.floor(t.t1 / 2, t.t2a / 2))
+    v = t.floor(t.t1 / 2, t.t2a * 2)
     assert v >= 0.008 * 16.0 * 100.0 + 1.0
-    assert strong_region_floor(p, s, t["t1hi"] * 2 + 1, 0.0) \
-        == pytest.approx(0.295)
+    assert t.floor(t.t1hi * 2 + 1, 0.0) == pytest.approx(0.295)
 
-    pw = ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=1.0)
-    assert math.isinf(weak_region_floor(pw, 0.0, 0.0))
-    assert weak_region_floor(pw, 0.0, 1e9) \
-        == pytest.approx(0.176 * 16.0 + 1.0)
-    assert weak_region_floor(pw, 1e9, 0.0) == pytest.approx(0.295)
+    pw = RegionPartition(ProblemParams(a=4.0, sigmav1_sq=0.0,
+                                       sigmav2_sq=1.0))
+    assert math.isinf(pw.floor(0.0, 0.0))
+    assert pw.floor(0.0, 1e9) == pytest.approx(0.176 * 16.0 + 1.0)
+    assert pw.floor(1e9, 0.0) == pytest.approx(0.295)
 
 
 def test_lower_bound_basics():

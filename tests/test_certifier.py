@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lqgduet.bounds_lower import RegionPartition
 from lqgduet.core import ProblemParams
-from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, appendix_region_checks,
-                               certify_grid, certify_point,
-                               default_weight_grid, prop1_divergence,
-                               ratio_transfer_check, region_constants,
-                               region_label, strong_grid_params,
+from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, _region_grid,
+                               appendix_region_checks, certify_grid,
+                               certify_point, default_weight_grid,
+                               prop1_divergence, ratio_transfer_check,
+                               region_constants, strong_grid_params,
                                weak_grid_params)
 
 
@@ -34,13 +35,22 @@ def test_ratio_transfer_requires_c_at_least_one():
 def test_region_label_partition_covers_quadrant():
     for p in [ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=1.0),
               ProblemParams(a=4.0, sigmav1_sq=1.0, sigmav2_sq=300.0)]:
+        part = RegionPartition(p)
         labels = set()
         for P1 in np.geomspace(1e-8, 1e8, 33):
             for P2 in np.geomspace(1e-8, 1e8, 33):
-                lab = region_label(p, float(P1), float(P2))
+                lab = part.label(float(P1), float(P2))
                 assert lab.split("-")[0] in ("weak", "strong")
                 labels.add(lab)
         assert len(labels) >= 3
+
+
+def test_region_grid_points_lie_in_their_region():
+    for p in weak_grid_params() + strong_grid_params():
+        part = RegionPartition(p)
+        for label in region_constants(p):
+            for P1, P2 in _region_grid(part, label):
+                assert part.label(P1, P2) == label, (p, label, P1, P2)
 
 
 def test_region_constants_within_caps():

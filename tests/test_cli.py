@@ -35,6 +35,20 @@ def _run_main(args):
                           capture_output=True, text=True, env=env)
 
 
+def _assert_numeric_cells(text):
+    """Every data row has one cell per column, and every cell outside the
+    strategy column is empty or parses as a float."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) > 1
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        assert len(cells) == len(CSV_COLUMNS), ln
+        for col, cell in zip(CSV_COLUMNS, cells):
+            if col != "strategy" and cell:
+                float(cell)
+
+
 def test_simulate_fixed_seed_golden_file():
     res = _invoke(["simulate", "--a", "2.5", "--sv1sq", "1", "--sv2sq", "1",
                    "--strategy", "linbb1", "--horizon", "20000",
@@ -105,6 +119,17 @@ def test_upper_and_lower_consistent():
     assert l <= u
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--a", "50", "--l-min", "0", "--l-max", "1", "--l-steps", "3"],
+    ["upper", "--a", "4", "--sv2sq", "16", "--r1", "1"],
+    ["lower", "--a", "4", "--sv2sq", "16", "--r1", "1"],
+])
+def test_csv_cells_parse_as_numbers(args):
+    res = _invoke(args)
+    assert res.exit_code == 0
+    _assert_numeric_cells(res.output)
+
+
 def test_sweep_row_count():
     res = _invoke(["sweep", "--a", "50", "--l-min", "0", "--l-max", "1",
                    "--l-steps", "3"])
@@ -143,3 +168,4 @@ def test_certify_subcommand_small(tmp_path):
     assert out.returncode == 0, out.stderr
     text = out_file.read_text()
     assert "PASS" in text
+    _assert_numeric_cells(text)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lqgduet import simulator
 from lqgduet.core import ProblemParams
 from lqgduet.simulator import (SimConfig, counter_normals, run, tradeoff)
 from lqgduet.strategies import StrategySpec
@@ -36,6 +37,11 @@ def test_sim_config_validation():
         SimConfig(horizon=10, burn_in=10)
     with pytest.raises(ValueError):
         SimConfig(trials=0)
+    # the trial index has 20 bits in the noise counter; trial 2^20 would
+    # replay trial 0's stream one step later
+    with pytest.raises(ValueError):
+        SimConfig(trials=2 ** 20)
+    assert SimConfig(trials=2 ** 20 - 1).trials == 2 ** 20 - 1
 
 
 def test_run_reproducible():
@@ -54,6 +60,24 @@ def test_zero_input_diverges_and_flags_unstable():
     assert res.unstable
     assert math.isinf(res.weighted_cost)
     assert res.unstable_step is not None
+
+
+def test_nan_state_flags_unstable(monkeypatch):
+    class NanInputs:
+        def reset(self, trials):
+            pass
+
+        def step(self, y1, y2):
+            u = np.full_like(y1, np.nan)
+            return u, u
+
+    monkeypatch.setattr(simulator, "make_strategy",
+                        lambda spec, p: NanInputs())
+    res = run(ProblemParams(a=2.0, q=1.0), StrategySpec("zero"),
+              SimConfig(horizon=200, burn_in=10, trials=2, seed=0))
+    assert res.unstable
+    assert res.unstable_step == 0
+    assert math.isinf(res.weighted_cost)
 
 
 def test_linbb_matches_closed_form():
