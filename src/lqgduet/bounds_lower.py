@@ -35,40 +35,32 @@ def _ln_or_log2(x, base):
 def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
               k1: int, k: int) -> float:
     """Residual variance of a^{k-1} w[0] after k1 rounds of two-channel
-    observation:
+    observation (0, its limit, when the denominator overflows):
 
         a^{2(k-1)} sv1^2 /
         ((1 + sv1^2/sv2^2) a^{2(k1-1)} (1 - a^{-2k1})/(1 - a^{-2}) + sv1^2)
     """
     if k1 < 1 or k < 1:
         raise ValueError("k1, k must be >= 1")
-    if sigmav1_sq == 0:
+    if sigmav1_sq == 0 or sigmav2_sq == 0:
         return 0.0
     A = abs(a)
-    if sigmav2_sq == 0:
-        return 0.0
     ratio = sigmav1_sq / sigmav2_sq
     geo = A ** (2 * (k1 - 1)) * (1 - A ** (-2 * k1)) / (1 - A ** -2)
-    return A ** (2 * (k - 1)) * sigmav1_sq \
-        / ((1 + ratio) * geo + sigmav1_sq)
+    denom = (1 + ratio) * geo + sigmav1_sq
+    if not math.isfinite(denom):
+        return 0.0
+    return A ** (2 * (k - 1)) * sigmav1_sq / denom
 
 
 def mmse_floor(a: float, sigmav1_sq: float, sigmav2_sq: float,
                k1: int) -> float:
-    """Residual variance of a^{k1-1} w[0] given observations up to k1 - 1;
-    equals 1 for k1 = 1 (no informative rounds).  This is also the cap on
-    the slicing parameter Sigma."""
+    """Residual variance of a^{k1-1} w[0] given observations up to k1 - 1
+    (info_mmse over k1 - 1 rounds); equals 1 for k1 = 1 (no informative
+    rounds).  This is also the cap on the slicing parameter Sigma."""
     if k1 == 1:
         return 1.0
-    if sigmav1_sq == 0:
-        return 0.0
-    A = abs(a)
-    ratio = sigmav1_sq / sigmav2_sq if sigmav2_sq > 0 else math.inf
-    geo = A ** (2 * (k1 - 2)) * (1 - A ** (-2 * (k1 - 1))) / (1 - A ** -2)
-    denom = (1 + ratio) * geo + sigmav1_sq
-    if not math.isfinite(denom):
-        return 0.0
-    return A ** (2 * (k1 - 1)) * sigmav1_sq / denom
+    return info_mmse(a, sigmav1_sq, sigmav2_sq, k1 - 1, k1)
 
 
 def power_expand(a: float, b: float, weighted_powers) -> float:
@@ -263,20 +255,39 @@ def dl1(p: ProblemParams, sp: SliceParams, P1t, P2t):
     return out
 
 
+#: one-time downward rounding of the closed-form dl2 inner minimum: its
+#: float evaluation can land 1-3 ULP above the exact minimum, and a lower
+#: bound must not be rounded up (8 eps leaves a margin over that)
+_DL2_ROUND_DOWN = 1.0 - 8.0 * np.finfo(float).eps
+
+
 def _dl2_inner(A: float, Sigma: float, sv1_sq: float, sv2_sq: float,
-               C1, C2, iters: int = 300):
-    """Minimize (A - c1 - c2)^2 Sigma + c1^2 sv1^2 + c2^2 sv2^2 over the box
-    |c_i| <= C_i by clamped coordinate descent (convex quadratic)."""
-    C1 = np.asarray(C1, dtype=float)
-    C2 = np.asarray(C2, dtype=float)
-    c1 = np.zeros(np.broadcast(C1, C2).shape)
-    c2 = np.zeros_like(c1)
+               C1, C2):
+    """Exact minimum of the convex quadratic
+    f(c1, c2) = (A - c1 - c2)^2 Sigma + c1^2 sv1^2 + c2^2 sv2^2 over the box
+    |c_i| <= C_i (KKT): the unconstrained minimiser where it lies in the
+    box, else the best clamped 1-D minimum on the four edges."""
+    best = np.full(np.broadcast(C1, C2).shape, np.inf)
     if Sigma == 0:
-        return np.zeros_like(c1)
-    for _ in range(iters):
-        c1 = np.clip(Sigma * (A - c2) / (Sigma + sv1_sq), -C1, C1)
-        c2 = np.clip(Sigma * (A - c1) / (Sigma + sv2_sq), -C2, C2)
-    return (A - c1 - c2) ** 2 * Sigma + c1 ** 2 * sv1_sq + c2 ** 2 * sv2_sq
+        return np.zeros_like(best)
+
+    def f(c1, c2):
+        return (A - c1 - c2) ** 2 * Sigma + c1 ** 2 * sv1_sq + c2 ** 2 * sv2_sq
+
+    # fmin skips the NaN an infinite box edge evaluates to
+    for e in (C1, -C1):
+        best = np.fmin(best, f(e, np.clip(Sigma * (A - e) / (Sigma + sv2_sq),
+                                          -C2, C2)))
+    for e in (C2, -C2):
+        best = np.fmin(best, f(np.clip(Sigma * (A - e) / (Sigma + sv1_sq),
+                                       -C1, C1), e))
+    den = sv1_sq * sv2_sq + Sigma * (sv1_sq + sv2_sq)
+    if den > 0:
+        inside = (A * Sigma * sv2_sq / den <= C1) \
+            & (A * Sigma * sv1_sq / den <= C2)
+        best = np.where(inside, np.fmin(best, A * A * Sigma * sv1_sq
+                                        * sv2_sq / den), best)
+    return best * _DL2_ROUND_DOWN
 
 
 def dl2(p: ProblemParams, k1: int, k: int, Sigma: float, P1t, P2t):
@@ -350,6 +361,16 @@ WEAK_T_DIV = 400.0
 STRONG_T1_DIV = 70.0
 STRONG_T1HI_DIV = 20000.0
 STRONG_T2A_DIV = 28000.0
+#: region-ii floor coefficients c in c a^2 sv2^2 + 1 (weak, strong)
+WEAK_II_COEF = 0.176
+STRONG_II_COEF = 0.008
+#: decay coefficient of the signaling factor P1 e^{-50 a^{2(s-1)} P1 / sv2^2}
+SIG_DECAY_COEF = 50.0
+#: signaling and noise-floor coefficients of the strong-iv floor and of t2c
+IV_SIG_COEF = 0.2541
+IV_M_COEF = 0.066
+T2C_SIG_COEF = 0.0457
+T2C_M_COEF = 0.0113
 
 #: regions where no strategy stabilizes the loop (disturbance floor +inf)
 _UNSTABLE = ("weak-i", "strong-i", "strong-iii")
@@ -401,7 +422,8 @@ class RegionPartition:
         if regime.kind == "weak":
             put("T1", A ** 2 * m / WEAK_T_DIV)
             put("T2", A ** 2 * max(1.0, A ** 2 * sv2) / WEAK_T_DIV)
-            put("d_ii", max(0.176 * A ** 2 * sv2 + 1.0, FLOOR_COEF * m))
+            put("d_ii", max(WEAK_II_COEF * A ** 2 * sv2 + 1.0,
+                            FLOOR_COEF * m))
             return
         t1 = sv2 / (STRONG_T1_DIV * A ** (2 * (regime.s - 1)))
         t1hi = max(A ** 2, A ** 4 * p.sigmav1_sq) / STRONG_T1HI_DIV
@@ -409,7 +431,8 @@ class RegionPartition:
         put("t1hi", t1hi)
         put("t2a", A ** 4 * sv2 / STRONG_T2A_DIV)
         put("v_edge", max(t1, t1hi))
-        put("d_ii", max(0.008 * A ** 2 * sv2 + 1.0, FLOOR_COEF * m))
+        put("d_ii", max(STRONG_II_COEF * A ** 2 * sv2 + 1.0,
+                        FLOOR_COEF * m))
         if t1 < t1hi:
             # cell-wise 1-D minimization over the bracket; the unimodal
             # signaling factor attains its cell minimum at an endpoint
@@ -422,19 +445,20 @@ class RegionPartition:
 
     def _sig(self, P1):
         """Signaling factor P1 e^{-50 a^{2(s-1)} P1 / sv2^2}."""
-        decay_c = 50.0 * abs(self.p.a) ** (2 * (self.regime.s - 1)) \
+        decay_c = SIG_DECAY_COEF * abs(self.p.a) ** (2 * (self.regime.s - 1)) \
             / self.p.sigmav2_sq
         return P1 * np.exp(-decay_c * P1)
 
     def _iv_floor(self, f):
         A2s = abs(self.p.a) ** (2 * self.regime.s)
-        return np.maximum(0.2541 * A2s * f + 0.066 * A2s * self.m + 1.0,
-                          FLOOR_COEF * self.m)
+        return np.maximum(IV_SIG_COEF * A2s * f + IV_M_COEF * A2s * self.m
+                          + 1.0, FLOOR_COEF * self.m)
 
     def _t2c_of(self, f):
         A = abs(self.p.a)
         A2s = A ** (2 * self.regime.s)
-        return 0.0457 * A ** 2 * A2s * f + 0.0113 * A ** 2 * A2s * self.m
+        return T2C_SIG_COEF * A ** 2 * A2s * f \
+            + T2C_M_COEF * A ** 2 * A2s * self.m
 
     def t2c(self, P1):
         """Second-controller stabilization threshold in the signaling
@@ -491,32 +515,6 @@ class RegionPartition:
 # weighted-cost lower bound
 # ---------------------------------------------------------------------------
 
-def _power_grid(hi: float = 1e12, lo: float = 1e-6,
-                per_decade: int = 2) -> np.ndarray:
-    n = int(per_decade * math.log10(hi / lo)) + 1
-    return np.concatenate(([0.0], np.geomspace(lo, hi, n)))
-
-
-def _cell_min(q: float, r1: float, r2: float, D_hi: np.ndarray,
-              grid: np.ndarray, tail_floor: float) -> float:
-    """Valid lower bound on min_{P1,P2 >= 0} q D(P1,P2) + r1 P1 + r2 P2
-    for a D nonincreasing in both arguments.
-
-    D_hi[i, j] = D(grid[i+1], grid[j+1]) is D at each cell's upper corner
-    (grid includes 0; cells are [grid[i], grid[i+1]] x [grid[j], grid[j+1]]).
-    tail_floor lower-bounds D beyond the grid.
-    """
-    lo1 = grid[:-1, None]
-    lo2 = grid[None, :-1]
-    with np.errstate(invalid="ignore"):
-        vals = q * D_hi + r1 * lo1 + r2 * lo2
-    best = float(np.nanmin(vals)) if vals.size else math.inf
-    g_hi = grid[-1]
-    best = min(best, q * tail_floor + r1 * g_hi,
-               q * tail_floor + r2 * g_hi)
-    return best
-
-
 def _slicing_candidates(p: ProblemParams, part: RegionPartition
                         ) -> Tuple[List[SliceParams],
                                    List[Tuple[int, int, float]]]:
@@ -531,32 +529,21 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
         k1_base = 2 + int(math.floor(math.log(a2sv1) / (2 * math.log(A))))
     s = part.regime.s if part.regime.kind == "strong" else 1
 
-    sigma_targets = [FLOOR_COEF * m]
     dl1_cands: List[SliceParams] = []
     dl2_cands: List[Tuple[int, int, float]] = []
-    sv2p_options = [p.sigmav2_sq]
+    sv2p_options = []
     if p.sigmav2_sq > 0:
         # large-deviation variance inflation near the signaling power scale
         base_P = p.sigmav2_sq / (STRONG_T1_DIV * A ** (2 * (s - 1)))
-        for f in (1.0, 16.0):
-            sv2p_options.append(100.0 * A ** (2 * (s - 1)) * base_P * f)
+        sv2p_options = [p.sigmav2_sq] + [
+            100.0 * A ** (2 * (s - 1)) * base_P * f for f in (1.0, 16.0)]
     for k1 in sorted({max(1, k1_base + off) for off in (-1, 0, 1)}):
         cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
-        sigmas = sorted({min(cap, t) for t in sigma_targets}
-                        | {cap * f for f in (0.5, 1.0)})
-        for Sigma in sigmas:
-            if Sigma < 0:
-                continue
-            for k2_off in (0, 1):
-                k2 = k1 + s + 1 + k2_off
-                for k_off in (0, 2):
-                    k = k2 + k_off
-                    for alpha in (1.0,):
-                        for sv2p_sq in sv2p_options:
-                            if sv2p_sq <= 0:
-                                continue
-                            dl1_cands.append(SliceParams(
-                                k1, k2, k, sv2p_sq, alpha, Sigma))
+        for Sigma in sorted({min(cap, FLOOR_COEF * m), cap * 0.5, cap}):
+            for k2 in (k1 + s + 1, k1 + s + 2):
+                for k in (k2, k2 + 2):
+                    dl1_cands += [SliceParams(k1, k2, k, sv2p_sq, 1.0, Sigma)
+                                  for sv2p_sq in sv2p_options]
             for k_off in (1, 2, 4):
                 dl2_cands.append((k1, k1 + k_off, Sigma))
     return dl1_cands, dl2_cands
@@ -565,42 +552,62 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
 class LowerBoundEvaluator:
     """Precomputes, for one set of system parameters, the D values of every
     candidate converse family on the power grid, so the weighted bound can
-    be evaluated quickly for many (q, r1, r2) weightings."""
+    be evaluated quickly for many (q, r1, r2) weightings.
+
+    D_hi[f, i, j] is family f at the upper corner (grid[i+1], grid[j+1]) of
+    cell [grid[i], grid[i+1]] x [grid[j], grid[j+1]] (the grid includes 0);
+    tail[f] lower-bounds family f beyond the grid.
+    """
 
     def __init__(self, p: ProblemParams):
         self.p = p
-        self.grid = _power_grid()
-        self.families: List[Tuple[np.ndarray, float]] = []
+        # power grid: 0, then two points per decade from 1e-6 to 1e12
+        self.grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e12, 37)))
+        n = self.grid.size - 1
+        self.D_hi = np.empty((0, n, n))
+        self.tail = np.empty(0)
         self.dl3_best = 1.0
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
         if not self.certified:
             return
         self.partition = RegionPartition(p)
-        for k1 in range(1, 40):
-            self.dl3_best = max(self.dl3_best, dl3(p, k1))
+        self.dl3_best = max(dl3(p, k1) for k1 in range(1, 40))
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
         dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
-        if p.sigmav2_sq > 0:
-            for sp in dl1_cands:
-                try:
-                    self.families.append((dl1(p, sp, hi1, hi2), 1.0))
-                except ValueError:
-                    continue
-        for (k1, k, Sigma) in dl2_cands:
+        # no dl1 candidates when sigmav2_sq = 0, which dl1 rejects
+        calls = [(dl1, (sp,), 1.0) for sp in dl1_cands] \
+            + [(dl2, c, 1.0) for c in dl2_cands] \
+            + [(dl4, (k,), 0.0) for k in (2, 3, 4, 6, 8)]
+        D_hi = np.empty((len(calls), n, n))
+        tail = np.empty(len(calls))
+        f = 0
+        for family, args, tail_f in calls:
             try:
-                self.families.append((dl2(p, k1, k, Sigma, hi1, hi2), 1.0))
+                D_hi[f] = family(p, *args, hi1, hi2)
             except ValueError:
                 continue
-        for k in (2, 3, 4, 6, 8):
-            self.families.append((dl4(p, k, hi1, hi2), 0.0))
+            tail[f] = tail_f
+            f += 1
+        self.D_hi = D_hi[:f]
+        self.tail = tail[:f]
 
     def slicing_bound(self, q: float, r1: float, r2: float) -> float:
-        best = q * self.dl3_best
-        for D_hi, tail in self.families:
-            best = max(best, _cell_min(q, r1, r2, D_hi, self.grid, tail))
-        return best
+        """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at
+        least q times the dl3 floor): per cell, q D at its upper corner plus
+        the powers at its lower corner (D is nonincreasing), and the tail
+        beyond the grid; all-NaN families are skipped."""
+        lo = self.grid[:-1]
+        with np.errstate(invalid="ignore"):
+            vals = np.multiply(self.D_hi, q)
+            vals += r1 * lo[:, None]
+            vals += r2 * lo[None, :]
+        cell = np.fmin.reduce(vals, axis=(1, 2))
+        g_hi = self.grid[-1]
+        fam = np.minimum(cell, np.minimum(q * self.tail + r1 * g_hi,
+                                          q * self.tail + r2 * g_hi))
+        return float(np.fmax.reduce(fam, initial=q * self.dl3_best))
 
     def weighted(self, q: float, r1: float, r2: float,
                  with_label: bool = False):

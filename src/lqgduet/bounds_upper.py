@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bounds_lower import RegionPartition
+from .bounds_lower import SIG_DECAY_COEF, RegionPartition
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
     classify, noise_floor
 from .lattice import SeriesNonConvergent, q_tail, truncated_sum
@@ -23,6 +23,13 @@ D_GRID_POINTS = 200
 
 #: w1 refinement multipliers around the base pairing w1 = |a|^s d / 6
 W1_REFINE = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
+
+#: coefficients of the simplified signaling envelope (simplified_upper)
+ENV_D_SIG_COEF = 832.0
+ENV_D_M_COEF = 63.0
+ENV_P1_COEF = 80000.0
+ENV_P2_SIG_COEF = 6656.0
+ENV_P2_M_COEF = 564.0
 
 
 @dataclass(frozen=True)
@@ -142,18 +149,20 @@ def simplified_upper(p: ProblemParams, s: int, P: float) -> TradeoffPoint:
     if not (lo <= P <= hi):
         raise ValueError(f"P outside the validity bracket [{lo}, {hi}]")
     m = noise_floor(p)
-    decay = math.exp(-50.0 * A ** (2 * (s - 1)) * P / p.sigmav2_sq)
+    decay = math.exp(-SIG_DECAY_COEF * A ** (2 * (s - 1)) * P
+                     / p.sigmav2_sq)
     A2s = A ** (2 * s)
     A2s1 = A ** (2 * (s + 1))
-    return TradeoffPoint(832.0 * A2s * P * decay + 63.0 * A2s * m,
-                         80000.0 * P,
-                         6656.0 * A2s1 * P * decay + 564.0 * A2s1 * m)
+    return TradeoffPoint(
+        ENV_D_SIG_COEF * A2s * P * decay + ENV_D_M_COEF * A2s * m,
+        ENV_P1_COEF * P,
+        ENV_P2_SIG_COEF * A2s1 * P * decay + ENV_P2_M_COEF * A2s1 * m)
 
 
 def appendix_design(p: ProblemParams, s: int, P: float) -> SigDesign:
     """The design pairing behind the simplified envelope:
     d = sqrt(320000 P / a^2), w1 = |a|^s d / 6."""
-    d = math.sqrt(320000.0 * P / (p.a * p.a))
+    d = math.sqrt(4.0 * ENV_P1_COEF * P / (p.a * p.a))
     return SigDesign(s, d, abs(p.a) ** s * d / 6.0)
 
 

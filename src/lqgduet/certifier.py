@@ -12,9 +12,12 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify
-from .bounds_lower import FLOOR_COEF, STRONG_T1HI_DIV, STRONG_T2A_DIV, \
-    WEAK_T_DIV, LowerBoundEvaluator, RegionPartition
-from .bounds_upper import optimize_upper, sig_candidate_points, \
+from .bounds_lower import FLOOR_COEF, IV_M_COEF, IV_SIG_COEF, \
+    STRONG_II_COEF, STRONG_T1HI_DIV, STRONG_T2A_DIV, T2C_M_COEF, \
+    T2C_SIG_COEF, WEAK_II_COEF, WEAK_T_DIV, LowerBoundEvaluator, \
+    RegionPartition
+from .bounds_upper import ENV_D_M_COEF, ENV_D_SIG_COEF, ENV_P1_COEF, \
+    ENV_P2_M_COEF, ENV_P2_SIG_COEF, optimize_upper, sig_candidate_points, \
     simplified_upper, upper_envelope_D
 
 #: default certification caps by regime
@@ -75,13 +78,15 @@ def region_constants(p: ProblemParams) -> dict:
     regime = classify(p)
     if regime.kind == "weak":
         return {"weak-i": 1.0,
-                "weak-ii": max(1.0 / 0.176, 3 * WEAK_T_DIV),
+                "weak-ii": max(1.0 / WEAK_II_COEF, 3 * WEAK_T_DIV),
                 "weak-iii": max(2.0 / FLOOR_COEF, 1200.0)}
     return {"strong-i": 1.0,
-            "strong-ii": max(1.0 / 0.008, 1.32 * STRONG_T2A_DIV),
+            "strong-ii": max(1.0 / STRONG_II_COEF, 1.32 * STRONG_T2A_DIV),
             "strong-iii": 1.0,
-            "strong-iv": max(832.0 / 0.2541, 63.0 / 0.066, 80000.0,
-                             6656.0 / 0.0457, 564.0 / 0.0113),
+            "strong-iv": max(ENV_D_SIG_COEF / IV_SIG_COEF,
+                             ENV_D_M_COEF / IV_M_COEF, ENV_P1_COEF,
+                             ENV_P2_SIG_COEF / T2C_SIG_COEF,
+                             ENV_P2_M_COEF / T2C_M_COEF),
             "strong-v": max(2.0 / FLOOR_COEF, 3 * STRONG_T1HI_DIV)}
 
 

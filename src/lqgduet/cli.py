@@ -46,21 +46,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _open_out(path: Optional[str]):
+def _write_csv(path: Optional[str], header_meta: dict, rows,
+               trailer: Optional[str] = None) -> None:
+    """Write '# key=value' metadata lines, the CSV header, one line per row
+    dict and an optional trailer line to path ('-' or None for stdout)."""
     if path is None or path == "-":
-        return sys.stdout, False
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise click.UsageError(f"output directory does not exist: {parent}")
-    return open(path, "w"), True
+        out = sys.stdout
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise click.UsageError(
+                f"output directory does not exist: {parent}")
+        out = open(path, "w")
+    try:
+        for key, val in header_meta.items():
+            out.write(f"# {key}={_fmt(val)}\n")
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        for row in rows:
+            out.write(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS) + "\n")
+        if trailer is not None:
+            out.write(trailer + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
-def _emit(out, header_meta: dict, rows):
-    for key, val in header_meta.items():
-        out.write(f"# {key}={_fmt(val)}\n")
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS) + "\n")
+def _param_cells(p: ProblemParams) -> dict:
+    return {"a": p.a, "q": p.q, "r1": p.r1, "r2": p.r2,
+            "sv1sq": p.sigmav1_sq, "sv2sq": p.sigmav2_sq}
 
 
 def _seed(seed: int) -> int:
@@ -131,22 +144,15 @@ def simulate(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, strategy, horizon,
     except (ValueError, json.JSONDecodeError, TypeError) as e:
         raise click.UsageError(str(e))
     res = run(p, spec, cfg)
-    out, close = _open_out(output)
-    try:
-        _emit(out, {"command": "simulate", "horizon": cfg.horizon,
-                    "burn_in": cfg.burn_in, "trials": cfg.trials,
-                    "seed": cfg.seed,
-                    "strategy_json": json.dumps(spec.to_json())},
-              [{"a": p.a, "q": p.q, "r1": p.r1, "r2": p.r2,
-                "sv1sq": p.sigmav1_sq, "sv2sq": p.sigmav2_sq,
-                "strategy": spec.label, "s": spec.s, "d": spec.d,
-                "k": spec.k, "D": res.avg_state_cost,
-                "P1": res.avg_u1_power, "P2": res.avg_u2_power,
-                "weighted": res.weighted_cost, "se_D": res.se_state,
-                "se_P1": res.se_u1, "se_P2": res.se_u2}])
-    finally:
-        if close:
-            out.close()
+    _write_csv(output, {"command": "simulate", "horizon": cfg.horizon,
+                        "burn_in": cfg.burn_in, "trials": cfg.trials,
+                        "seed": cfg.seed,
+                        "strategy_json": json.dumps(spec.to_json())},
+               [{**_param_cells(p), "strategy": spec.label, "s": spec.s,
+                 "d": spec.d, "k": spec.k, "D": res.avg_state_cost,
+                 "P1": res.avg_u1_power, "P2": res.avg_u2_power,
+                 "weighted": res.weighted_cost, "se_D": res.se_state,
+                 "se_P1": res.se_u1, "se_P2": res.se_u2}])
     if res.unstable:
         sys.exit(2)
 
@@ -168,20 +174,13 @@ def sweep(a, l_min, l_max, l_steps, output):
     for row in sweep_labels(a, ls):
         p = ProblemParams(a=a, q=1.0, r1=float(a) ** row["l"], r2=0.0,
                           sigmav1_sq=0.0, sigmav2_sq=float(a))
-        lower = lower_weighted_cost(p)
-        rows.append({"a": a, "q": 1.0, "r1": p.r1, "r2": 0.0,
-                     "sv1sq": 0.0, "sv2sq": float(a),
-                     "strategy": row["label"], "D": row["D"],
-                     "P1": row["P1"], "P2": row["P2"],
-                     "weighted": row["cost"], "se_D": lower})
-    out, close = _open_out(output)
-    try:
-        _emit(out, {"command": "sweep", "l_min": l_min, "l_max": l_max,
-                    "l_steps": l_steps,
-                    "note": "se_D column carries the lower bound"}, rows)
-    finally:
-        if close:
-            out.close()
+        rows.append({**_param_cells(p), "strategy": row["label"],
+                     "D": row["D"], "P1": row["P1"], "P2": row["P2"],
+                     "weighted": row["cost"],
+                     "se_D": lower_weighted_cost(p)})
+    _write_csv(output, {"command": "sweep", "l_min": l_min, "l_max": l_max,
+                        "l_steps": l_steps,
+                        "note": "se_D column carries the lower bound"}, rows)
 
 
 @cli.command()
@@ -191,18 +190,11 @@ def upper(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
     """Best analytic achievable weighted cost and its strategy."""
     p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
     res = optimize_upper(p)
-    out, close = _open_out(output)
-    try:
-        _emit(out, {"command": "upper"},
-              [{"a": p.a, "q": p.q, "r1": p.r1, "r2": p.r2,
-                "sv1sq": p.sigmav1_sq, "sv2sq": p.sigmav2_sq,
-                "strategy": res.spec.label, "s": res.spec.s,
-                "d": res.spec.d, "k": res.spec.k, "D": res.point.D,
-                "P1": res.point.P1, "P2": res.point.P2,
-                "weighted": res.cost}])
-    finally:
-        if close:
-            out.close()
+    _write_csv(output, {"command": "upper"},
+               [{**_param_cells(p), "strategy": res.spec.label,
+                 "s": res.spec.s, "d": res.spec.d, "k": res.spec.k,
+                 "D": res.point.D, "P1": res.point.P1, "P2": res.point.P2,
+                 "weighted": res.cost}])
 
 
 @cli.command()
@@ -212,15 +204,8 @@ def lower(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
     """Converse lower bound on the weighted cost."""
     p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
     val = lower_weighted_cost(p)
-    out, close = _open_out(output)
-    try:
-        _emit(out, {"command": "lower"},
-              [{"a": p.a, "q": p.q, "r1": p.r1, "r2": p.r2,
-                "sv1sq": p.sigmav1_sq, "sv2sq": p.sigmav2_sq,
-                "weighted": val}])
-    finally:
-        if close:
-            out.close()
+    _write_csv(output, {"command": "lower"},
+               [{**_param_cells(p), "weighted": val}])
 
 
 @cli.command()
@@ -240,30 +225,19 @@ def certify(regime, cap, output):
     if regime in ("strong", "both"):
         params += strong_grid_params()
     reports = certify_grid(params, cap=cap)
-    out, close = _open_out(output)
-    rows = []
-    for rep in reports:
-        rows.append({"a": rep.params.a, "q": rep.params.q,
-                     "r1": rep.params.r1, "r2": rep.params.r2,
-                     "sv1sq": rep.params.sigmav1_sq,
-                     "sv2sq": rep.params.sigmav2_sq,
-                     "strategy": rep.case_label, "s": rep.regime.s,
-                     "D": rep.upper, "P1": rep.lower, "P2": rep.ratio,
-                     "weighted": rep.cap,
-                     "se_D": 1.0 if rep.passed else 0.0})
+    rows = [{**_param_cells(rep.params), "strategy": rep.case_label,
+             "s": rep.regime.s, "D": rep.upper, "P1": rep.lower,
+             "P2": rep.ratio, "weighted": rep.cap,
+             "se_D": 1.0 if rep.passed else 0.0} for rep in reports]
     n_pass = sum(r.passed for r in reports)
-    try:
-        _emit(out, {"command": "certify", "regime": regime,
-                    "cap_weak": cap if cap is not None else CAP_WEAK,
-                    "cap_strong": cap if cap is not None else CAP_STRONG,
-                    "note": "columns D,P1,P2 carry upper,lower,ratio; "
-                            "se_D carries pass flag; sampled-grid check "
-                            "only"}, rows)
-        out.write(f"# {'PASS' if n_pass == len(reports) else 'FAIL'}: "
-                  f"{n_pass}/{len(reports)} points within cap\n")
-    finally:
-        if close:
-            out.close()
+    _write_csv(output, {"command": "certify", "regime": regime,
+                        "cap_weak": cap if cap is not None else CAP_WEAK,
+                        "cap_strong": cap if cap is not None else CAP_STRONG,
+                        "note": "columns D,P1,P2 carry upper,lower,ratio; "
+                                "se_D carries pass flag; sampled-grid check "
+                                "only"}, rows,
+               trailer=f"# {'PASS' if n_pass == len(reports) else 'FAIL'}: "
+                       f"{n_pass}/{len(reports)} points within cap")
     if n_pass != len(reports):
         sys.exit(2)
 

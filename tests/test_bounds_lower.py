@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
+from lqgduet.certifier import (default_weight_grid, strong_grid_params,
+                               weak_grid_params)
 from lqgduet.core import ProblemParams
 from lqgduet.bounds_lower import (LowerBoundEvaluator, RegionPartition,
-                                  SliceParams, dl1, dl2, dl3, dl4, info_mmse,
+                                  SliceParams, _dl2_inner, dl1, dl2, dl3,
+                                  dl4, info_mmse,
                                   lower_weighted_cost, mmse_floor,
                                   mutual_info_ik, mutual_info_ik_doubleprime,
                                   mutual_info_ik_prime, mmse_from_info,
@@ -74,18 +79,48 @@ def test_dl2_zero_power_value():
     assert dl2(p, 1, 2, 1.0, 0.0, 0.0) == pytest.approx(17.0)
 
 
+def _dl2_objective(A, Sigma, sv1, sv2, c1, c2):
+    return (A - c1 - c2) ** 2 * Sigma + c1 ** 2 * sv1 + c2 ** 2 * sv2
+
+
 def test_dl2_inner_matches_brute_force():
-    # the clamped coordinate-descent inner minimum vs a dense grid search
-    from lqgduet.bounds_lower import _dl2_inner
+    # the exact inner minimum vs a dense grid search
     A, Sigma, sv1, sv2 = 4.0, 0.8, 1.3, 5.0
     for C1, C2 in [(0.5, 0.5), (2.0, 0.3), (5.0, 5.0), (0.05, 3.0)]:
         got = float(_dl2_inner(A, Sigma, sv1, sv2, C1, C2))
         c1 = np.linspace(-C1, C1, 401)[:, None]
         c2 = np.linspace(-C2, C2, 401)[None, :]
-        brute = np.min((A - c1 - c2) ** 2 * Sigma + c1 ** 2 * sv1
-                       + c2 ** 2 * sv2)
+        brute = np.min(_dl2_objective(A, Sigma, sv1, sv2, c1, c2))
         assert got <= brute + 1e-6
         assert got == pytest.approx(brute, rel=1e-3, abs=1e-4)
+    # badly conditioned (Sigma >> sv^2): the minimiser is interior, and an
+    # iterative search converges slowly enough to stop well above it
+    A, Sigma, sv1, sv2 = 4.0, 50.0, 0.01, 0.02
+    den = sv1 * sv2 + Sigma * (sv1 + sv2)
+    assert float(_dl2_inner(A, Sigma, sv1, sv2, 5.0, 5.0)) \
+        == pytest.approx(A * A * Sigma * sv1 * sv2 / den, rel=1e-12)
+    assert float(_dl2_inner(A, Sigma, sv1, sv2, 5.0, 5.0)) \
+        == pytest.approx(0.1066524463, rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(2.5, 100.0), st.floats(1e-3, 1e4), st.floats(0.0, 1e4),
+       st.floats(0.0, 1e4), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_dl2_inner_is_the_box_minimum(A, Sigma, sv1, sv2, C1, C2):
+    got = float(_dl2_inner(A, Sigma, sv1, sv2, C1, C2))
+    tol = 1e-12 * A * A * Sigma
+    c1 = np.linspace(-C1, C1, 201)[:, None]
+    c2 = np.linspace(-C2, C2, 201)[None, :]
+    assert got <= np.min(_dl2_objective(A, Sigma, sv1, sv2, c1, c2)) + tol
+    sol = minimize(lambda c: _dl2_objective(A, Sigma, sv1, sv2, *c),
+                   x0=[0.0, 0.0], method="L-BFGS-B",
+                   bounds=[(-C1, C1), (-C2, C2)])
+    assert got <= _dl2_objective(A, Sigma, sv1, sv2, *sol.x) + tol
+    den = sv1 * sv2 + Sigma * (sv1 + sv2)
+    if den > 0 and A * Sigma * sv2 / den <= C1 \
+            and A * Sigma * sv1 / den <= C2:
+        assert got == pytest.approx(A * A * Sigma * sv1 * sv2 / den,
+                                    rel=1e-12, abs=0.0)
 
 
 def test_dl4_zero_power_and_direct_value():
@@ -196,3 +231,29 @@ def test_evaluator_matches_direct_call():
                           sigmav2_sq=50.0)
         assert ev.weighted(q, r1, r2) \
             == pytest.approx(lower_weighted_cost(p))
+
+
+def _cell_min(q, r1, r2, D_hi, grid, tail_floor):
+    """Per-family reference: valid lower bound on
+    min_{P1,P2 >= 0} q D(P1,P2) + r1 P1 + r2 P2 for a D nonincreasing in
+    both arguments, from D at each cell's upper corner and the powers at
+    its lower corner; tail_floor lower-bounds D beyond the grid."""
+    lo1 = grid[:-1, None]
+    lo2 = grid[None, :-1]
+    with np.errstate(invalid="ignore"):
+        vals = q * D_hi + r1 * lo1 + r2 * lo2
+    best = float(np.nanmin(vals)) if vals.size else math.inf
+    g_hi = grid[-1]
+    return min(best, q * tail_floor + r1 * g_hi, q * tail_floor + r2 * g_hi)
+
+
+@pytest.mark.parametrize("base", [weak_grid_params()[4],
+                                  strong_grid_params()[10]])
+def test_stacked_slicing_bound_equals_per_family_max(base):
+    ev = LowerBoundEvaluator(base)
+    assert ev.D_hi.shape[0] == ev.tail.shape[0] > 0
+    for q, r1, r2 in default_weight_grid():
+        best = q * ev.dl3_best
+        for D_hi, tail in zip(ev.D_hi, ev.tail):
+            best = max(best, _cell_min(q, r1, r2, D_hi, ev.grid, tail))
+        assert ev.slicing_bound(q, r1, r2) == best

@@ -167,5 +167,12 @@ def test_certify_subcommand_small(tmp_path):
     out = _run_main(["certify", "--regime", "weak", "--output", str(out_file)])
     assert out.returncode == 0, out.stderr
     text = out_file.read_text()
-    assert "PASS" in text
+    assert text.splitlines()[-1] == "# PASS: 486/486 points within cap"
     _assert_numeric_cells(text)
+
+
+def test_missing_output_directory_is_config_error(tmp_path):
+    out = _run_main(["upper", "--a", "4", "--output",
+                     str(tmp_path / "missing" / "upper.csv")])
+    assert out.returncode == 1, out.stderr
+    assert "output directory does not exist" in out.stderr, out.stderr
