@@ -40,7 +40,16 @@ def quantize(step, y):
     """
     if np.any(np.asarray(step) <= 0):
         raise ValueError("step must be > 0")
-    return step * np.floor(y / step + 0.5)
+    return _quantize_unchecked(step, y)
+
+
+def _quantize_unchecked(step, y, out=None):
+    """step * floor(y/step + 1/2) for a step the caller has validated,
+    written into ``out`` when given (``out`` may be ``y``)."""
+    q = np.divide(y, step, out)
+    q = np.add(q, 0.5, out)
+    q = np.floor(q, out)
+    return np.multiply(q, step, out)
 
 
 def remainder(step, y):

@@ -19,6 +19,10 @@ from .strategies import StrategySpec, make_strategy
 
 DIVERGENCE_THRESHOLD = 1e150
 
+#: element budget of each per-chunk buffer of run() (states, inputs, noise):
+#: 512 KB of float64, so a chunk's noise and squares stay in cache
+_CHUNK_ELEMS = 2 ** 16
+
 #: counter_normals packs the trial index into 20 bits; beyond that the
 #: streams of different trials and steps would coincide
 MAX_TRIALS = 2 ** 20
@@ -93,10 +97,32 @@ class SimResult:
                              self.avg_u2_power)
 
 
+def _fold_squares(total: np.ndarray, rows: np.ndarray,
+                  buf: np.ndarray) -> None:
+    """total += r * r for each row r of rows, in row order.
+
+    add.accumulate is sequential by definition, so the result is the same
+    as a per-step running sum; sum would add pairwise."""
+    m = rows.shape[0]
+    acc = buf[:m + 1]
+    acc[0] = total
+    np.multiply(rows, rows, out=acc[1:])
+    np.add.accumulate(acc, axis=0, out=acc)
+    total[:] = acc[m]
+
+
 def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     """Simulate the closed loop and return time-and-trial averages over the
     steps >= burn_in.  Divergence (|x| > 1e150, or a non-finite state in any
-    trial) is reported as unstable with weighted cost +inf."""
+    trial) is reported as unstable with weighted cost +inf.
+
+    The horizon runs in chunks of about _CHUNK_ELEMS / trials steps.  Each
+    chunk draws its noise at once, writes the states into a
+    (steps + 1, trials) buffer and the inputs into (steps, trials) buffers,
+    then checks the whole chunk for divergence (reporting the first step
+    whose next state diverged) and folds the post-burn-in squares into the
+    per-trial sums with one sequential add.accumulate per quantity.  Results
+    are bit-identical to a step-by-step loop, for any chunk size."""
     n_tr = cfg.trials
     strat = make_strategy(spec, p)
     strat.reset(n_tr)
@@ -105,38 +131,53 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     sv1 = math.sqrt(p.sigmav1_sq)
     sv2 = math.sqrt(p.sigmav2_sq)
 
-    x = sigma0 * counter_normals(cfg.seed, n_tr, 0, 1, _CH_X0)[0]
+    rows = max(1, _CHUNK_ELEMS // n_tr)
+    X = np.empty((rows + 1, n_tr))
+    U1 = np.empty((rows, n_tr))
+    U2 = np.empty((rows, n_tr))
+    buf = np.empty((rows + 1, n_tr))
+    X[0] = sigma0 * counter_normals(cfg.seed, n_tr, 0, 1, _CH_X0)[0]
 
     sx = np.zeros(n_tr)
     su1 = np.zeros(n_tr)
     su2 = np.zeros(n_tr)
 
-    chunk = 4096
     a = p.a
-    burn_in = cfg.burn_in
-    for lo in range(0, cfg.horizon, chunk):
-        hi = min(lo + chunk, cfg.horizon)
+    for lo in range(0, cfg.horizon, rows):
+        k = min(rows, cfg.horizon - lo)
+        hi = lo + k
         wc = counter_normals(cfg.seed, n_tr, lo, hi, _CH_W)
         v1c = sv1 * counter_normals(cfg.seed, n_tr, lo, hi, _CH_V1) \
-            if sv1 else np.zeros((hi - lo, n_tr))
+            if sv1 else np.zeros((k, n_tr))
         v2c = sv2 * counter_normals(cfg.seed, n_tr, lo, hi, _CH_V2) \
-            if sv2 else np.zeros((hi - lo, n_tr))
-        for j in range(hi - lo):
-            n = lo + j
-            y1 = x + v1c[j]
-            y2 = x + v2c[j]
-            u1, u2 = strat.step(y1, y2)
-            if n >= burn_in:
-                sx += x * x
-                su1 += u1 * u1
-                su2 += u2 * u2
-            x = a * x + u1 + u2 + wc[j]
-            if not np.max(np.abs(x)) <= DIVERGENCE_THRESHOLD:
+            if sv2 else np.zeros((k, n_tr))
+        Xk = X[1:k + 1]
+        # a diverged trial runs on to the end of the chunk as inf/NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, x_next, v1, v2, w, u1_row, u2_row in zip(
+                    X, Xk, v1c, v2c, wc, U1, U2):
+                u1, u2 = strat.step(x + v1, x + v2)
+                u1_row[:] = u1
+                u2_row[:] = u2
+                # x[n+1] = a x[n] + u1 + u2 + w, in that order
+                np.multiply(a, x, out=x_next)
+                x_next += u1
+                x_next += u2
+                x_next += w
+            if not np.max(np.abs(Xk)) <= DIVERGENCE_THRESHOLD:
+                bad = ~(np.abs(Xk) <= DIVERGENCE_THRESHOLD)
+                n = lo + int(np.argmax(bad.any(axis=1)))
                 return SimResult(math.inf, math.inf, math.inf, math.inf,
                                  math.nan, math.nan, math.nan,
                                  unstable=True, unstable_step=n)
+        j0 = max(0, cfg.burn_in - lo)
+        if j0 < k:
+            _fold_squares(sx, X[j0:k], buf)
+            _fold_squares(su1, U1[j0:k], buf)
+            _fold_squares(su2, U2[j0:k], buf)
+        X[0] = X[k]
 
-    m = cfg.horizon - burn_in
+    m = cfg.horizon - cfg.burn_in
     sx /= m
     su1 /= m
     su2 /= m

@@ -2,7 +2,10 @@
 control, and the s-stage quantization signaling pair.
 
 Each runtime strategy exposes ``reset(n_trials)`` and
-``step(y1, y2) -> (u1, u2)``, operating elementwise on trial vectors.
+``step(y1, y2) -> (u1, u2)``, operating elementwise on trial vectors.  A
+strategy runs one trial count, set by ``reset`` or by its first step (a 0-d
+observation is one trial); a step with another count raises ValueError.
+The input of a silent controller is one shared read-only zero vector.
 """
 from __future__ import annotations
 
@@ -15,7 +18,9 @@ import numpy as np
 from scipy import linalg as la
 
 from .core import ProblemParams, classify
-from .lattice import quantize, remainder
+# quantize is the validated public form of the kernel; it stays importable
+# from this module
+from .lattice import _quantize_unchecked, quantize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -116,14 +121,36 @@ def stationary_prior_variance(a: float, sigmav_sq: float) -> float:
 
 
 class _Base:
-    def reset(self, n_trials: int) -> None:  # pragma: no cover - trivial
-        pass
+    #: trials per step, fixed by ``reset`` or by the first ``step``
+    n_trials: Optional[int] = None
+
+    def reset(self, n_trials: int) -> None:
+        self.n_trials = n_trials
+        # the silent controller's input, shared by every step
+        self._zero = np.zeros(n_trials)
+        self._zero.flags.writeable = False
+
+    def _trials(self, y) -> np.ndarray:
+        """``y`` as a float vector with one entry per trial (a 0-d input is
+        one trial).  The first step of a strategy that was not reset sizes
+        it; any other trial count afterwards is rejected."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1:
+            if y.ndim:
+                raise ValueError("observations must be a vector of trials")
+            y = y.reshape(1)
+        if y.shape[0] != self.n_trials:
+            if self.n_trials is not None:
+                raise ValueError(f"strategy runs {self.n_trials} trials, "
+                                 f"got {y.shape[0]}")
+            self.reset(y.shape[0])
+        return y
 
 
 class ZeroInput(_Base):
     def step(self, y1, y2):
-        z = np.zeros_like(np.asarray(y1, dtype=float))
-        return z, z.copy()
+        self._trials(y1)
+        return self._zero, self._zero
 
 
 class LinBB(_Base):
@@ -134,11 +161,10 @@ class LinBB(_Base):
         self.controller = controller
 
     def step(self, y1, y2):
-        y1 = np.asarray(y1, dtype=float)
-        z = np.zeros_like(y1)
         if self.controller == 1:
-            return -self.a * y1, z
-        return z, -self.a * np.asarray(y2, dtype=float)
+            return -self.a * self._trials(y1), self._zero
+        u2 = -self.a * self._trials(y2)
+        return self._zero, u2
 
 
 class LinKal(_Base):
@@ -155,25 +181,30 @@ class LinKal(_Base):
         self.u_prev = None
 
     def reset(self, n_trials: int) -> None:
+        super().reset(n_trials)
         self.xhat = np.zeros(n_trials)
         self.u_prev = np.zeros(n_trials)
         self.p = 0.0
 
     def step(self, y1, y2):
-        y = np.asarray(y1 if self.controller == 1 else y2, dtype=float)
-        if self.xhat is None:
-            self.reset(y.shape[0] if y.ndim else 1)
-        xhat_minus = self.a * self.xhat + self.u_prev
+        y = self._trials(y1 if self.controller == 1 else y2)
+        # predict in place: xhat^- = a xhat + u_prev
+        xhat_minus = self.xhat
+        xhat_minus *= self.a
+        xhat_minus += self.u_prev
         p_minus = self.a * self.a * self.p + 1.0
         g = p_minus / (p_minus + self.sigmav_sq)
-        self.xhat = xhat_minus + g * (y - xhat_minus)
+        # correct: xhat = xhat^- + g (y - xhat^-)
+        xhat = y - xhat_minus
+        xhat *= g
+        xhat += xhat_minus
+        self.xhat = xhat
         self.p = (1.0 - g) * p_minus
-        u = -self.k * self.xhat
+        u = -self.k * xhat
         self.u_prev = u
-        z = np.zeros_like(u)
         if self.controller == 1:
-            return u, z
-        return z, u
+            return u, self._zero
+        return self._zero, u
 
 
 class Sig(_Base):
@@ -188,16 +219,24 @@ class Sig(_Base):
     """
 
     def __init__(self, a: float, s: int, d: float):
+        try:
+            big_step = abs(a) ** s * d
+        except OverflowError:
+            big_step = math.inf
+        if not (s >= 1 and 0 < d < math.inf and 0 < big_step < math.inf):
+            raise ValueError(f"sig needs s >= 1 and finite positive lattice "
+                             f"steps d = {d!r} and |a|^s d = {big_step!r}")
         self.a = a
         self.s = s
         self.d = d
-        self.big_step = abs(a) ** s * d
+        self.big_step = big_step
         # a^{i-1} weights for i = 1..s, applied to u2[n-i]
         self.weights = a ** np.arange(s)
         self.hist = None
         self.pos = 0
 
     def reset(self, n_trials: int) -> None:
+        super().reset(n_trials)
         self.hist = np.zeros((self.s, n_trials))
         self.pos = 0
 
@@ -207,16 +246,23 @@ class Sig(_Base):
         acc = np.zeros(self.hist.shape[1])
         for i in range(1, self.s + 1):
             acc += self.weights[i - 1] * self.hist[(self.pos - i) % self.s]
-        return remainder(self.big_step, acc)
+        acc -= _quantize_unchecked(self.big_step, acc)
+        return acc
 
     def step(self, y1, y2):
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        if self.hist is None or self.hist.shape[1] != y1.shape[0]:
-            self.reset(y1.shape[0] if y1.ndim else 1)
-        u1 = -self.a * remainder(self.d, y1)
+        y1 = self._trials(y1)
+        y2 = self._trials(y2)
+        neg_a = -self.a
+        # u1 = -a (y1 - Q_d(y1))
+        u1 = _quantize_unchecked(self.d, y1, np.empty(self.n_trials))
+        np.subtract(y1, u1, out=u1)
+        u1 *= neg_a
+        # u2 = -a (Q_{|a|^s d}(y2 - m) + m)
         m = self.compensation()
-        u2 = -self.a * (quantize(self.big_step, y2 - m) + m)
+        u2 = np.subtract(y2, m)
+        _quantize_unchecked(self.big_step, u2, u2)
+        u2 += m
+        u2 *= neg_a
         self.hist[self.pos % self.s] = u2
         self.pos += 1
         return u1, u2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,3 +119,142 @@ def test_standard_errors_shrink_with_trials():
     many = run(p, spec, SimConfig(horizon=4000, burn_in=200, trials=32,
                                   seed=9))
     assert many.se_state < few.se_state * 1.5
+
+
+# -- the chunk-buffered loop against the step-by-step loop it replaced -----
+
+def _reference_run(p, spec, cfg):
+    """The per-step loop of run() before chunk buffering, kept as its
+    reference: one strategy step, one running sum and one divergence check
+    per simulated step."""
+    n_tr = cfg.trials
+    strat = simulator.make_strategy(spec, p)
+    strat.reset(n_tr)
+    sv1 = math.sqrt(p.sigmav1_sq)
+    sv2 = math.sqrt(p.sigmav2_sq)
+    x = math.sqrt(p.sigma0_sq) * counter_normals(cfg.seed, n_tr, 0, 1,
+                                                 simulator._CH_X0)[0]
+    sx, su1, su2 = np.zeros(n_tr), np.zeros(n_tr), np.zeros(n_tr)
+    chunk = 4096
+    for lo in range(0, cfg.horizon, chunk):
+        hi = min(lo + chunk, cfg.horizon)
+        wc = counter_normals(cfg.seed, n_tr, lo, hi, simulator._CH_W)
+        v1c = sv1 * counter_normals(cfg.seed, n_tr, lo, hi, simulator._CH_V1) \
+            if sv1 else np.zeros((hi - lo, n_tr))
+        v2c = sv2 * counter_normals(cfg.seed, n_tr, lo, hi, simulator._CH_V2) \
+            if sv2 else np.zeros((hi - lo, n_tr))
+        for j in range(hi - lo):
+            n = lo + j
+            u1, u2 = strat.step(x + v1c[j], x + v2c[j])
+            if n >= cfg.burn_in:
+                sx += x * x
+                su1 += u1 * u1
+                su2 += u2 * u2
+            x = p.a * x + u1 + u2 + wc[j]
+            if not np.max(np.abs(x)) <= simulator.DIVERGENCE_THRESHOLD:
+                return simulator.SimResult(
+                    math.inf, math.inf, math.inf, math.inf, math.nan,
+                    math.nan, math.nan, unstable=True, unstable_step=n)
+    m = cfg.horizon - cfg.burn_in
+    sx /= m
+    su1 /= m
+    su2 /= m
+
+    def se(v):
+        if n_tr < 2:
+            return math.nan
+        return float(np.std(v, ddof=1) / math.sqrt(n_tr))
+
+    D, P1, P2 = float(sx.mean()), float(su1.mean()), float(su2.mean())
+    return simulator.SimResult(D, P1, P2, p.q * D + p.r1 * P1 + p.r2 * P2,
+                               se(sx), se(su1), se(su2))
+
+
+def _assert_same(got, ref):
+    """Every SimResult field equal (NaN standard errors match NaN)."""
+    for f in dataclasses.fields(simulator.SimResult):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert a == b or (a != a and b != b), (f.name, a, b)
+
+
+def _instance(s):
+    """A stage-s strongly degraded instance and its signaling design."""
+    a, sv1 = 3.0, 0.5
+    sv2 = a ** (2 * s - 1) * max(1.0, a * a * sv1)
+    p = ProblemParams(a=a, q=1.0, r1=0.1, r2=0.01, sigma0_sq=1.0,
+                      sigmav1_sq=sv1, sigmav2_sq=sv2)
+    return p, StrategySpec("sig", s=s, d=2.0 * math.sqrt(sv2) / a ** s)
+
+
+_P2, _SIG2 = _instance(2)
+_VARIANTS = {
+    "zero": (_P2, StrategySpec("zero")),
+    "linbb1": (_P2, StrategySpec("linbb", controller=1)),
+    "linbb2": (_P2, StrategySpec("linbb", controller=2)),
+    "linkal1": (_P2, StrategySpec("linkal", controller=1, k=2.5)),
+    "linkal2": (_P2, StrategySpec("linkal", controller=2, k=2.5)),
+    "sig1": _instance(1),
+    "sig2": (_P2, _SIG2),
+    "sig3": _instance(3),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9, 2048])
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_run_matches_step_by_step_reference(variant, trials):
+    # 2048 trials: 32-step chunks, so burn-in 45 lies inside the second
+    # chunk and the horizon of 100 ends on a partial chunk
+    p, spec = _VARIANTS[variant]
+    cfg = SimConfig(horizon=100, burn_in=45, trials=trials, seed=11)
+    _assert_same(run(p, spec, cfg), _reference_run(p, spec, cfg))
+
+
+@pytest.mark.parametrize("burn_in", [0, 31, 32, 64, 99])
+@pytest.mark.parametrize("variant", ["linkal1", "sig2"])
+def test_run_matches_reference_at_chunk_edges(variant, burn_in):
+    p, spec = _VARIANTS[variant]
+    cfg = SimConfig(horizon=100, burn_in=burn_in, trials=2048, seed=4)
+    assert simulator._CHUNK_ELEMS // cfg.trials == 32
+    _assert_same(run(p, spec, cfg), _reference_run(p, spec, cfg))
+
+
+@pytest.mark.parametrize("burn_in", [0, 14, 20])
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_run_matches_reference_with_small_chunks(monkeypatch, variant,
+                                                 burn_in):
+    # 7-step chunks at 9 trials: many chunk edges, burn-in on one (14) and
+    # inside one (20), a horizon of 50 that is not a multiple of 7
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 9 * 7)
+    p, spec = _VARIANTS[variant]
+    cfg = SimConfig(horizon=50, burn_in=burn_in, trials=9, seed=2)
+    _assert_same(run(p, spec, cfg), _reference_run(p, spec, cfg))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_in_second_chunk_matches_reference():
+    # |x| grows about 2000-fold per step and passes 1e150 near step 45,
+    # inside the second 32-step chunk at 2048 trials
+    p = ProblemParams(a=2000.0)
+    cfg = SimConfig(horizon=200, burn_in=10, trials=2048, seed=0)
+    res = run(p, StrategySpec("zero"), cfg)
+    assert res.unstable and 32 <= res.unstable_step < 64
+    _assert_same(res, _reference_run(p, StrategySpec("zero"), cfg))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("trials", [1, 9])
+def test_divergence_that_overflows_within_its_chunk(monkeypatch, trials,
+                                                    rows):
+    # a destabilising gain: the state passes 1e150 at step 1 (in the second
+    # chunk when chunks are one step long); with 8-step chunks the rest of
+    # the chunk overflows to inf and then NaN (inf - inf in the filter),
+    # and no warning may escape.  Burn-in lies past the divergence, so the
+    # reference squares nothing that overflows.
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", trials * rows)
+    p = ProblemParams(a=2.0, sigma0_sq=1.0, sigmav1_sq=0.5, sigmav2_sq=0.5)
+    spec = StrategySpec("linkal", controller=1, k=-1e100)
+    cfg = SimConfig(horizon=40, burn_in=30, trials=trials, seed=5)
+    res = run(p, spec, cfg)
+    assert res.unstable and res.unstable_step == 1
+    _assert_same(res, _reference_run(p, spec, cfg))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lqgduet.core import ProblemParams
+from lqgduet.lattice import quantize, remainder
 from lqgduet.strategies import (LinBB, LinKal, Sig, StrategySpec, ZeroInput,
                                 lqr_gain, make_strategy, parse_strategy,
                                 select_stage, stationary_prior_variance)
@@ -67,6 +68,7 @@ def test_zero_input():
     z = ZeroInput()
     u1, u2 = z.step(np.ones(3), np.ones(3))
     assert np.all(u1 == 0) and np.all(u2 == 0)
+    assert u1.shape == (3,) and not u1.flags.writeable
 
 
 def test_linbb_active_side():
@@ -139,3 +141,144 @@ def test_select_stage():
     assert select_stage(p) == 2
     with pytest.raises(ValueError):
         select_stage(ProblemParams(a=2.0, sigmav1_sq=0.0, sigmav2_sq=1.0))
+
+
+# -- in-place steps against the allocating steps they replaced -------------
+
+class _RefLinKal:
+    """LinKal.step before the in-place rewrite."""
+
+    def __init__(self, a, controller, k, sigmav_sq, n):
+        self.a, self.controller, self.k, self.sv = a, controller, k, sigmav_sq
+        self.xhat, self.u_prev, self.p = np.zeros(n), np.zeros(n), 0.0
+
+    def step(self, y1, y2):
+        y = y1 if self.controller == 1 else y2
+        xhat_minus = self.a * self.xhat + self.u_prev
+        p_minus = self.a * self.a * self.p + 1.0
+        g = p_minus / (p_minus + self.sv)
+        self.xhat = xhat_minus + g * (y - xhat_minus)
+        self.p = (1.0 - g) * p_minus
+        u = -self.k * self.xhat
+        self.u_prev = u
+        z = np.zeros_like(u)
+        return (u, z) if self.controller == 1 else (z, u)
+
+
+class _RefSig:
+    """Sig.step before the in-place rewrite, through the validated
+    quantize/remainder on every call."""
+
+    def __init__(self, a, s, d, n):
+        self.a, self.s, self.d = a, s, d
+        self.big_step = abs(a) ** s * d
+        self.weights = a ** np.arange(s)
+        self.hist, self.pos = np.zeros((s, n)), 0
+
+    def step(self, y1, y2):
+        u1 = -self.a * remainder(self.d, y1)
+        acc = np.zeros(self.hist.shape[1])
+        for i in range(1, self.s + 1):
+            acc += self.weights[i - 1] * self.hist[(self.pos - i) % self.s]
+        m = remainder(self.big_step, acc)
+        u2 = -self.a * (quantize(self.big_step, y2 - m) + m)
+        self.hist[self.pos % self.s] = u2
+        self.pos += 1
+        return u1, u2
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: (LinBB(-2.5, 1), None),
+    lambda n: (LinBB(2.5, 2), None),
+    lambda n: (LinKal(2.5, 1, 1.7, 0.3), _RefLinKal(2.5, 1, 1.7, 0.3, n)),
+    lambda n: (LinKal(-2.5, 2, 1.2, 4.0), _RefLinKal(-2.5, 2, 1.2, 4.0, n)),
+    lambda n: (Sig(3.0, 1, 0.7), _RefSig(3.0, 1, 0.7, n)),
+    lambda n: (Sig(-3.0, 2, 0.3), _RefSig(-3.0, 2, 0.3, n)),
+    lambda n: (Sig(2.5, 3, 0.05), _RefSig(2.5, 3, 0.05, n)),
+])
+def test_steps_bit_identical_to_allocating_reference(make):
+    n = 7
+    strat, ref = make(n)
+    strat.reset(n)
+    rng = np.random.default_rng(0)
+    for t in range(60):
+        # exact zeros and lattice ties exercise signed zeros and rounding
+        y1 = rng.normal(0, 3.0, n)
+        y2 = rng.normal(0, 30.0, n)
+        y1[0], y2[0] = 0.0, 0.0
+        y1[1] = 0.35 * (t % 5)
+        if ref is None:
+            u = -strat.a * (y1 if strat.controller == 1 else y2)
+            z = np.zeros(n)
+            want = (u, z) if strat.controller == 1 else (z, u)
+        else:
+            want = ref.step(y1, y2)
+        got = strat.step(y1, y2)
+        for g, w in zip(got, want):
+            assert g.shape == (n,)
+            assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("strat", [LinBB(2.0, 1), LinBB(2.0, 2),
+                                   LinKal(2.0, 1, 1.5, 0.5),
+                                   LinKal(2.0, 2, 1.5, 0.5)])
+def test_silent_controller_input_is_one_read_only_zero(strat):
+    strat.reset(3)
+    first = strat.step(np.ones(3), np.ones(3))
+    second = strat.step(np.ones(3), np.ones(3))
+    silent = 1 if strat.controller == 1 else 0
+    assert second[silent] is first[silent]
+    assert np.all(first[silent] == 0)
+    with pytest.raises(ValueError):
+        first[silent] += 1.0
+
+
+def test_sig_scalar_inputs_are_one_trial():
+    # a 0-d observation is one trial; the second call used to raise
+    # IndexError from the history's shape check
+    s = Sig(2.0, 1, 1.0)
+    ref = Sig(2.0, 1, 1.0)
+    ref.reset(1)
+    for y1, y2 in [(0.3, 0.1), (0.3, 0.1), (-0.8, 2.4)]:
+        got = s.step(y1, y2)
+        want = ref.step(np.array([y1]), np.array([y2]))
+        for g, w in zip(got, want):
+            assert g.shape == (1,)
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("make", [ZeroInput, lambda: LinBB(2.0, 1),
+                                  lambda: LinKal(2.0, 1, 1.5, 0.5),
+                                  lambda: Sig(2.0, 1, 1.0)])
+def test_trial_count_mismatch_is_rejected(make):
+    # after reset(2), a 1-trial step used to broadcast (LinKal) or silently
+    # reset and drop the history (Sig)
+    strat = make()
+    strat.reset(2)
+    strat.step(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        strat.step(np.zeros(1), np.zeros(1))
+    # a strategy that was not reset is sized by its first step
+    strat = make()
+    strat.step(np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        strat.step(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        strat.step(np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("a, s, d", [
+    (1e200, 2, 1.0),        # |a|^s overflows (used to raise OverflowError)
+    (1e100, 2, 1e200),      # |a|^s d overflows
+    (2.0, 1, math.inf), (2.0, 1, math.nan), (2.0, 1, 0.0), (2.0, 1, -1.0),
+    (0.0, 1, 1.0),          # coarse step 0
+    (1e-200, 2, 1e-300),    # coarse step underflows to 0
+    (2.0, 0, 1.0),
+])
+def test_sig_rejects_steps_that_are_not_finite_and_positive(a, s, d):
+    with pytest.raises(ValueError):
+        Sig(a, s, d)
