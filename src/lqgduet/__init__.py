@@ -5,12 +5,12 @@ binary deterministic toy models.
 """
 from .core import (A_MIN_CERTIFIED, ProblemParams, RawParams, Regime,
                    TradeoffPoint, classify, noise_floor, normalize)
-from .strategies import StrategySpec, parse_strategy, select_stage
-from .simulator import SimConfig, SimResult, run, tradeoff
+from .strategies import StrategySpec, parse_strategy
+from .simulator import SimConfig, SimResult, run
 from .bounds_upper import (SigDesign, UpperResult, du1, linbb_bound,
                            optimize_upper, simplified_upper, sweep_labels)
 from .bounds_lower import (SliceParams, dl1, dl2, dl3, dl4, info_mmse,
-                           lower_weighted_cost, power_expand)
+                           lower_weighted_cost)
 from .certifier import (CertReport, certify_grid, certify_point,
                         prop1_divergence, ratio_transfer_check)
 from .detmodel import (DetParams, det_radner, det_witsen, run_det,
@@ -21,12 +21,12 @@ __version__ = "0.1.0"
 __all__ = [
     "A_MIN_CERTIFIED", "ProblemParams", "RawParams", "Regime",
     "TradeoffPoint", "classify", "noise_floor", "normalize",
-    "StrategySpec", "parse_strategy", "select_stage",
-    "SimConfig", "SimResult", "run", "tradeoff",
+    "StrategySpec", "parse_strategy",
+    "SimConfig", "SimResult", "run",
     "SigDesign", "UpperResult", "du1", "linbb_bound", "optimize_upper",
     "simplified_upper", "sweep_labels",
     "SliceParams", "dl1", "dl2", "dl3", "dl4", "info_mmse",
-    "lower_weighted_cost", "power_expand",
+    "lower_weighted_cost",
     "CertReport", "certify_grid", "certify_point", "prop1_divergence",
     "ratio_transfer_check",
     "DetParams", "det_radner", "det_witsen", "run_det",

@@ -1,7 +1,6 @@
-"""Converse machinery: information-limited MMSE, power-expansion, the
-state-amplification mutual-information bounds, the four lower-bound families
-D_L1..D_L4, the region partition of the power plane with its closed-form
-disturbance floors, and the weighted-cost lower bound.
+"""Converse machinery: information-limited MMSE, the four lower-bound
+families D_L1..D_L4, the region partition of the power plane with its
+closed-form disturbance floors, and the weighted-cost lower bound.
 
 All families are nonincreasing in the power arguments, which the weighted
 optimizer exploits: on each grid cell the objective q D + r1 P1 + r2 P2 is
@@ -25,12 +24,6 @@ from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify, \
 RCONST = 2.5
 _BETA = 1.0 / RCONST
 
-_LOG2_PIE_HALF = math.log2(math.pi * math.e / 2.0)
-
-
-def _ln_or_log2(x, base):
-    return np.log(x) if base == "nats" else np.log2(x)
-
 
 def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
               k1: int, k: int) -> float:
@@ -39,6 +32,9 @@ def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
 
         a^{2(k-1)} sv1^2 /
         ((1 + sv1^2/sv2^2) a^{2(k1-1)} (1 - a^{-2k1})/(1 - a^{-2}) + sv1^2)
+
+    Defined while the powers of a it needs are floats; raises ValueError
+    where one of them overflows.
     """
     if k1 < 1 or k < 1:
         raise ValueError("k1, k must be >= 1")
@@ -46,11 +42,16 @@ def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
         return 0.0
     A = abs(a)
     ratio = sigmav1_sq / sigmav2_sq
-    geo = A ** (2 * (k1 - 1)) * (1 - A ** (-2 * k1)) / (1 - A ** -2)
-    denom = (1 + ratio) * geo + sigmav1_sq
-    if not math.isfinite(denom):
-        return 0.0
-    return A ** (2 * (k - 1)) * sigmav1_sq / denom
+    try:
+        geo = A ** (2 * (k1 - 1)) * (1 - A ** (-2 * k1)) / (1 - A ** -2)
+        denom = (1 + ratio) * geo + sigmav1_sq
+        if not math.isfinite(denom):
+            return 0.0
+        return A ** (2 * (k - 1)) * sigmav1_sq / denom
+    except OverflowError:
+        raise ValueError(f"info_mmse is defined where a^(2(k1-1)) and "
+                         f"a^(2(k-1)) are floats; |a| = {A:g}, k1 = {k1}, "
+                         f"k = {k} overflows") from None
 
 
 def mmse_floor(a: float, sigmav1_sq: float, sigmav2_sq: float,
@@ -61,95 +62,6 @@ def mmse_floor(a: float, sigmav1_sq: float, sigmav2_sq: float,
     if k1 == 1:
         return 1.0
     return info_mmse(a, sigmav1_sq, sigmav2_sq, k1 - 1, k1)
-
-
-def power_expand(a: float, b: float, weighted_powers) -> float:
-    """Bound on E[(a^{n-1} X0 + ... + X_{n-1})^2]:
-
-        a^{2(n-1)} (1 - (1/(a^2 b))^n)/(1 - 1/(a^2 b))
-          * (E[X0^2] + b E[X1^2] + ... + b^{n-1} E[X_{n-1}^2]).
-
-    Requires |1/(a^2 b)| < 1.
-    """
-    powers = list(weighted_powers)
-    n = len(powers)
-    if n == 0:
-        return 0.0
-    r = 1.0 / (a * a * b)
-    if abs(r) >= 1:
-        raise ValueError("requires |1/(a^2 b)| < 1")
-    A = abs(a)
-    prefactor = A ** (2 * (n - 1)) * (1 - r ** n) / (1 - r)
-    total = sum(b ** i * pi for i, pi in enumerate(powers))
-    return prefactor * total
-
-
-def mutual_info_ik(a: float, sigma0_sq: float, sigmav_sq: float,
-                   k: int, w: float, P: float, base: str = "bits") -> float:
-    """Observation information cap over k rounds:
-
-        I_k = (k/2) log(1 + (1/(k sv^2)) (2 a^{2(k-1)} s0^2/(1 - a^{-2})
-              + (2 a^{k-2}/(1 - a^{-2})) P/((1 - 1/(a^2 w))(1 - w))))
-
-    The recoverable variance obeys error >= sigma0_sq / 2^{2 I_k} (bits).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    A = abs(a)
-    if abs(1.0 / (A * A * w)) >= 1:
-        raise ValueError("requires |1/(a^2 w)| < 1")
-    if not 0 < w < 1:
-        raise ValueError("requires 0 < w < 1")
-    if sigmav_sq == 0:
-        return math.inf
-    inner = 1.0 + (1.0 / (k * sigmav_sq)) * (
-        2.0 * A ** (2 * (k - 1)) * sigma0_sq / (1 - A ** -2)
-        + (2.0 * A ** (k - 2) / (1 - A ** -2))
-        * P / ((1 - 1.0 / (A * A * w)) * (1 - w)))
-    return float(k / 2.0 * _ln_or_log2(inner, base))
-
-
-def mutual_info_ik_prime(a: float, sigma0_sq: float, sigmav_sq: float,
-                         sigmav_last_sq: float, k: int, w: float, P: float,
-                         base: str = "bits") -> float:
-    """Refined cap keeping the last observation out of the averaging:
-
-        I_k' = I_{k-1} + (1/2) log(1 + (1/sv_last^2)(2 a^{2(k-1)} s0^2
-               + 2 (a^{2(k-2)}/(1 - 1/(a^2 w))) P/(1 - w)))
-
-    with the convention I_0 = 0.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    A = abs(a)
-    prev = 0.0 if k == 1 else mutual_info_ik(a, sigma0_sq, sigmav_sq,
-                                             k - 1, w, P, base)
-    if sigmav_last_sq == 0:
-        return math.inf
-    inner = 1.0 + (1.0 / sigmav_last_sq) * (
-        2.0 * A ** (2 * (k - 1)) * sigma0_sq
-        + 2.0 * (A ** (2 * (k - 2)) / (1 - 1.0 / (A * A * w)))
-        * P / (1 - w))
-    return float(prev + 0.5 * _ln_or_log2(inner, base))
-
-
-def mutual_info_ik_doubleprime(a: float, sigma0_sq: float, sigmav_sq: float,
-                               sigmav_last_sq: float, k: int, w: float,
-                               P: float, base: str = "bits") -> float:
-    """As mutual_info_ik_prime plus the uniform-substitution penalty
-    (1/2) log(pi e / 2)."""
-    pen = 0.5 * (_LOG2_PIE_HALF if base == "bits"
-                 else math.log(math.pi * math.e / 2))
-    return mutual_info_ik_prime(a, sigma0_sq, sigmav_sq, sigmav_last_sq,
-                                k, w, P, base) + pen
-
-
-def mmse_from_info(sigma0_sq: float, info: float,
-                   base: str = "bits") -> float:
-    """Estimation-error floor sigma0_sq / 2^{2I} (or e^{2I} in nats)."""
-    if base == "bits":
-        return sigma0_sq * 2.0 ** (-2.0 * info)
-    return sigma0_sq * math.exp(-2.0 * info)
 
 
 @dataclass(frozen=True)
@@ -572,7 +484,13 @@ class LowerBoundEvaluator:
         if not self.certified:
             return
         self.partition = RegionPartition(p)
-        self.dl3_best = max(dl3(p, k1) for k1 in range(1, 40))
+        # the k1 scan ends where info_mmse leaves its domain (a^{2(k1-1)}
+        # overflows); mmse_floor has reached its limit long before
+        for k1 in range(1, 40):
+            try:
+                self.dl3_best = max(self.dl3_best, dl3(p, k1))
+            except ValueError:
+                break
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
         dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)

@@ -13,7 +13,8 @@ import numpy as np
 from .bounds_lower import SIG_DECAY_COEF, RegionPartition
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
     classify, noise_floor
-from .lattice import SeriesNonConvergent, q_tail, truncated_sum
+from .lattice import SeriesNonConvergent, comb_miss_series, \
+    comb_outage_series, gaussian_comb
 from .strategies import StrategySpec
 
 #: lattice-step grid for the (d, w1) search, relative to sigma_v2 / |a|^s
@@ -66,7 +67,10 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
 
         (D, a^2 d^2 / 4, 8 a^2 D + (7/2) a^{2(s+1)} d^2 + 4 a^2 sv2^2)
 
-    with D the four-line disturbance bound (two truncated tail series).
+    with D the four-line disturbance bound.  Its tail series are
+    comb_miss_series and comb_outage_series on the coarse comb (|a|^s d, B)
+    under noise sv2, and its outage rate is gaussian_comb(w1, spread): the
+    parts lattice.quantized_mmse_bound is built from.
     """
     design.check(p.a)
     A = abs(p.a)
@@ -81,28 +85,17 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
     line1 = 2.0 * A2s * (2.0 * (d / 2) ** 2 * (1.0 / (1.0 - 1.0 / A)) ** 2
                          + 2.0 / (1.0 - 1.0 / A2) + 2.0 * A2 * sv1_sq)
 
-    if sv2 > 0:
-        def term_main(i):
-            return 4.0 * A2 * (i * step + B / 2) ** 2 \
-                * q_tail(((2 * i - 1) * step - B) / (2.0 * sv2))
-
-        series1 = truncated_sum(term_main)
-    else:
-        series1 = 0.0
-
     spread = math.sqrt(A ** (2 * (s - 1)) * A2 / (A2 - 1) + A2s * sv1_sq)
-    outw = q_tail(w1 / (2.0 * spread))
+    o1 = gaussian_comb(w1, spread).o
     if sv2 > 0:
-        def term_lat(i):
-            return (i * step + step / 2) ** 2 \
-                * q_tail((i - 1) * step / sv2)
-
-        series2 = truncated_sum(term_lat)
+        series1 = comb_miss_series(step, B, sv2, 4.0 * A2)
+        series2 = comb_outage_series(step, sv2)
     else:
-        # only the i = 1 term survives (Q(0) = 1/2)
+        # only the outage series' i = 1 term survives (Q(0) = 1/2)
+        series1 = 0.0
         series2 = (1.5 * step) ** 2 * 0.5
 
-    D = line1 + series1 + 8.0 * A2 * outw * series2 \
+    D = line1 + series1 + 4.0 * A2 * o1 * series2 \
         + 2.0 * A2 * (d / 2) ** 2 + 1.0
     P1 = A2 * d * d / 4.0
     P2 = 8.0 * A2 * D + 3.5 * A ** (2 * (s + 1)) * d * d \

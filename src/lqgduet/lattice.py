@@ -26,6 +26,7 @@ _Q_TAIL_SWITCH = 37.0
 SERIES_REL_TOL = 1e-12
 SERIES_MAX_TERMS = 1_000_000
 SERIES_GUARD_TERMS = 1_000
+SERIES_BLOCK = 512
 
 
 class SeriesNonConvergent(RuntimeError):
@@ -134,35 +135,56 @@ def gaussian_comb(w: float, sigma: float) -> CombBound:
     return CombBound(math.inf, w, o)
 
 
-def truncated_sum(term_fn, rel_tol: float = SERIES_REL_TOL,
-                  max_terms: int = SERIES_MAX_TERMS,
-                  guard_terms: int = SERIES_GUARD_TERMS,
-                  block: int = 512) -> float:
+def truncated_sum(term_fn) -> float:
     """Sum term_fn(i) for i = 1, 2, ... until the running term falls below
-    rel_tol times the accumulated sum.
+    SERIES_REL_TOL times the accumulated sum.
 
     term_fn receives a 1-D integer array and returns the matching terms.
-    If the terms are still not decreasing after ``guard_terms`` terms, or the
-    cap ``max_terms`` is hit, SeriesNonConvergent is raised.
+    If the terms are still not decreasing after SERIES_GUARD_TERMS terms, or
+    the cap SERIES_MAX_TERMS is hit, SeriesNonConvergent is raised.
     """
     total = 0.0
     prev_last = math.inf
     i0 = 1
-    while i0 <= max_terms:
-        idx = np.arange(i0, min(i0 + block, max_terms + 1))
+    while i0 <= SERIES_MAX_TERMS:
+        idx = np.arange(i0, min(i0 + SERIES_BLOCK, SERIES_MAX_TERMS + 1))
         terms = np.asarray(term_fn(idx), dtype=float)
         if not np.all(np.isfinite(terms)):
             return math.inf
         total += float(terms.sum())
         last = float(terms[-1])
-        if last <= rel_tol * max(total, 1e-300):
+        if last <= SERIES_REL_TOL * max(total, 1e-300):
             return total
-        if idx[-1] >= guard_terms and last >= prev_last:
+        if idx[-1] >= SERIES_GUARD_TERMS and last >= prev_last:
             raise SeriesNonConvergent(
                 f"series term not decreasing after {idx[-1]} terms")
         prev_last = last
         i0 = idx[-1] + 1
-    raise SeriesNonConvergent(f"series did not converge in {max_terms} terms")
+    raise SeriesNonConvergent(
+        f"series did not converge in {SERIES_MAX_TERMS} terms")
+
+
+def comb_miss_series(d: float, w: float, sigma: float,
+                     scale: float) -> float:
+    """Wrong-cell cost on the (d, w) comb under noise of std sigma:
+    sum_{i>=1} scale (i d + w/2)^2 Q(((2i-1) d - w) / (2 sigma)).
+
+    scale multiplies each term, not the sum: the two round differently, and
+    the upper bounds are pinned to the per-term rounding bit for bit."""
+    def term(i):
+        return scale * (i * d + w / 2) ** 2 \
+            * q_tail(((2 * i - 1) * d - w) / (2.0 * sigma))
+
+    return truncated_sum(term)
+
+
+def comb_outage_series(d: float, sigma: float, scale: float = 1.0) -> float:
+    """The same cost for an outage point, anywhere in its cell:
+    sum_{i>=1} scale (i d + d/2)^2 Q((i-1) d / sigma)."""
+    def term(i):
+        return scale * (i * d + d / 2) ** 2 * q_tail((i - 1) * d / sigma)
+
+    return truncated_sum(term)
 
 
 def quantized_mmse_bound(b: CombBound, residual_msq: float,
@@ -172,9 +194,8 @@ def quantized_mmse_bound(b: CombBound, residual_msq: float,
 
     residual_msq must upper-bound E[(X - Q_d(X))^2].  The bound is
 
-        residual_msq
-        + sum_{i>=1} (i d + w/2)^2 * 2 Q(((2i-1) d - w) / (2 sigma))
-        + o * ( (3d/2)^2 + sum_{i>=2} (i d + d/2)^2 * 2 Q((i-1) d / sigma) ).
+        residual_msq + comb_miss_series(d, w, sigma, 2)
+        + o comb_outage_series(d, sigma, 2).
     """
     if not math.isfinite(b.d):
         raise ValueError("requires a finite lattice spacing")
@@ -182,17 +203,7 @@ def quantized_mmse_bound(b: CombBound, residual_msq: float,
         raise ValueError("requires d > w")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    d, w, o = b.d, b.w, b.o
-
-    def term_main(i):
-        return (i * d + w / 2) ** 2 * 2.0 * q_tail(((2 * i - 1) * d - w)
-                                                   / (2.0 * sigma))
-
-    total = residual_msq + truncated_sum(term_main)
-    if o > 0:
-        def term_outage(i):
-            return (i * d + d / 2) ** 2 * 2.0 * q_tail((i - 1) * d / sigma)
-
-        # the i = 1 term is (3d/2)^2 * 2 Q(0) = (3d/2)^2
-        total += o * truncated_sum(term_outage)
+    total = residual_msq + comb_miss_series(b.d, b.w, sigma, 2.0)
+    if b.o > 0:
+        total += b.o * comb_outage_series(b.d, sigma, 2.0)
     return total

@@ -191,8 +191,3 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     return SimResult(D, P1, P2, p.q * D + p.r1 * P1 + p.r2 * P2,
                      se(sx), se(su1), se(su2))
 
-
-def tradeoff(p: ProblemParams, spec: StrategySpec,
-             cfg: SimConfig) -> TradeoffPoint:
-    """The simulated (D, P1, P2) power-disturbance point."""
-    return run(p, spec, cfg).tradeoff()

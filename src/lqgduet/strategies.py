@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import linalg as la
 
-from .core import ProblemParams, classify
+from .core import ProblemParams
 # quantize is the validated public form of the kernel; it stays importable
 # from this module
 from .lattice import _quantize_unchecked, quantize  # noqa: F401
@@ -103,21 +103,6 @@ def lqr_gain(a: float, q: float, r: float) -> float:
     B = np.array([[1.0]])
     X = la.solve_discrete_are(A, B, np.array([[q]]), np.array([[r]]))
     return float(la.solve(B.T @ X @ B + r, B.T @ X @ A)[0, 0])
-
-
-def stationary_prior_variance(a: float, sigmav_sq: float) -> float:
-    """Fixed point p of p = sigmav^2 (a^2 p + 1) / (a^2 p + 1 + sigmav^2):
-    the stationary one-step-prediction error variance of the scalar filter.
-
-    Returned as the *prior* (pre-update) variance a^2 p + 1 would be derived
-    from; here p is the posterior variance fixed point.
-    """
-    if sigmav_sq == 0:
-        return 0.0
-    # p solves a^2 p^2 + (1 + sigmav_sq - a^2 sigmav_sq) p - sigmav_sq = 0
-    b = 1 + sigmav_sq - a * a * sigmav_sq
-    disc = b * b + 4 * a * a * sigmav_sq
-    return (-b + math.sqrt(disc)) / (2 * a * a)
 
 
 class _Base:
@@ -279,11 +264,3 @@ def make_strategy(spec: StrategySpec, p: ProblemParams) -> _Base:
         return LinKal(p.a, spec.controller, spec.k, sv)
     return Sig(p.a, spec.s, spec.d)
 
-
-def select_stage(p: ProblemParams) -> int:
-    """Stage count s for the signaling strategy; rejects the weak regime."""
-    regime = classify(p)
-    if regime.kind != "strong":
-        raise ValueError("stage selection requires the strongly degraded "
-                         "regime")
-    return regime.s

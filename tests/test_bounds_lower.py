@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from lqgduet.certifier import (default_weight_grid, strong_grid_params,
@@ -10,11 +10,8 @@ from lqgduet.certifier import (default_weight_grid, strong_grid_params,
 from lqgduet.core import ProblemParams
 from lqgduet.bounds_lower import (LowerBoundEvaluator, RegionPartition,
                                   SliceParams, _dl2_inner, dl1, dl2, dl3,
-                                  dl4, info_mmse,
-                                  lower_weighted_cost, mmse_floor,
-                                  mutual_info_ik, mutual_info_ik_doubleprime,
-                                  mutual_info_ik_prime, mmse_from_info,
-                                  power_expand)
+                                  dl4, info_mmse, lower_weighted_cost,
+                                  mmse_floor)
 
 
 def test_info_mmse_symmetric_single_round():
@@ -37,40 +34,19 @@ def test_info_mmse_perfect_observation():
     assert info_mmse(2.5, 0.0, 1.0, 1, 3) == 0.0
 
 
+def test_info_mmse_overflow_names_its_domain():
+    # a^{2(k-1)} leaves the float range at |a| = 1.5e4, k = 39
+    with pytest.raises(ValueError, match="info_mmse is defined where"):
+        info_mmse(1.5e4, 1.0, 2.0, 38, 39)
+    assert info_mmse(1.5e4, 1.0, 2.0, 36, 37) > 0
+
+
 def test_mmse_floor_base_case_and_cap():
     assert mmse_floor(2.5, 1.0, 2.0, 1) == 1.0
     v = mmse_floor(2.5, 1.0, 2.0, 3)
     assert 0 < v
     assert dl3(ProblemParams(a=2.5, sigmav1_sq=1.0, sigmav2_sq=2.0), 3) \
         == max(v, 1.0)
-
-
-def test_power_expand_oracle():
-    assert power_expand(2.0, 0.4, [1.0, 1.0]) == pytest.approx(9.1)
-    with pytest.raises(ValueError):
-        power_expand(1.0, 0.5, [1.0, 1.0])
-
-
-def test_mutual_info_oracles():
-    assert mutual_info_ik(3, 1.0, 2.0, 3, 0.5, 7.0) \
-        == pytest.approx(8.534996957129168, rel=1e-12)
-    assert mutual_info_ik_prime(3, 1.0, 2.0, 1.5, 3, 0.5, 7.0) \
-        == pytest.approx(8.1889562416444623, rel=1e-12)
-    assert mutual_info_ik_doubleprime(3, 1.0, 2.0, 1.5, 3, 0.5, 7.0) \
-        == pytest.approx(9.2360518268251034, rel=1e-12)
-
-
-def test_mutual_info_base_convention():
-    # k = 1 starts the recursion from zero accumulated information
-    v = mutual_info_ik_prime(3, 0.0, 2.0, 2.0, 1, 0.5, 0.0)
-    assert v == 0.0
-
-
-def test_mmse_from_info():
-    assert mmse_from_info(4.0, 1.0) == pytest.approx(1.0)
-    assert mmse_from_info(4.0, 0.0) == 4.0
-    assert mmse_from_info(4.0, 1.0, base="nats") \
-        == pytest.approx(4.0 * math.exp(-2.0))
 
 
 def test_dl2_zero_power_value():
@@ -106,6 +82,7 @@ def test_dl2_inner_matches_brute_force():
 @settings(max_examples=300, deadline=None)
 @given(st.floats(2.5, 100.0), st.floats(1e-3, 1e4), st.floats(0.0, 1e4),
        st.floats(0.0, 1e4), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+@example(9.125, 1.0, 2.0, 5e-324, 1.0, 9.125)  # subnormal interior minimum
 def test_dl2_inner_is_the_box_minimum(A, Sigma, sv1, sv2, C1, C2):
     got = float(_dl2_inner(A, Sigma, sv1, sv2, C1, C2))
     tol = 1e-12 * A * A * Sigma
@@ -119,8 +96,11 @@ def test_dl2_inner_is_the_box_minimum(A, Sigma, sv1, sv2, C1, C2):
     den = sv1 * sv2 + Sigma * (sv1 + sv2)
     if den > 0 and A * Sigma * sv2 / den <= C1 \
             and A * Sigma * sv1 / den <= C2:
-        assert got == pytest.approx(A * A * Sigma * sv1 * sv2 / den,
-                                    rel=1e-12, abs=0.0)
+        exact = A * A * Sigma * sv1 * sv2 / den
+        assert got <= exact
+        # a subnormal minimum carries too few bits for a relative match
+        if exact >= np.finfo(float).tiny:
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_dl4_zero_power_and_direct_value():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lqgduet.bounds_lower import RegionPartition
-from lqgduet.core import ProblemParams
+from lqgduet.bounds_lower import LowerBoundEvaluator, RegionPartition
+from lqgduet.core import ProblemParams, Regime
 from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, _region_grid,
                                appendix_region_checks, certify_grid,
                                certify_point, default_weight_grid,
@@ -89,6 +89,20 @@ def test_certify_point_strong():
     rep = certify_point(p)
     assert rep.passed and rep.cap == CAP_STRONG
     assert rep.regime.kind == "strong"
+
+
+@pytest.mark.parametrize("a", [1.5e4, 1e6])
+@pytest.mark.parametrize("s", [1, 2])
+def test_certify_point_at_large_gain(a, s):
+    # the k1 scan of the dl3 floor used to overflow a^{2(k-1)} here
+    p = ProblemParams(a=a, sigmav1_sq=1.0, sigmav2_sq=a ** (2 * s + 1))
+    rep = certify_point(p)
+    assert rep.regime == Regime("strong", s)
+    assert 1.0 <= rep.lower <= rep.upper and rep.passed
+    # the scan ends at the floor's limit a^2 sv1^2 (1 - a^-2) / (1 + r)
+    r = p.sigmav1_sq / p.sigmav2_sq
+    assert LowerBoundEvaluator(p).dl3_best == pytest.approx(
+        a * a * (1 - a ** -2) / (1 + r), rel=1e-12)
 
 
 def test_certify_point_degenerate():

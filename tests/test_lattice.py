@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from lqgduet.lattice import (CombBound, SeriesNonConvergent, comb_add,
+                             comb_miss_series, comb_outage_series,
                              comb_scale, gaussian_comb, q_tail, q_tail_lower,
                              q_tail_upper, quantize, quantized_mmse_bound,
                              remainder, truncated_sum)
@@ -115,6 +116,35 @@ def test_truncated_sum_geometric():
 def test_truncated_sum_rejects_nondecreasing():
     with pytest.raises(SeriesNonConvergent):
         truncated_sum(lambda i: np.ones_like(np.asarray(i, dtype=float)))
+
+
+@pytest.mark.parametrize("d,w,sigma,scale", [
+    (4.0, 1.0, 1.0, 2.0), (2.0, 0.5, 0.7, 1.0), (1.0, 0.9, 3.0, 64.0),
+    (1e3, 10.0, 1e2, 4e4),
+])
+def test_comb_series_match_extended_precision(d, w, sigma, scale):
+    import mpmath
+
+    def q(x):
+        return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+    with mpmath.workdps(40):
+        d_, w_, s_ = mpmath.mpf(d), mpmath.mpf(w), mpmath.mpf(sigma)
+        miss = scale * mpmath.nsum(lambda i: (i * d_ + w_ / 2) ** 2
+                                   * q(((2 * i - 1) * d_ - w_) / (2 * s_)),
+                                   [1, mpmath.inf])
+        outage = scale * mpmath.nsum(lambda i: (i * d_ + d_ / 2) ** 2
+                                     * q((i - 1) * d_ / s_),
+                                     [1, mpmath.inf])
+    assert comb_miss_series(d, w, sigma, scale) \
+        == pytest.approx(float(miss), rel=1e-11)
+    assert comb_outage_series(d, sigma, scale) \
+        == pytest.approx(float(outage), rel=1e-11)
+
+
+def test_comb_outage_series_noiseless_limit():
+    # only the i = 1 term, scale (3d/2)^2 Q(0), survives
+    assert comb_outage_series(2.0, 1e-3, 3.0) == 3.0 * 3.0 ** 2 * 0.5
 
 
 def test_quantized_mmse_bound_oracle_values():

@@ -6,7 +6,7 @@ import pytest
 
 from lqgduet import simulator
 from lqgduet.core import ProblemParams
-from lqgduet.simulator import (SimConfig, counter_normals, run, tradeoff)
+from lqgduet.simulator import SimConfig, counter_normals, run
 from lqgduet.strategies import StrategySpec
 
 
@@ -101,14 +101,6 @@ def test_weighted_cost_combination():
               SimConfig(horizon=3000, burn_in=100, trials=2, seed=5))
     assert res.weighted_cost == pytest.approx(
         2.0 * res.avg_state_cost + 3.0 * res.avg_u1_power)
-
-
-def test_tradeoff_helper():
-    p = ProblemParams(a=2.0, sigmav1_sq=0.0, sigmav2_sq=0.0)
-    cfg = SimConfig(horizon=3000, burn_in=100, trials=2, seed=5)
-    pt = tradeoff(p, StrategySpec("linbb", controller=1), cfg)
-    res = run(p, StrategySpec("linbb", controller=1), cfg)
-    assert pt == res.tradeoff()
 
 
 def test_standard_errors_shrink_with_trials():

@@ -7,8 +7,7 @@ import pytest
 from lqgduet.core import ProblemParams
 from lqgduet.lattice import quantize, remainder
 from lqgduet.strategies import (LinBB, LinKal, Sig, StrategySpec, ZeroInput,
-                                lqr_gain, make_strategy, parse_strategy,
-                                select_stage, stationary_prior_variance)
+                                lqr_gain, make_strategy, parse_strategy)
 
 
 def test_parse_shorthand():
@@ -56,12 +55,27 @@ def test_lqr_gain_scalar_oracle():
     assert lqr_gain(a, q, r) == pytest.approx(k_ref, rel=1e-9)
 
 
-def test_stationary_prior_variance_fixed_point():
-    for a, sv in [(2.0, 1.0), (3.0, 0.5), (1.5, 4.0)]:
-        p = stationary_prior_variance(a, sv)
-        rhs = sv * (a * a * p + 1) / (a * a * p + 1 + sv)
-        assert p == pytest.approx(rhs, rel=1e-12)
-    assert stationary_prior_variance(2.0, 0.0) == 0.0
+@pytest.mark.parametrize("a,sv", [(2.0, 1.0), (3.0, 0.5), (1.5, 4.0),
+                                  (-2.5, 10.0), (0.5, 2.0)])
+def test_linkal_filter_reaches_its_riccati_fixed_point(a, sv):
+    # the posterior variance obeys p <- sv (a^2 p + 1) / (a^2 p + 1 + sv);
+    # its fixed point is the positive root of
+    # a^2 p^2 + (1 + sv - a^2 sv) p - sv = 0
+    b = 1 + sv - a * a * sv
+    p_star = (-b + math.sqrt(b * b + 4 * a * a * sv)) / (2 * a * a)
+    k = LinKal(a, 2, 0.5, sv)
+    y = np.zeros(3)
+    for _ in range(200):
+        k.step(y, y)
+    assert k.p == pytest.approx(p_star, rel=1e-12)
+    p_minus = a * a * p_star + 1
+    assert k.p == pytest.approx(sv * p_minus / (p_minus + sv), rel=1e-12)
+
+
+def test_linkal_noiseless_observation_has_zero_variance():
+    k = LinKal(2.0, 1, 0.5, 0.0)
+    k.step(np.ones(2), np.ones(2))
+    assert k.p == 0.0
 
 
 def test_zero_input():
@@ -134,13 +148,6 @@ def test_make_strategy_dispatch():
     k = make_strategy(StrategySpec("linkal", controller=2, k=1.0), p)
     assert isinstance(k, LinKal) and k.sigmav_sq == 2.0
     assert isinstance(make_strategy(StrategySpec("sig", s=1, d=1.0), p), Sig)
-
-
-def test_select_stage():
-    p = ProblemParams(a=2.0, sigmav1_sq=0.0, sigmav2_sq=10.0)
-    assert select_stage(p) == 2
-    with pytest.raises(ValueError):
-        select_stage(ProblemParams(a=2.0, sigmav1_sq=0.0, sigmav2_sq=1.0))
 
 
 # -- in-place steps against the allocating steps they replaced -------------
