@@ -1,12 +1,14 @@
 """Analytic achievability bounds: the signaling tradeoff triple, the linear
 bang-bang triples, the simplified signaling envelope, and the weighted-cost
-optimizer over those candidates.
+optimizer over those candidates (UpperBoundEvaluator: built once per
+system, asked once per weighting).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +73,10 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
     comb_miss_series and comb_outage_series on the coarse comb (|a|^s d, B)
     under noise sv2, and its outage rate is gaussian_comb(w1, spread): the
     parts lattice.quantized_mmse_bound is built from.
+
+    The one evaluation of a design: raises ValueError on an infeasible
+    design and SeriesNonConvergent when a tail series fails its guard.
+    UpperBoundEvaluator calls it at most once per design and system.
     """
     design.check(p.a)
     A = abs(p.a)
@@ -161,10 +167,24 @@ def appendix_design(p: ProblemParams, s: int, P: float) -> SigDesign:
 
 @dataclass(frozen=True)
 class UpperResult:
+    """Best candidate at one weighting.  failures counts, by exception
+    type name, the signaling designs the search considered whose du1
+    raised (grid and refinement)."""
+
     cost: float
     spec: StrategySpec
     point: TradeoffPoint
     design: Optional[SigDesign] = None
+    failures: Dict[str, int] = field(default_factory=dict, hash=False)
+
+
+#: (d, w1) refinement multipliers around the best grid design, in search
+#: order: d by fd, w1 by fd * fw
+REFINE = tuple((fd, fw) for fd in (0.6, 0.8, 1.0, 1.25, 1.6)
+               for fw in W1_REFINE)
+
+#: outcome of one design: its du1 point, or the name of the exception
+Outcome = Union[TradeoffPoint, str]
 
 
 def _sig_candidates(p: ProblemParams, s: int) -> List[SigDesign]:
@@ -178,72 +198,109 @@ def _sig_candidates(p: ProblemParams, s: int) -> List[SigDesign]:
     return out
 
 
-def _eval_design(p: ProblemParams, design: SigDesign):
+def _eval_design(p: ProblemParams, design: SigDesign) -> Outcome:
     try:
-        point = du1(p, design)
-    except (SeriesNonConvergent, ValueError, OverflowError):
-        return math.inf, None
-    return p.weighted(point), point
+        return du1(p, design)
+    except (SeriesNonConvergent, ValueError, OverflowError) as exc:
+        return type(exc).__name__
 
 
 def sig_candidate_points(p: ProblemParams) -> List[Tuple[SigDesign,
-                                                         TradeoffPoint]]:
-    """Feasible signaling designs on the search grid with their analytic
-    tradeoff points (empty in the weak regime).  Weight-independent, so it
-    can be shared across many (q, r1, r2) evaluations."""
+                                                         Outcome]]:
+    """Feasible signaling designs on the search grid, each with its
+    analytic tradeoff point or the name of the exception du1 raised (empty
+    in the weak regime).  Weight-independent."""
     regime = classify(p)
     if regime.kind != "strong":
         return []
-    out = []
-    for design in _sig_candidates(p, regime.s):
-        _, point = _eval_design(p, design)
-        if point is not None:
-            out.append((design, point))
-    return out
+    return [(design, _eval_design(p, design))
+            for design in _sig_candidates(p, regime.s)]
+
+
+def _first_min(costs) -> int:
+    """The index the loop `if best is None or cost < best` keeps: the
+    first candidate when its cost is NaN (nothing compares below NaN),
+    else the first minimum of the other costs (NaN never improves)."""
+    costs = np.asarray(costs)
+    if np.isnan(costs.flat[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
+
+
+class UpperBoundEvaluator:
+    """Weight-independent part of the achievable bound for one system
+    (a, sigma0_sq, sigmav1_sq, sigmav2_sq): the linear bang-bang triples,
+    the grid designs' triples as arrays, and a memo from each design
+    evaluated so far to its du1 outcome.  Each weighting picks the best
+    grid design with one array reduction and evaluates only the designs
+    of its refinement the memo lacks."""
+
+    def __init__(self, p: ProblemParams):
+        self.p = p
+        self.linbb = (linbb_bound(p, 1), linbb_bound(p, 2))
+        grid = sig_candidate_points(p)
+        self._memo: Dict[SigDesign, Outcome] = dict(grid)
+        self.grid_failures = Counter(out for _, out in grid
+                                     if isinstance(out, str))
+        ok = [(design, out) for design, out in grid
+              if not isinstance(out, str)]
+        self.designs = [design for design, _ in ok]
+        self.points = TradeoffPoint(*np.array([out for _, out in ok]).T) \
+            if ok else None
+
+    def _outcome(self, design: SigDesign) -> Outcome:
+        out = self._memo.get(design)
+        if out is None:
+            out = self._memo[design] = _eval_design(self.p, design)
+        return out
+
+    def best(self, q: float, r1: float, r2: float) -> UpperResult:
+        """Minimize q D + r1 P1 + r2 P2 over the linear bang-bang triples
+        and the signaling designs: the best grid design, then its REFINE
+        neighbours, keeping only strict improvements in that order."""
+        failures = Counter(self.grid_failures)
+        best = None
+        for controller, point in enumerate(self.linbb, 1):
+            cost = point.weighted(q, r1, r2)
+            if best is None or cost < best[0]:
+                best = (cost, StrategySpec("linbb", controller=controller),
+                        point, None)
+        if self.designs:
+            a = self.p.a
+            base = self.designs[_first_min(self.points.weighted(q, r1, r2))]
+            point = self._memo[base]
+            sig = (point.weighted(q, r1, r2), point, base)
+            for fd, fw in REFINE:
+                design = SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
+                if design.margin(a) <= 0:
+                    continue
+                out = self._outcome(design)
+                if isinstance(out, str):
+                    failures[out] += 1
+                    continue
+                cost = out.weighted(q, r1, r2)
+                if cost < sig[0]:
+                    sig = (cost, out, design)
+            cost, point, design = sig
+            if cost < best[0]:
+                best = (cost, StrategySpec("sig", s=design.s, d=design.d),
+                        point, design)
+        return UpperResult(*best, failures=dict(failures))
 
 
 def optimize_upper(p: ProblemParams,
-                   sig_points: Optional[List[Tuple[SigDesign,
-                                                   TradeoffPoint]]] = None
+                   upper: Optional[UpperBoundEvaluator] = None
                    ) -> UpperResult:
     """Minimize q D + r1 P1 + r2 P2 over the linear bang-bang triples and
-    the signaling designs (stage fixed by the regime); falls back to the
-    linear candidates when no feasible signaling design exists."""
-    best = None
-    for controller in (1, 2):
-        point = linbb_bound(p, controller)
-        cost = p.weighted(point)
-        spec = StrategySpec("linbb", controller=controller)
-        if best is None or cost < best.cost:
-            best = UpperResult(cost, spec, point)
-
-    regime = classify(p)
-    if regime.kind == "strong":
-        s = regime.s
-        if sig_points is None:
-            sig_points = sig_candidate_points(p)
-        best_sig = None
-        for design, point in sig_points:
-            cost = p.weighted(point)
-            if best_sig is None or cost < best_sig.cost:
-                best_sig = UpperResult(
-                    cost, StrategySpec("sig", s=s, d=design.d), point, design)
-        if best_sig is not None:
-            # local refinement in d and in w1 around the best design
-            base = best_sig.design
-            for fd in (0.6, 0.8, 1.0, 1.25, 1.6):
-                for fw in W1_REFINE:
-                    design = SigDesign(s, base.d * fd, base.w1 * fd * fw)
-                    if design.margin(p.a) <= 0:
-                        continue
-                    cost, point = _eval_design(p, design)
-                    if point is not None and cost < best_sig.cost:
-                        best_sig = UpperResult(
-                            cost, StrategySpec("sig", s=s, d=design.d),
-                            point, design)
-            if best_sig.cost < best.cost:
-                best = best_sig
-    return best
+    the signaling designs (stage fixed by the regime) at p's own weights;
+    falls back to the linear candidates when no feasible signaling design
+    exists.  upper, when given, must be built for p's system; reusing it
+    across weightings evaluates each design once."""
+    if upper is None:
+        upper = UpperBoundEvaluator(p)
+    else:
+        upper.p.check_base(p)
+    return upper.best(p.q, p.r1, p.r2)
 
 
 def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
@@ -266,11 +323,13 @@ def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
 def sweep_labels(a: float, l_values) -> List[dict]:
     """Regularization sweep: for sv1^2 = 0, sv2^2 = a, q = 1, r1 = a^l,
     r2 = 0, report the best candidate label and cost per l."""
+    upper = UpperBoundEvaluator(ProblemParams(a=a, sigmav1_sq=0.0,
+                                              sigmav2_sq=float(a)))
     rows = []
     for l in l_values:
         p = ProblemParams(a=a, q=1.0, r1=float(a) ** l, r2=0.0,
                           sigmav1_sq=0.0, sigmav2_sq=float(a))
-        res = optimize_upper(p)
+        res = optimize_upper(p, upper)
         rows.append({"l": float(l), "label": res.spec.label,
                      "cost": res.cost, "D": res.point.D,
                      "P1": res.point.P1, "P2": res.point.P2})

@@ -17,7 +17,7 @@ from .bounds_lower import FLOOR_COEF, IV_M_COEF, IV_SIG_COEF, \
     T2C_SIG_COEF, WEAK_II_COEF, WEAK_T_DIV, LowerBoundEvaluator, \
     RegionPartition
 from .bounds_upper import ENV_D_M_COEF, ENV_D_SIG_COEF, ENV_P1_COEF, \
-    ENV_P2_M_COEF, ENV_P2_SIG_COEF, optimize_upper, sig_candidate_points, \
+    ENV_P2_M_COEF, ENV_P2_SIG_COEF, UpperBoundEvaluator, optimize_upper, \
     simplified_upper, upper_envelope_D
 
 #: default certification caps by regime
@@ -129,24 +129,29 @@ def appendix_region_checks(p: ProblemParams) -> dict:
 def certify_point(p: ProblemParams,
                   cap: Optional[float] = None,
                   evaluator: Optional[LowerBoundEvaluator] = None,
-                  sig_points=None) -> CertReport:
+                  upper: Optional[UpperBoundEvaluator] = None
+                  ) -> CertReport:
     """Certify the upper/lower weighted-cost ratio at one parameter point
-    against the regime's cap."""
+    against the regime's cap.  The lower and upper evaluators, when given,
+    must be built for p's system (ValueError otherwise); certify_grid
+    shares them across a base's weightings."""
     if abs(p.a) < A_MIN_CERTIFIED:
         raise ValueError("certification requires |a| >= 2.5")
     if evaluator is None:
         evaluator = LowerBoundEvaluator(p)
+    else:
+        evaluator.p.check_base(p)
     partition = evaluator.partition
     regime = partition.regime
     if cap is None:
         cap = CAP_WEAK if regime.kind == "weak" else CAP_STRONG
-    res = optimize_upper(p, sig_points=sig_points)
-    upper = res.cost
+    res = optimize_upper(p, upper)
+    cost = res.cost
     lower = evaluator.weighted(p.q, p.r1, p.r2)
-    degenerate = lower == 0 and upper > 0
+    degenerate = lower == 0 and cost > 0
     if lower > 0:
-        ratio = upper / lower
-    elif upper == 0:
+        ratio = cost / lower
+    elif cost == 0:
         ratio = 1.0
     else:
         ratio = math.inf
@@ -155,7 +160,7 @@ def certify_point(p: ProblemParams,
     passed = (not degenerate) and ratio <= cap
     if p.q == p.r1 == p.r2 == 0:
         label, passed = "Degenerate", True
-    return CertReport(p, regime, upper, lower, ratio, label, cap, passed,
+    return CertReport(p, regime, cost, lower, ratio, label, cap, passed,
                       degenerate)
 
 
@@ -175,14 +180,13 @@ def certify_grid(param_list: Sequence[ProblemParams],
     reports = []
     for base in param_list:
         evaluator = LowerBoundEvaluator(base)
-        sig_points = sig_candidate_points(base)
+        upper = UpperBoundEvaluator(base)
         for q, r1, r2 in weights:
             p = ProblemParams(a=base.a, q=q, r1=r1, r2=r2,
                               sigma0_sq=base.sigma0_sq,
                               sigmav1_sq=base.sigmav1_sq,
                               sigmav2_sq=base.sigmav2_sq)
-            reports.append(certify_point(p, cap, evaluator=evaluator,
-                                         sig_points=sig_points))
+            reports.append(certify_point(p, cap, evaluator, upper))
     return reports
 
 

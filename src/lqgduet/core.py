@@ -29,11 +29,13 @@ class TradeoffPoint(NamedTuple):
     P2: float
 
     def weighted(self, q: float, r1: float, r2: float) -> float:
-        """Weighted cost q*D + r1*P1 + r2*P2 with +inf propagation."""
-        terms = (q * self.D if q > 0 else 0.0,
-                 r1 * self.P1 if r1 > 0 else 0.0,
-                 r2 * self.P2 if r2 > 0 else 0.0)
-        return sum(terms)
+        """Weighted cost (q*D + r1*P1) + r2*P2 with +inf propagation (a
+        zero weight drops its term).  Elementwise when the fields are
+        arrays; the explicit order gives a scalar point and an array of
+        points the same bits (sum() compensates from Python 3.12 on)."""
+        return ((q * self.D if q > 0 else 0.0)
+                + (r1 * self.P1 if r1 > 0 else 0.0)) \
+            + (r2 * self.P2 if r2 > 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,15 @@ class ProblemParams:
 
     def weighted(self, point: TradeoffPoint) -> float:
         return point.weighted(self.q, self.r1, self.r2)
+
+    def check_base(self, other: "ProblemParams") -> None:
+        """Raise ValueError unless other has this system (a, sigma0_sq,
+        sigmav1_sq, sigmav2_sq): an evaluator built for one system answers
+        weightings of that system only."""
+        base = ("a", "sigma0_sq", "sigmav1_sq", "sigmav2_sq")
+        if any(getattr(self, n) != getattr(other, n) for n in base):
+            raise ValueError("evaluator was built for another system "
+                             "(a, sigma0_sq, sigmav1_sq, sigmav2_sq)")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,21 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lqgduet.core import ProblemParams
-from lqgduet.bounds_upper import (SigDesign, appendix_design, du1,
+from lqgduet import bounds_upper
+from lqgduet.certifier import (default_weight_grid, strong_grid_params,
+                               weak_grid_params)
+from lqgduet.core import ProblemParams, TradeoffPoint, classify
+from lqgduet.bounds_upper import (D_GRID_HI, D_GRID_LO, D_GRID_POINTS,
+                                  W1_REFINE, SigDesign, UpperBoundEvaluator,
+                                  UpperResult, appendix_design, du1,
                                   linbb_bound, optimize_upper,
                                   simplified_bracket, simplified_upper,
                                   sweep_labels, upper_envelope_D)
-from lqgduet.lattice import q_tail
+from lqgduet.lattice import SeriesNonConvergent, q_tail
+from lqgduet.strategies import StrategySpec
 
 
 def test_design_feasibility():
@@ -168,3 +175,208 @@ def test_sweep_label_sequence_has_two_changes():
     assert labels[0] == "linbb1"
     assert labels[-1] == "linbb2"
     assert "sig1" in labels
+
+
+# -- the weight-independent evaluator against the per-weight loop ----------
+
+def _reference_outcome(p, design):
+    try:
+        return bounds_upper.du1(p, design)
+    except (SeriesNonConvergent, ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def _reference_grid(p):
+    """Every feasible grid design with its du1 outcome (empty when weak)."""
+    regime = classify(p)
+    if regime.kind != "strong":
+        return []
+    A, s = abs(p.a), regime.s
+    scale = math.sqrt(p.sigmav2_sq) / A ** s
+    out = []
+    for d in np.geomspace(D_GRID_LO * scale, D_GRID_HI * scale,
+                          D_GRID_POINTS):
+        design = SigDesign(s, float(d), A ** s * float(d) / 6.0)
+        if design.margin(p.a) > 0:
+            out.append((design, _reference_outcome(p, design)))
+    return out
+
+
+def _reference_optimize_upper(p, grid=None):
+    """The per-weight search loop the evaluator replaces, kept as the
+    reference: first candidate, then strict improvements only.  Also counts
+    the considered designs whose du1 raised, by exception type."""
+    best = None
+    for controller in (1, 2):
+        point = linbb_bound(p, controller)
+        cost = p.weighted(point)
+        spec = StrategySpec("linbb", controller=controller)
+        if best is None or cost < best.cost:
+            best = UpperResult(cost, spec, point)
+    if grid is None:
+        grid = _reference_grid(p)
+    failures = Counter(out for _, out in grid if isinstance(out, str))
+    best_sig = None
+    for design, point in grid:
+        if isinstance(point, str):
+            continue
+        cost = p.weighted(point)
+        if best_sig is None or cost < best_sig.cost:
+            best_sig = UpperResult(cost, StrategySpec(
+                "sig", s=design.s, d=design.d), point, design)
+    if best_sig is not None:
+        base = best_sig.design
+        for fd in (0.6, 0.8, 1.0, 1.25, 1.6):
+            for fw in W1_REFINE:
+                design = SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
+                if design.margin(p.a) <= 0:
+                    continue
+                point = _reference_outcome(p, design)
+                if isinstance(point, str):
+                    failures[point] += 1
+                    continue
+                cost = p.weighted(point)
+                if cost < best_sig.cost:
+                    best_sig = UpperResult(cost, StrategySpec(
+                        "sig", s=design.s, d=design.d), point, design)
+        if best_sig.cost < best.cost:
+            best = best_sig
+    return best, dict(failures)
+
+
+def _assert_same(res, ref):
+    best, failures = ref
+    assert res.cost.hex() == best.cost.hex()
+    assert res.spec == best.spec
+    assert res.point == best.point
+    assert res.design == best.design
+    assert res.failures == failures
+
+
+def _with_weights(base, q, r1, r2):
+    return ProblemParams(a=base.a, q=q, r1=r1, r2=r2,
+                         sigma0_sq=base.sigma0_sq,
+                         sigmav1_sq=base.sigmav1_sq,
+                         sigmav2_sq=base.sigmav2_sq)
+
+
+#: zero weights drop terms from the array costs too (all three zero: one
+#: scalar cost for every design)
+ZERO_WEIGHTS = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                (0.0, 1e-2, 1e-2), (0.0, 0.0, 0.0)]
+
+#: one weak grid base and strong grid bases at stages 1, 2 and 3
+EVALUATOR_BASES = [weak_grid_params()[4]] + [
+    p for p in strong_grid_params()
+    if p.a == 5.0 and p.sigmav1_sq == 1.0] + [strong_grid_params()[0]]
+
+
+@pytest.mark.parametrize("base", EVALUATOR_BASES,
+                         ids=lambda b: f"a{b.a}-sv1{b.sigmav1_sq}"
+                                       f"-sv2{b.sigmav2_sq:g}")
+def test_evaluator_matches_reference_loop_across_weights(base):
+    # one evaluator and its memo serve every weighting, in grid order and
+    # again in reverse (the memo then holds every refinement already)
+    upper = UpperBoundEvaluator(base)
+    grid = _reference_grid(base)
+    weights = default_weight_grid() + ZERO_WEIGHTS
+    for q, r1, r2 in weights + weights[::-1]:
+        p = _with_weights(base, q, r1, r2)
+        _assert_same(optimize_upper(p, upper),
+                     _reference_optimize_upper(p, grid))
+
+
+def test_evaluator_matches_reference_loop_on_random_queries():
+    # the acceptance-4 distribution, each query with a fresh evaluator
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        a = float(rng.uniform(2.5, 40.0))
+        sv1 = float(rng.uniform(0.0, 2.0))
+        sv2 = sv1 + float(rng.uniform(0.01, 200.0))
+        p = ProblemParams(a=a, sigmav1_sq=sv1, sigmav2_sq=sv2,
+                          q=float(10.0 ** rng.uniform(-2, 2)),
+                          r1=float(10.0 ** rng.uniform(-3, 1)),
+                          r2=float(10.0 ** rng.uniform(-3, 1)))
+        _assert_same(optimize_upper(p), _reference_optimize_upper(p))
+
+
+@pytest.mark.parametrize("where", ["first", "best"])
+def test_nan_grid_cost_follows_the_loop(monkeypatch, where):
+    # the loop keeps a NaN first candidate (nothing compares below it) and
+    # never moves to a NaN later one; a plain argmin does neither
+    p = ProblemParams(a=100.0, q=1.0, r1=100.0, r2=0.0, sigmav1_sq=0.0,
+                      sigmav2_sq=100.0)
+    clean, _ = _reference_optimize_upper(p)
+    assert clean.spec.label == "sig1"
+    grid = [d for d, out in _reference_grid(p) if not isinstance(out, str)]
+    if where == "first":
+        target = grid[0]
+    else:
+        costs = [p.weighted(du1(p, d)) for d in grid]
+        target = grid[costs.index(min(costs))]
+    real = bounds_upper.du1
+
+    def du1_with_nan(p, design):
+        point = real(p, design)
+        return point._replace(D=math.nan) if design == target else point
+
+    monkeypatch.setattr(bounds_upper, "du1", du1_with_nan)
+    ref = _reference_optimize_upper(p)
+    # the NaN moves the result, so the case tells the rules apart
+    assert (ref[0].spec, ref[0].design) != (clean.spec, clean.design)
+    _assert_same(optimize_upper(p), ref)
+
+
+def test_refinement_ties_resolve_in_search_order(monkeypatch):
+    # three refinement designs tie below every other candidate; the loop
+    # keeps the first in (fd, fw) order, which tells apart a reordered or
+    # reversed search and a non-strict comparison
+    p = ProblemParams(a=100.0, q=1.0, r1=100.0, r2=0.0, sigmav1_sq=0.0,
+                      sigmav2_sq=100.0)
+    grid = [(p.weighted(out), d) for d, out in _reference_grid(p)
+            if not isinstance(out, str)]
+    base = min(grid, key=lambda cd: cd[0])[1]
+    third = W1_REFINE[0]
+    ties = [SigDesign(1, base.d * fd, base.w1 * fd * fw)
+            for fd, fw in ((0.6, 0.5), (0.6, 2.0), (0.8, third))]
+    real = bounds_upper.du1
+
+    def du1_with_ties(p, design):
+        if design in ties:
+            return TradeoffPoint(0.5, 0.0, 0.0)
+        return real(p, design)
+
+    monkeypatch.setattr(bounds_upper, "du1", du1_with_ties)
+    ref = _reference_optimize_upper(p)
+    assert ref[0].design == ties[0]
+    _assert_same(optimize_upper(p), ref)
+
+
+def test_failed_designs_are_counted_by_type():
+    # the grid's smallest lattice steps (sv2 / step up to 1e4) make the
+    # tail series fail their convergence guard; each counts once
+    base = [p for p in strong_grid_params() if p.a == 25.0][4]
+    res = optimize_upper(base)
+    assert classify(base).s == 2
+    series = [d for d, out in _reference_grid(base)
+              if out == "SeriesNonConvergent"]
+    assert series and all(
+        math.sqrt(base.sigmav2_sq) / (base.a ** d.s * d.d) > 600
+        for d in series)
+    assert res.failures["SeriesNonConvergent"] >= len(series)
+    assert res.failures == _reference_optimize_upper(base)[1]
+    weak = optimize_upper(weak_grid_params()[0])
+    assert weak.failures == {}
+    # results built without counts (the linear candidates' shape) still work
+    assert UpperResult(1.0, StrategySpec("linbb", controller=1),
+                       linbb_bound(base, 1)).failures == {}
+
+
+def test_evaluator_rejects_another_system():
+    base = strong_grid_params()[3]
+    other = _with_weights(strong_grid_params()[4], 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="another system"):
+        optimize_upper(other, UpperBoundEvaluator(base))
+    # same system, other weights: accepted
+    p = _with_weights(base, 1e-2, 1.0, 1e2)
+    assert optimize_upper(p, UpperBoundEvaluator(base)) == optimize_upper(p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lqgduet.bounds_lower import LowerBoundEvaluator, RegionPartition
+from lqgduet.bounds_upper import UpperBoundEvaluator
 from lqgduet.core import ProblemParams, Regime
 from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, _region_grid,
                                appendix_region_checks, certify_grid,
@@ -103,6 +104,26 @@ def test_certify_point_at_large_gain(a, s):
     r = p.sigmav1_sq / p.sigmav2_sq
     assert LowerBoundEvaluator(p).dl3_best == pytest.approx(
         a * a * (1 - a ** -2) / (1 + r), rel=1e-12)
+
+
+def test_certify_point_rejects_evaluators_of_another_system():
+    # an evaluator answers weightings of the system it was built for only
+    p = ProblemParams(a=5.0, q=1.0, r1=0.1, r2=0.1, sigmav1_sq=0.0,
+                      sigmav2_sq=20.0)
+    others = [ProblemParams(a=5.0, sigmav1_sq=0.0, sigmav2_sq=21.0),
+              ProblemParams(a=6.0, sigmav1_sq=0.0, sigmav2_sq=20.0),
+              ProblemParams(a=5.0, sigmav1_sq=0.5, sigmav2_sq=20.0),
+              ProblemParams(a=5.0, sigma0_sq=1.0, sigmav1_sq=0.0,
+                            sigmav2_sq=20.0)]
+    for other in others:
+        with pytest.raises(ValueError, match="another system"):
+            certify_point(p, evaluator=LowerBoundEvaluator(other))
+        with pytest.raises(ValueError, match="another system"):
+            certify_point(p, upper=UpperBoundEvaluator(other))
+    # the same system at other weights is what certify_grid shares
+    same = ProblemParams(a=5.0, q=100.0, sigmav1_sq=0.0, sigmav2_sq=20.0)
+    assert certify_point(p, None, LowerBoundEvaluator(same),
+                         UpperBoundEvaluator(same)) == certify_point(p)
 
 
 def test_certify_point_degenerate():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,25 @@ def test_tradeoff_weighted_zero_weight_kills_infinite_component():
     pt = TradeoffPoint(math.inf, 1.0, math.inf)
     assert pt.weighted(0.0, 1.0, 0.0) == 1.0
     assert pt.weighted(1.0, 1.0, 0.0) == math.inf
+
+
+def test_tradeoff_weighted_array_matches_scalar_bit_for_bit():
+    # (q D + r1 P1) + r2 P2 in that order on both paths; a compensated
+    # sum() would give 1e16 + 2 for the first point, plain addition 1e16
+    points = [TradeoffPoint(1e16, 1.0, 1.0), TradeoffPoint(0.1, 0.2, 0.3),
+              TradeoffPoint(math.inf, 3.0, 7.5),
+              TradeoffPoint(3373.4144260676655, 4.0, 433717.04653666118),
+              TradeoffPoint(1.0, 1e-300, 1e300)]
+    rng = np.random.default_rng(5)
+    points += [TradeoffPoint(*map(float, 10.0 ** rng.uniform(-3, 12, 3)))
+               for _ in range(200)]
+    arrays = TradeoffPoint(*(np.array(col) for col in zip(*points)))
+    for q, r1, r2 in [(1.0, 1.0, 1.0), (0.01, 100.0, 1.0), (0.0, 1.0, 0.0),
+                      (1.0, 0.0, 3.0), (0.37, 1.3, 0.011)]:
+        costs = np.broadcast_to(arrays.weighted(q, r1, r2), len(points))
+        assert [float(c).hex() for c in costs] \
+            == [pt.weighted(q, r1, r2).hex() for pt in points]
+    assert TradeoffPoint(1e16, 1.0, 1.0).weighted(1.0, 1.0, 1.0) == 1e16
 
 
 def test_normalize_identity_on_canonical():
