@@ -11,6 +11,7 @@ the grid.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple
@@ -82,9 +83,19 @@ class SliceParams:
             raise ValueError("sigmav2p_sq must be >= 0")
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must be in [0, 1]")
-        cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, self.k1)
-        if not 0 <= self.Sigma <= cap * (1 + 1e-12):
-            raise ValueError(f"Sigma outside [0, {cap}]")
+        _check_sigma(p, self.k1, self.Sigma)
+
+
+def _check_sigma(p: ProblemParams, k1: int, Sigma: float) -> None:
+    """Sigma must lie in [0, mmse_floor(k1)] (up to a relative 1e-12)."""
+    cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
+    if not 0 <= Sigma <= cap * (1 + 1e-12):
+        raise ValueError(f"Sigma outside [0, {cap}]")
+
+
+def _check_certified(p: ProblemParams) -> None:
+    if abs(p.a) < A_MIN_CERTIFIED:
+        raise ValueError("requires |a| >= 2.5")
 
 
 def _geo(a: float, k_exp: int, count: int):
@@ -97,74 +108,150 @@ def _geo(a: float, k_exp: int, count: int):
     return A2 ** float(k_exp) * (1 - r ** count) / (1 - r)
 
 
-def _relu(x):
-    return np.maximum(np.nan_to_num(x, nan=0.0, posinf=np.inf,
-                                    neginf=0.0), 0.0)
+# The families broadcast over a leading candidate axis: each candidate's
+# coefficients are Python scalars, computed and grouped as in the scalar
+# formula, stacked into (F, 1, ..., 1) columns; only the power-array work
+# runs over (F, ...).  Elementwise IEEE arithmetic does not depend on the
+# batch, so row f equals the one-candidate call bit for bit.
+
+def _power_axes(P1t, P2t):
+    """P1t and P2t as float arrays with a leading unit candidate axis, and
+    the shape of their broadcast."""
+    P1 = np.asarray(P1t, dtype=float)
+    P2 = np.asarray(P2t, dtype=float)
+    shape = np.broadcast_shapes(P1.shape, P2.shape)
+    nd = len(shape)
+    return (P1.reshape((1,) * (nd + 1 - P1.ndim) + P1.shape),
+            P2.reshape((1,) * (nd + 1 - P2.ndim) + P2.shape), shape)
 
 
-def dl1(p: ProblemParams, sp: SliceParams, P1t, P2t):
-    """First lower-bound family (signaling converse), evaluated exactly as
-    the two (.)_+^2 branches weighted by alpha, plus 1.  Broadcasts over
-    power arrays."""
+def _columns(rows, width: int, nd: int) -> np.ndarray:
+    """Per-candidate rows of width scalars as width columns of shape
+    (F, 1, ..., 1) with nd unit power axes."""
+    cols = np.array(rows, dtype=float).reshape(len(rows), width)
+    return cols.T.reshape((width, len(rows)) + (1,) * nd)
+
+
+def _result(out: np.ndarray, single: bool):
+    """The stacked result, or the one candidate's row (a float for scalar
+    powers)."""
+    if not single:
+        return out
+    return float(out[0]) if out.ndim == 1 else out[0]
+
+
+def _check_dl1(p: ProblemParams, sp: SliceParams) -> None:
     sp.check(p)
-    if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError("requires |a| >= 2.5")
+    _check_certified(p)
     if p.sigmav2_sq == 0:
         raise ValueError("requires sigmav2_sq > 0")
+
+
+def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
+    """First lower-bound family (signaling converse), evaluated exactly as
+    the two (.)_+^2 branches weighted by alpha, plus 1.  Broadcasts over
+    power arrays.  sp is one SliceParams, or a sequence of them evaluated
+    in one broadcast over a leading candidate axis (written into out when
+    given)."""
+    single = isinstance(sp, SliceParams)
+    sps = [sp] if single else list(sp)
+    for s in sps:
+        _check_dl1(p, s)
+    P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
     sv2_sq = p.sigmav2_sq
     sv2 = math.sqrt(sv2_sq)
-    sv2p = math.sqrt(sp.sigmav2p_sq)
-    k1, k2, k = sp.k1, sp.k2, sp.k
-    alpha, Sig = sp.alpha, sp.Sigma
-    P1t = np.asarray(P1t, dtype=float)
-    P2t = np.asarray(P2t, dtype=float)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    log2A = math.log2(A)
+    d = (1 - RCONST / A ** 2) * (1 - _BETA)
+    rows = []
+    for s in sps:
+        k1, k2, k = s.k1, s.k2, s.k
+        Sig, sv2p_sq = s.Sigma, s.sigmav2p_sq
+        sv2p = math.sqrt(sv2p_sq)
         m = k2 - k1 - 1
-        if m > 0:
-            I2 = m / 2.0 * np.log2(
-                1.0 + (1.0 / (m * sv2_sq)) * (
-                    2.0 * A ** (2 * (k2 - 2 - k1)) / (1 - A ** -2) * Sig
-                    + 2.0 * A ** (2 * (k2 - 3 - k1)) / (1 - A ** -2)
-                    * RCONST * P1t
-                    / ((1 - RCONST / A ** 2) * (1 - _BETA))))
-        else:
-            I2 = np.zeros_like(P1t)
+        same = sv2p == sv2
+        c = 1.0 if same else (2 * sv2p / (math.sqrt(2 * math.pi) * sv2)
+                              * math.exp(-sv2p_sq / (2 * sv2_sq)))
+        g4 = _geo(A, k - k2 - 1, k - k2)
+        rows.append((
+            # I2 = m/2 log2(1 + (i2s + i2p P1/d)/(m sv2^2)), 0 for m = 0
+            m > 0, m / 2.0, 1.0 / (m * sv2_sq) if m > 0 else 0.0,
+            2.0 * A ** (2 * (k2 - 2 - k1)) / (1 - A ** -2) * Sig
+            if m > 0 else 0.0,
+            2.0 * A ** (2 * (k2 - 3 - k1)) / (1 - A ** -2) * RCONST
+            if m > 0 else 0.0,
+            # I1 = I2 + 1/2 log2(1 + (i1s + i1p P1/d)/sv2p^2), inf at
+            # sv2p = 0, plus the entropy gap when sv2p != sv2
+            sv2p_sq > 0, 1.0 / sv2p_sq if sv2p_sq > 0 else 0.0,
+            2.0 * A ** (2 * (k2 - 1 - k1)) * Sig if sv2p_sq > 0 else 0.0,
+            2.0 * A ** (2 * (k2 - 2 - k1)) if sv2p_sq > 0 else 0.0,
+            same,
+            # radicands of branch1 and branch2
+            c * Sig, 2 * (k - k1) * log2A, c * _geo(A, k - k1 - 1, k2 - k1),
+            g4 * RCONST ** (k2 - k1), g4,
+            Sig, 2 * (k - k1 - 1) * log2A,
+            _geo(A, k - k1 - 2, k - k1 - 1) * RCONST,
+            s.alpha, 1 - s.alpha))
+    (m_pos, i2m, i2c, i2s, i2p, p_pos, i1c, i1s, i1p, same, r1c, r1e, r2c,
+     r3c, r4c, b1c, b1e, b2c, alpha, beta) = _columns(rows, 20, len(shape))
+    if out is None:
+        out = np.empty((len(sps),) + shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        I2 = np.multiply(i2p, P1)
+        np.divide(I2, d, out=I2)
+        np.add(i2s, I2, out=I2)
+        np.multiply(i2c, I2, out=I2)
+        np.add(1.0, I2, out=I2)
+        np.log2(I2, out=I2)
+        np.multiply(i2m, I2, out=I2)
+        np.copyto(I2, 0.0, where=m_pos == 0)
 
-        same = (sv2p == sv2)
-        I1 = I2 + 0.5 * np.log2(
-            1.0 + (1.0 / sp.sigmav2p_sq) * (
-                2.0 * A ** (2 * (k2 - 1 - k1)) * Sig
-                + 2.0 * A ** (2 * (k2 - 2 - k1)) * P1t
-                / ((1 - RCONST / A ** 2) * (1 - _BETA)))) \
-            if sp.sigmav2p_sq > 0 else np.full_like(P1t, np.inf)
-        if not same:
-            I1 = I1 + 0.5 * math.log2(2 * math.pi * math.e / 4)
-            c = (2 * sv2p / (math.sqrt(2 * math.pi) * sv2)
-                 * math.exp(-sp.sigmav2p_sq / (2 * sv2_sq)))
-        else:
-            c = 1.0
+        I1 = np.multiply(i1p, P1)
+        np.divide(I1, d, out=I1)
+        np.add(i1s, I1, out=I1)
+        np.multiply(i1c, I1, out=I1)
+        np.add(1.0, I1, out=I1)
+        np.log2(I1, out=I1)
+        np.multiply(0.5, I1, out=I1)
+        np.add(I2, I1, out=I1)
+        np.copyto(I1, np.inf, where=p_pos == 0)
+        np.add(I1, 0.5 * math.log2(2 * math.pi * math.e / 4), out=I1,
+               where=same == 0)
 
-        log2A = math.log2(A)
-        rad1 = np.sqrt(c * Sig * np.exp2(2 * (k - k1) * log2A - 2 * I1))
-        rad2 = np.sqrt(c * _geo(A, k - k1 - 1, k2 - k1)
-                       * P1t / (1 - _BETA))
-        rad3 = np.sqrt(_geo(A, k - k2 - 1, k - k2)
-                       * RCONST ** (k2 - k1) * P1t / (1 - _BETA))
-        rad4 = np.sqrt(_geo(A, k - k2 - 1, k - k2) * P2t / (1 - _BETA))
-        branch1 = _relu(rad1 - rad2 - rad3 - rad4) ** 2
+        def radical(coef, P):
+            r = np.multiply(coef, P)
+            np.divide(r, 1 - _BETA, out=r)
+            return np.sqrt(r, out=r)
 
-        rb1 = np.sqrt(Sig * np.exp2(2 * (k - k1 - 1) * log2A - 2 * I2))
-        rb2 = np.sqrt(_geo(A, k - k1 - 2, k - k1 - 1)
-                      * RCONST * P1t / (1 - _BETA))
-        rb3 = rad4
-        branch2 = _relu(rb1 - rb2 - rb3) ** 2
+        def decayed(coef, expo, I):
+            """sqrt(coef 2^(expo - 2 I)), written over I."""
+            np.multiply(2, I, out=I)
+            np.subtract(expo, I, out=I)
+            np.exp2(I, out=I)
+            np.multiply(coef, I, out=I)
+            return np.sqrt(I, out=I)
 
-        out = alpha * branch1 + (1 - alpha) * branch2 + 1.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+        rad4 = radical(r4c, P2)
+        rad1 = decayed(r1c, r1e, I1)
+        np.subtract(rad1, radical(r2c, P1), out=rad1)
+        np.subtract(rad1, radical(r3c, P1), out=rad1)
+        np.subtract(rad1, rad4, out=out)
+        np.fmax(out, 0.0, out=out)
+        np.square(out, out=out)
+
+        rb1 = decayed(b1c, b1e, I2)
+        np.subtract(rb1, radical(b2c, P1), out=rb1)
+        branch2 = np.subtract(rb1, rad4)
+        np.fmax(branch2, 0.0, out=branch2)
+        np.square(branch2, out=branch2)
+
+        # alpha branch1 + (1 - alpha) branch2 + 1: 0 inf is NaN, which
+        # slicing_bound's fmin skips
+        np.multiply(alpha, out, out=out)
+        np.multiply(beta, branch2, out=branch2)
+        np.add(out, branch2, out=out)
+        np.add(out, 1.0, out=out)
+    return _result(out, single)
 
 
 #: one-time downward rounding of the closed-form dl2 inner minimum: its
@@ -173,61 +260,78 @@ def dl1(p: ProblemParams, sp: SliceParams, P1t, P2t):
 _DL2_ROUND_DOWN = 1.0 - 8.0 * np.finfo(float).eps
 
 
-def _dl2_inner(A: float, Sigma: float, sv1_sq: float, sv2_sq: float,
-               C1, C2):
+def _dl2_inner(A: float, Sigma, sv1_sq: float, sv2_sq: float, C1, C2):
     """Exact minimum of the convex quadratic
     f(c1, c2) = (A - c1 - c2)^2 Sigma + c1^2 sv1^2 + c2^2 sv2^2 over the box
     |c_i| <= C_i (KKT): the unconstrained minimiser where it lies in the
-    box, else the best clamped 1-D minimum on the four edges."""
-    best = np.full(np.broadcast(C1, C2).shape, np.inf)
-    if Sigma == 0:
-        return np.zeros_like(best)
+    box, else the best clamped 1-D minimum on the four edges.  Broadcasts
+    over Sigma, C1 and C2."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    best = np.full(np.broadcast_shapes(np.shape(Sigma), np.shape(C1),
+                                       np.shape(C2)), np.inf)
 
     def f(c1, c2):
         return (A - c1 - c2) ** 2 * Sigma + c1 ** 2 * sv1_sq + c2 ** 2 * sv2_sq
 
-    # fmin skips the NaN an infinite box edge evaluates to
-    for e in (C1, -C1):
-        best = np.fmin(best, f(e, np.clip(Sigma * (A - e) / (Sigma + sv2_sq),
-                                          -C2, C2)))
-    for e in (C2, -C2):
-        best = np.fmin(best, f(np.clip(Sigma * (A - e) / (Sigma + sv1_sq),
-                                       -C1, C1), e))
-    den = sv1_sq * sv2_sq + Sigma * (sv1_sq + sv2_sq)
-    if den > 0:
-        inside = (A * Sigma * sv2_sq / den <= C1) \
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # fmin skips the NaN an infinite box edge evaluates to
+        for e in (C1, -C1):
+            np.fmin(best, f(e, np.clip(Sigma * (A - e) / (Sigma + sv2_sq),
+                                       -C2, C2)), out=best)
+        for e in (C2, -C2):
+            np.fmin(best, f(np.clip(Sigma * (A - e) / (Sigma + sv1_sq),
+                                    -C1, C1), e), out=best)
+        den = sv1_sq * sv2_sq + Sigma * (sv1_sq + sv2_sq)
+        inside = (den > 0) & (A * Sigma * sv2_sq / den <= C1) \
             & (A * Sigma * sv1_sq / den <= C2)
-        best = np.where(inside, np.fmin(best, A * A * Sigma * sv1_sq
-                                        * sv2_sq / den), best)
-    return best * _DL2_ROUND_DOWN
+        np.fmin(best, A * A * Sigma * sv1_sq * sv2_sq / den, out=best,
+                where=inside)
+    np.multiply(best, _DL2_ROUND_DOWN, out=best)
+    np.copyto(best, 0.0, where=np.equal(Sigma, 0))
+    return best
 
 
-def dl2(p: ProblemParams, k1: int, k: int, Sigma: float, P1t, P2t):
-    """Second family (simultaneous-action converse): the clamped-radical
-    form built on the constrained two-sensor estimation game."""
+def _check_dl2(p: ProblemParams, k1: int, k: int, Sigma: float) -> None:
     if k < k1 + 1:
         raise ValueError("require k >= k1 + 1")
-    cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
-    if not 0 <= Sigma <= cap * (1 + 1e-12):
-        raise ValueError(f"Sigma outside [0, {cap}]")
-    if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError("requires |a| >= 2.5")
+    _check_sigma(p, k1, Sigma)
+    _check_certified(p)
+
+
+def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
+    """Second family (simultaneous-action converse): the clamped-radical
+    form built on the constrained two-sensor estimation game.  k1, k and
+    Sigma are scalars, or equal-length sequences evaluated in one
+    broadcast over a leading candidate axis (written into out when
+    given)."""
+    single = np.ndim(k1) == 0
+    cands = [(k1, k, Sigma)] if single else list(zip(k1, k, Sigma))
+    for c in cands:
+        _check_dl2(p, *c)
+    P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
-    P1t = np.asarray(P1t, dtype=float)
-    P2t = np.asarray(P2t, dtype=float)
+    sv1_sq, sv2_sq = p.sigmav1_sq, p.sigmav2_sq
+    rows = [(Sig, (1 - _BETA) * (Sig + sv1_sq), (1 - _BETA) * (Sig + sv2_sq),
+             A ** (2 * (kc - k1c - 1)),
+             _geo(A, kc - k1c - 2, kc - k1c - 1) / ((1 - _BETA) * _BETA))
+            for k1c, kc, Sig in cands]
+    Sig, den1, den2, grow, gterm = _columns(rows, 5, len(shape))
+    if out is None:
+        out = np.empty((len(cands),) + shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        C1 = np.sqrt(P1t / ((1 - _BETA) * (Sigma + p.sigmav1_sq))) \
-            if Sigma + p.sigmav1_sq > 0 else np.full_like(P1t, np.inf)
-        C2 = np.sqrt(P2t / ((1 - _BETA) * (Sigma + p.sigmav2_sq))) \
-            if Sigma + p.sigmav2_sq > 0 else np.full_like(P2t, np.inf)
-        inner = _dl2_inner(A, Sigma, p.sigmav1_sq, p.sigmav2_sq, C1, C2)
-        rad0 = np.sqrt(A ** (2 * (k - k1 - 1)) * inner)
-        gterm = _geo(A, k - k1 - 2, k - k1 - 1) / ((1 - _BETA) * _BETA)
-        out = _relu(rad0 - np.sqrt(gterm * P1t)
-                    - np.sqrt(gterm * P2t)) ** 2 + 1.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+        C1 = np.sqrt(np.divide(P1, den1))
+        np.copyto(C1, np.inf, where=~(Sig + sv1_sq > 0))
+        C2 = np.sqrt(np.divide(P2, den2))
+        np.copyto(C2, np.inf, where=~(Sig + sv2_sq > 0))
+        np.multiply(grow, _dl2_inner(A, Sig, sv1_sq, sv2_sq, C1, C2),
+                    out=out)
+        np.sqrt(out, out=out)
+        np.subtract(out, np.sqrt(np.multiply(gterm, P1)), out=out)
+        np.subtract(out, np.sqrt(np.multiply(gterm, P2)), out=out)
+        np.fmax(out, 0.0, out=out)
+        np.square(out, out=out)
+        np.add(out, 1.0, out=out)
+    return _result(out, single)
 
 
 def dl3(p: ProblemParams, k1: int) -> float:
@@ -238,26 +342,40 @@ def dl3(p: ProblemParams, k1: int) -> float:
     return max(mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1), 1.0)
 
 
-def dl4(p: ProblemParams, k: int, P1t, P2t):
+def _check_dl4(p: ProblemParams, k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    _check_certified(p)
+
+
+def dl4(p: ProblemParams, k, P1t, P2t, out=None):
     """Fourth family: the direct disturbance-vs-power race
 
         ( a^{k-1} - sqrt(a^{2(k-2)}/(1 - 2.5 a^{-2}) P1/(1 - 2.5^{-1}))
                   - sqrt(... P2 ...) )_+^2.
+
+    k is one race length, or a sequence of them evaluated in one broadcast
+    over a leading candidate axis (written into out when given).
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError("requires |a| >= 2.5")
+    single = np.ndim(k) == 0
+    ks = [k] if single else list(k)
+    for kk in ks:
+        _check_dl4(p, kk)
+    P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
-    P1t = np.asarray(P1t, dtype=float)
-    P2t = np.asarray(P2t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = A ** (2 * (k - 2)) / (1 - RCONST / A ** 2) / (1 - _BETA)
-        out = _relu(A ** (k - 1) - np.sqrt(g * P1t)
-                    - np.sqrt(g * P2t)) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    rows = [(A ** (kk - 1),
+             A ** (2 * (kk - 2)) / (1 - RCONST / A ** 2) / (1 - _BETA))
+            for kk in ks]
+    head, g = _columns(rows, 2, len(shape))
+    if out is None:
+        out = np.empty((len(ks),) + shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        race = np.sqrt(np.multiply(g, P1))
+        np.subtract(head, race, out=race)
+        np.subtract(race, np.sqrt(np.multiply(g, P2)), out=out)
+        np.fmax(out, 0.0, out=out)
+        np.square(out, out=out)
+    return _result(out, single)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +579,10 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
     return dl1_cands, dl2_cands
 
 
+#: race lengths k of the dl4 candidates
+_DL4_KS = (2, 3, 4, 6, 8)
+
+
 class LowerBoundEvaluator:
     """Precomputes, for one set of system parameters, the D values of every
     candidate converse family on the power grid, so the weighted bound can
@@ -468,7 +590,8 @@ class LowerBoundEvaluator:
 
     D_hi[f, i, j] is family f at the upper corner (grid[i+1], grid[j+1]) of
     cell [grid[i], grid[i+1]] x [grid[j], grid[j+1]] (the grid includes 0);
-    tail[f] lower-bounds family f beyond the grid.
+    tail[f] lower-bounds family f beyond the grid.  Each family is built by
+    one stacked call over its valid candidates, in candidate order.
     """
 
     def __init__(self, p: ProblemParams):
@@ -479,6 +602,9 @@ class LowerBoundEvaluator:
         self.D_hi = np.empty((0, n, n))
         self.tail = np.empty(0)
         self.dl3_best = 1.0
+        #: converse candidates dropped by their family's checks, by
+        #: (family, exception type)
+        self.failures: Counter = Counter()
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
         if not self.certified:
@@ -494,22 +620,36 @@ class LowerBoundEvaluator:
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
         dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
-        # no dl1 candidates when sigmav2_sq = 0, which dl1 rejects
-        calls = [(dl1, (sp,), 1.0) for sp in dl1_cands] \
-            + [(dl2, c, 1.0) for c in dl2_cands] \
-            + [(dl4, (k,), 0.0) for k in (2, 3, 4, 6, 8)]
-        D_hi = np.empty((len(calls), n, n))
-        tail = np.empty(len(calls))
+        # one stacked call per family, through the module names; no dl1
+        # candidates when sigmav2_sq = 0, which dl1 rejects
+        families = (("dl1", dl1, _check_dl1, [(sp,) for sp in dl1_cands]),
+                    ("dl2", dl2, _check_dl2, dl2_cands),
+                    ("dl4", dl4, _check_dl4, [(k,) for k in _DL4_KS]))
+        kept = [self._valid(name, check, cands)
+                for name, _, check, cands in families]
+        sizes = [len(args) for args in kept]
+        self.D_hi = np.empty((sum(sizes), n, n))
+        # beyond the grid dl1 and dl2 are at least 1, dl4 at least 0
+        self.tail = np.repeat([1.0, 1.0, 0.0], sizes)
         f = 0
-        for family, args, tail_f in calls:
+        for (_, family, _, _), args in zip(families, kept):
+            if args:
+                family(p, *map(list, zip(*args)), hi1, hi2,
+                       out=self.D_hi[f:f + len(args)])
+            f += len(args)
+
+    def _valid(self, family: str, check, cands: list) -> list:
+        """The candidates (argument tuples) that pass check; failures
+        counts the others by family and exception type."""
+        kept = []
+        for args in cands:
             try:
-                D_hi[f] = family(p, *args, hi1, hi2)
-            except ValueError:
-                continue
-            tail[f] = tail_f
-            f += 1
-        self.D_hi = D_hi[:f]
-        self.tail = tail[:f]
+                check(self.p, *args)
+            except ValueError as exc:
+                self.failures[family, type(exc).__name__] += 1
+            else:
+                kept.append(args)
+        return kept
 
     def slicing_bound(self, q: float, r1: float, r2: float) -> float:
         """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at

@@ -23,7 +23,7 @@ from .core import ProblemParams
 from .strategies import StrategySpec, parse_strategy
 from .simulator import SimConfig, SimResult, run
 from .bounds_upper import optimize_upper, sweep_labels
-from .bounds_lower import lower_weighted_cost
+from .bounds_lower import LowerBoundEvaluator, lower_weighted_cost
 from .certifier import CAP_STRONG, CAP_WEAK, certify_grid, prop1_divergence, \
     strong_grid_params, weak_grid_params
 from .detmodel import DetParams, det_radner, det_witsen, run_det
@@ -170,6 +170,8 @@ def sweep(a, l_min, l_max, l_steps, output):
     if l_steps < 2:
         raise click.UsageError("--l-steps must be >= 2")
     ls = np.linspace(l_min, l_max, l_steps)
+    lower_ev = LowerBoundEvaluator(ProblemParams(a=a, sigmav1_sq=0.0,
+                                                 sigmav2_sq=float(a)))
     rows = []
     for row in sweep_labels(a, ls):
         p = ProblemParams(a=a, q=1.0, r1=float(a) ** row["l"], r2=0.0,
@@ -177,7 +179,7 @@ def sweep(a, l_min, l_max, l_steps, output):
         rows.append({**_param_cells(p), "strategy": row["label"],
                      "D": row["D"], "P1": row["P1"], "P2": row["P2"],
                      "weighted": row["cost"],
-                     "se_D": lower_weighted_cost(p)})
+                     "se_D": lower_ev.weighted(p.q, p.r1, p.r2)})
     _write_csv(output, {"command": "sweep", "l_min": l_min, "l_max": l_max,
                         "l_steps": l_steps,
                         "note": "se_D column carries the lower bound"}, rows)

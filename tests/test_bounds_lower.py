@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from scipy.optimize import minimize
 from lqgduet.certifier import (default_weight_grid, strong_grid_params,
                                weak_grid_params)
 from lqgduet.core import ProblemParams
-from lqgduet.bounds_lower import (LowerBoundEvaluator, RegionPartition,
-                                  SliceParams, _dl2_inner, dl1, dl2, dl3,
+from lqgduet.bounds_lower import (_DL4_KS, LowerBoundEvaluator,
+                                  RegionPartition, SliceParams, _dl2_inner,
+                                  _geo, _slicing_candidates, dl1, dl2, dl3,
                                   dl4, info_mmse, lower_weighted_cost,
                                   mmse_floor)
 
@@ -237,3 +239,209 @@ def test_stacked_slicing_bound_equals_per_family_max(base):
         for D_hi, tail in zip(ev.D_hi, ev.tail):
             best = max(best, _cell_min(q, r1, r2, D_hi, ev.grid, tail))
         assert ev.slicing_bound(q, r1, r2) == best
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# Reference: the one-candidate formulas with their branches as Python
+# conditionals, written out independently of the stacked kernels.
+
+def _ref_relu(x):
+    return np.maximum(np.nan_to_num(x, nan=0.0, posinf=np.inf,
+                                    neginf=0.0), 0.0)
+
+
+def _ref_dl1(p, sp, P1t, P2t):
+    R, beta = 2.5, 0.4
+    A, sv2_sq = abs(p.a), p.sigmav2_sq
+    sv2, sv2p = math.sqrt(sv2_sq), math.sqrt(sp.sigmav2p_sq)
+    k1, k2, k, alpha, Sig = sp.k1, sp.k2, sp.k, sp.alpha, sp.Sigma
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = k2 - k1 - 1
+        if m > 0:
+            I2 = m / 2.0 * np.log2(
+                1.0 + (1.0 / (m * sv2_sq)) * (
+                    2.0 * A ** (2 * (k2 - 2 - k1)) / (1 - A ** -2) * Sig
+                    + 2.0 * A ** (2 * (k2 - 3 - k1)) / (1 - A ** -2)
+                    * R * P1t / ((1 - R / A ** 2) * (1 - beta))))
+        else:
+            I2 = np.zeros_like(P1t)
+        I1 = I2 + 0.5 * np.log2(
+            1.0 + (1.0 / sp.sigmav2p_sq) * (
+                2.0 * A ** (2 * (k2 - 1 - k1)) * Sig
+                + 2.0 * A ** (2 * (k2 - 2 - k1)) * P1t
+                / ((1 - R / A ** 2) * (1 - beta)))) \
+            if sp.sigmav2p_sq > 0 else np.full_like(P1t, np.inf)
+        if sv2p != sv2:
+            I1 = I1 + 0.5 * math.log2(2 * math.pi * math.e / 4)
+            c = (2 * sv2p / (math.sqrt(2 * math.pi) * sv2)
+                 * math.exp(-sp.sigmav2p_sq / (2 * sv2_sq)))
+        else:
+            c = 1.0
+        log2A = math.log2(A)
+        rad1 = np.sqrt(c * Sig * np.exp2(2 * (k - k1) * log2A - 2 * I1))
+        rad2 = np.sqrt(c * _geo(A, k - k1 - 1, k2 - k1) * P1t / (1 - beta))
+        rad3 = np.sqrt(_geo(A, k - k2 - 1, k - k2) * R ** (k2 - k1) * P1t
+                       / (1 - beta))
+        rad4 = np.sqrt(_geo(A, k - k2 - 1, k - k2) * P2t / (1 - beta))
+        branch1 = _ref_relu(rad1 - rad2 - rad3 - rad4) ** 2
+        rb1 = np.sqrt(Sig * np.exp2(2 * (k - k1 - 1) * log2A - 2 * I2))
+        rb2 = np.sqrt(_geo(A, k - k1 - 2, k - k1 - 1) * R * P1t / (1 - beta))
+        branch2 = _ref_relu(rb1 - rb2 - rad4) ** 2
+        return alpha * branch1 + (1 - alpha) * branch2 + 1.0
+
+
+def _ref_dl2_inner(A, Sigma, sv1_sq, sv2_sq, C1, C2):
+    best = np.full(np.broadcast(C1, C2).shape, np.inf)
+    if Sigma == 0:
+        return np.zeros_like(best)
+    for e in (C1, -C1):
+        best = np.fmin(best, _dl2_objective(
+            A, Sigma, sv1_sq, sv2_sq, e,
+            np.clip(Sigma * (A - e) / (Sigma + sv2_sq), -C2, C2)))
+    for e in (C2, -C2):
+        best = np.fmin(best, _dl2_objective(
+            A, Sigma, sv1_sq, sv2_sq,
+            np.clip(Sigma * (A - e) / (Sigma + sv1_sq), -C1, C1), e))
+    den = sv1_sq * sv2_sq + Sigma * (sv1_sq + sv2_sq)
+    if den > 0:
+        inside = (A * Sigma * sv2_sq / den <= C1) \
+            & (A * Sigma * sv1_sq / den <= C2)
+        best = np.where(inside, np.fmin(best, A * A * Sigma * sv1_sq
+                                        * sv2_sq / den), best)
+    return best * (1.0 - 8.0 * np.finfo(float).eps)
+
+
+def _ref_dl2(p, k1, k, Sigma, P1t, P2t):
+    A, beta = abs(p.a), 0.4
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        C1 = np.sqrt(P1t / ((1 - beta) * (Sigma + p.sigmav1_sq))) \
+            if Sigma + p.sigmav1_sq > 0 else np.full_like(P1t, np.inf)
+        C2 = np.sqrt(P2t / ((1 - beta) * (Sigma + p.sigmav2_sq))) \
+            if Sigma + p.sigmav2_sq > 0 else np.full_like(P2t, np.inf)
+        inner = _ref_dl2_inner(A, Sigma, p.sigmav1_sq, p.sigmav2_sq, C1, C2)
+        rad0 = np.sqrt(A ** (2 * (k - k1 - 1)) * inner)
+        gterm = _geo(A, k - k1 - 2, k - k1 - 1) / ((1 - beta) * beta)
+        return _ref_relu(rad0 - np.sqrt(gterm * P1t)
+                         - np.sqrt(gterm * P2t)) ** 2 + 1.0
+
+
+def _ref_dl4(p, k, P1t, P2t):
+    A = abs(p.a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = A ** (2 * (k - 2)) / (1 - 2.5 / A ** 2) / (1 - 0.4)
+        return _ref_relu(A ** (k - 1) - np.sqrt(g * P1t)
+                         - np.sqrt(g * P2t)) ** 2
+
+
+def _one_candidate_rows(ev):
+    """Reference for the stacked build: one scalar family call per
+    candidate, invalid candidates skipped, rows in candidate order; also
+    the same rows from the reference formulas."""
+    p, n = ev.p, ev.grid.size - 1
+    hi1, hi2 = ev.grid[1:, None], ev.grid[None, 1:]
+    dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
+    calls = [(dl1, _ref_dl1, (sp,), 1.0) for sp in dl1_cands] \
+        + [(dl2, _ref_dl2, c, 1.0) for c in dl2_cands] \
+        + [(dl4, _ref_dl4, (k,), 0.0) for k in _DL4_KS]
+    rows, refs, tails = [], [], []
+    for family, ref, args, tail in calls:
+        try:
+            rows.append(family(p, *args, hi1, hi2))
+        except ValueError:
+            continue
+        refs.append(ref(p, *args, hi1, hi2))
+        tails.append(tail)
+    return (np.reshape(rows, (-1, n, n)), np.reshape(refs, (-1, n, n)),
+            np.array(tails))
+
+
+def _random_bases(count, seed):
+    rng = np.random.default_rng(seed)
+    bases = []
+    for i in range(count):
+        a = float(10 ** rng.uniform(math.log10(2.5), 3))
+        sv1 = 0.0 if i % 3 == 0 else float(10 ** rng.uniform(-3, 3))
+        sv2 = sv1 + float(10 ** rng.uniform(-3, 6))
+        bases.append(ProblemParams(a=a, sigmav1_sq=sv1, sigmav2_sq=sv2))
+    return bases
+
+
+def test_stacked_families_equal_one_candidate_rows():
+    # every grid base and seeded random bases (a third with sv1^2 = 0)
+    bases = weak_grid_params() + strong_grid_params() \
+        + _random_bases(50, 2024)
+    for p in bases:
+        ev = LowerBoundEvaluator(p)
+        rows, refs, tails = _one_candidate_rows(ev)
+        assert ev.D_hi.shape == rows.shape
+        assert np.array_equal(_bits(ev.D_hi), _bits(rows)), p
+        assert np.array_equal(_bits(ev.D_hi), _bits(refs)), p
+        assert np.array_equal(_bits(ev.tail), _bits(tails)), p
+
+
+@pytest.mark.parametrize("a, sv1, sv2", [(4.0, 0.0, 50.0), (4.0, 0.5, 50.0),
+                                         (1e8, 1.0, 1e4)])
+def test_stacked_call_covers_every_branch_mask(a, sv1, sv2):
+    # one stack mixing the branches each family takes per candidate: dl1
+    # with m = 0 (k2 = k1 + 1) and m > 0, sv2p equal to sv2 or not, sv2p = 0,
+    # alpha strictly inside [0, 1], and at a = 1e8 a branch that overflows
+    # to inf, so that alpha = 0 gives NaN cells; dl2 with Sigma = 0 (and
+    # Sigma + sv1^2 = 0 when sv1^2 = 0) beside Sigma > 0; dl4 at several
+    # race lengths; the powers run from 0 to inf
+    P1 = np.concatenate(([0.0], np.geomspace(1e-6, 1e12, 13), [np.inf]))
+    P2 = np.concatenate(([0.0], np.geomspace(1e-6, 1e12, 11), [np.inf]))
+    P1, P2 = P1[:, None], P2[None, :]
+    p = ProblemParams(a=a, sigmav1_sq=sv1, sigmav2_sq=sv2)
+    cap2 = mmse_floor(a, sv1, sv2, 2)
+    sps = [SliceParams(1, 2, 2, sv2, 1.0, 1.0),
+           SliceParams(1, 2, 4, 3.0, 0.3, 0.5),
+           SliceParams(1, 3, 4, sv2, 1.0, 1.0),
+           SliceParams(2, 4, 6, 0.0, 0.5, cap2),
+           SliceParams(1, 4, 4, 700.0, 0.0, 0.0),
+           SliceParams(1, 2, 21, sv2, 0.0, 1.0)]
+    dl2_args = ([1, 2, 2, 1], [2, 3, 5, 4], [1.0, 0.0, cap2, 0.5])
+    stacked = [(dl1(p, sps, P1, P2),
+                [dl1(p, sp, P1, P2) for sp in sps],
+                [_ref_dl1(p, sp, P1, P2) for sp in sps]),
+               (dl2(p, *dl2_args, P1, P2),
+                [dl2(p, *c, P1, P2) for c in zip(*dl2_args)],
+                [_ref_dl2(p, *c, P1, P2) for c in zip(*dl2_args)]),
+               (dl4(p, [2, 3, 6], P1, P2),
+                [dl4(p, k, P1, P2) for k in (2, 3, 6)],
+                [_ref_dl4(p, k, P1, P2) for k in (2, 3, 6)])]
+    for got, rows, ref in stacked:
+        assert got.shape == (len(rows), 15, 13)
+        assert np.array_equal(_bits(got), _bits(rows))
+        assert np.array_equal(_bits(got), _bits(ref))
+    # one-row stacks, and scalar powers give Python floats
+    assert np.array_equal(_bits(dl1(p, sps[:1], P1, P2)),
+                          _bits([dl1(p, sps[0], P1, P2)]))
+    assert type(dl1(p, sps[0], 1.0, 2.0)) is float
+    assert type(dl2(p, 1, 2, 1.0, 1.0, 2.0)) is float
+    assert type(dl4(p, 2, 1.0, 2.0)) is float
+    assert np.isnan(stacked[0][0]).any() == (a == 1e8)
+
+
+def test_dropped_candidate_is_counted_and_the_rest_kept(monkeypatch):
+    p = strong_grid_params()[10]
+    ev = LowerBoundEvaluator(p)
+    assert ev.failures == Counter()
+    dl1_cands, _ = _slicing_candidates(p, ev.partition)
+    victim = dl1_cands[5]
+    assert dl1_cands.count(victim) == 1
+    check = SliceParams.check
+
+    def failing_check(self, q):
+        if self == victim:
+            raise ValueError("rejected")
+        check(self, q)
+
+    monkeypatch.setattr(SliceParams, "check", failing_check)
+    dropped = LowerBoundEvaluator(p)
+    assert dropped.failures == Counter({("dl1", "ValueError"): 1})
+    assert np.array_equal(_bits(dropped.D_hi),
+                          _bits(np.delete(ev.D_hi, 5, axis=0)))
+    assert np.array_equal(dropped.tail, np.delete(ev.tail, 5))

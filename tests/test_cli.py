@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 import lqgduet
+from lqgduet.bounds_lower import LowerBoundEvaluator, lower_weighted_cost
 from lqgduet.cli import CSV_COLUMNS, cli
+from lqgduet.core import ProblemParams
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "simulate_golden.csv")
@@ -137,6 +139,34 @@ def test_sweep_row_count():
     rows = [ln for ln in res.output.splitlines()
             if ln and not ln.startswith("#")]
     assert len(rows) == 1 + 3  # header + grid size
+
+
+def test_sweep_builds_one_lower_evaluator(monkeypatch):
+    built = []
+    init = LowerBoundEvaluator.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(LowerBoundEvaluator, "__init__", counting_init)
+    res = _invoke(["sweep", "--a", "100", "--l-steps", "5"])
+    assert res.exit_code == 0
+    assert len(built) == 1
+    monkeypatch.undo()
+    lines = [ln for ln in res.output.splitlines()
+             if ln and not ln.startswith("#")]
+    col = {c: i for i, c in enumerate(CSV_COLUMNS)}
+    assert len(lines) == 1 + 5
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        p = ProblemParams(a=float(cells[col["a"]]), q=float(cells[col["q"]]),
+                          r1=float(cells[col["r1"]]),
+                          r2=float(cells[col["r2"]]),
+                          sigmav1_sq=float(cells[col["sv1sq"]]),
+                          sigmav2_sq=float(cells[col["sv2sq"]]))
+        # the bound a fresh evaluator per row reports, to the last bit
+        assert cells[col["se_D"]] == repr(lower_weighted_cost(p))
 
 
 def test_detmodel_text_and_json():
