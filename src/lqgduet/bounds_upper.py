@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from .bounds_lower import SIG_DECAY_COEF, RegionPartition
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
     classify, noise_floor
 from .lattice import SeriesNonConvergent, comb_miss_series, \
-    comb_outage_series, gaussian_comb
+    comb_miss_terms, comb_outage_series, comb_outage_terms, gaussian_comb, \
+    truncated_sum
 from .strategies import StrategySpec
 
 #: lattice-step grid for the (d, w1) search, relative to sigma_v2 / |a|^s
@@ -76,31 +77,48 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
 
     The one evaluation of a design: raises ValueError on an infeasible
     design and SeriesNonConvergent when a tail series fails its guard.
-    UpperBoundEvaluator calls it at most once per design and system.
+    du1_outcomes gives the same triples for many designs at once.
     """
+    step, B, line1, o1 = _du1_prelude(p, design)
+    sv2 = math.sqrt(p.sigmav2_sq)
+    if sv2 > 0:
+        A = abs(p.a)
+        series1 = comb_miss_series(step, B, sv2, 4.0 * (A * A))
+        series2 = comb_outage_series(step, sv2)
+    else:
+        series1, series2 = _noiseless_series(step)
+    return _du1_point(p, design, line1, o1, series1, series2)
+
+
+def _du1_prelude(p: ProblemParams, design: SigDesign):
+    """du1's parts before its tail series: the coarse comb's spacing and
+    width (step, B), the first line of D, and the outage rate o1."""
     design.check(p.a)
     A = abs(p.a)
     s, d, w1 = design.s, design.d, design.w1
-    sv1_sq = p.sigmav1_sq
-    sv2 = math.sqrt(p.sigmav2_sq)
     A2 = A * A
     A2s = A ** (2 * s)
     step = A ** s * d
     B = A ** (s - 1) * d * A / (A - 1) + w1
-
     line1 = 2.0 * A2s * (2.0 * (d / 2) ** 2 * (1.0 / (1.0 - 1.0 / A)) ** 2
-                         + 2.0 / (1.0 - 1.0 / A2) + 2.0 * A2 * sv1_sq)
+                         + 2.0 / (1.0 - 1.0 / A2) + 2.0 * A2 * p.sigmav1_sq)
+    spread = math.sqrt(A ** (2 * (s - 1)) * A2 / (A2 - 1)
+                       + A2s * p.sigmav1_sq)
+    return step, B, line1, gaussian_comb(w1, spread).o
 
-    spread = math.sqrt(A ** (2 * (s - 1)) * A2 / (A2 - 1) + A2s * sv1_sq)
-    o1 = gaussian_comb(w1, spread).o
-    if sv2 > 0:
-        series1 = comb_miss_series(step, B, sv2, 4.0 * A2)
-        series2 = comb_outage_series(step, sv2)
-    else:
-        # only the outage series' i = 1 term survives (Q(0) = 1/2)
-        series1 = 0.0
-        series2 = (1.5 * step) ** 2 * 0.5
 
+def _noiseless_series(step: float) -> Tuple[float, float]:
+    """du1's tail series at sv2 = 0: only the outage series' i = 1 term
+    survives (Q(0) = 1/2)."""
+    return 0.0, (1.5 * step) ** 2 * 0.5
+
+
+def _du1_point(p: ProblemParams, design: SigDesign, line1: float,
+               o1: float, series1: float, series2: float) -> TradeoffPoint:
+    """du1's triple from its prelude and its two tail series."""
+    A = abs(p.a)
+    s, d = design.s, design.d
+    A2 = A * A
     D = line1 + series1 + 4.0 * A2 * o1 * series2 \
         + 2.0 * A2 * (d / 2) ** 2 + 1.0
     P1 = A2 * d * d / 4.0
@@ -198,11 +216,63 @@ def _sig_candidates(p: ProblemParams, s: int) -> List[SigDesign]:
     return out
 
 
+#: the exceptions that make a design's outcome a failure, not a triple
+_FAILURES = (SeriesNonConvergent, ValueError, OverflowError)
+
+
 def _eval_design(p: ProblemParams, design: SigDesign) -> Outcome:
     try:
         return du1(p, design)
-    except (SeriesNonConvergent, ValueError, OverflowError) as exc:
+    except _FAILURES as exc:
         return type(exc).__name__
+
+
+def du1_outcomes(p: ProblemParams,
+                 designs: Sequence[SigDesign]) -> List[Outcome]:
+    """Each design's du1 outcome, its triple or the name of the exception
+    du1 raises, with the tail series of all designs summed as rows of one
+    array evaluation.  du1's prelude and epilogue run per design on the
+    same floats, so every triple is du1's bit for bit.  A design the
+    batch does not settle (its prelude or epilogue raises, or a series
+    fails its guard) gets du1's own outcome."""
+    A = abs(p.a)
+    sv2 = math.sqrt(p.sigmav2_sq)
+    rows, parts = [], []
+    for k, design in enumerate(designs):
+        try:
+            parts.append(_du1_prelude(p, design))
+        except _FAILURES:
+            continue
+        rows.append(k)
+    outcomes: List[Optional[Outcome]] = [None] * len(designs)
+    if rows:
+        steps, Bs, line1s, o1s = zip(*parts)
+        if sv2 > 0:
+            step, B = np.array(steps)[:, None], np.array(Bs)[:, None]
+            series1, failed = truncated_sum(
+                lambda i, live: comb_miss_terms(i, step[live], B[live], sv2,
+                                                4.0 * (A * A)), len(rows))
+            # the outage series only where the miss series settled, as in
+            # du1, which stops at the first failure
+            ok = np.flatnonzero(~failed)
+            series2 = np.full(len(rows), math.nan)
+            series2[ok], failed[ok] = truncated_sum(
+                lambda i, live: comb_outage_terms(i, step[ok[live]], sv2),
+                ok.size)
+        else:
+            series1, series2 = zip(*map(_noiseless_series, steps))
+            failed = np.zeros(len(rows), dtype=bool)
+        for j, k in enumerate(rows):
+            if failed[j]:
+                continue
+            try:
+                outcomes[k] = _du1_point(p, designs[k], line1s[j], o1s[j],
+                                         float(series1[j]),
+                                         float(series2[j]))
+            except _FAILURES:
+                pass
+    return [_eval_design(p, design) if out is None else out
+            for design, out in zip(designs, outcomes)]
 
 
 def sig_candidate_points(p: ProblemParams) -> List[Tuple[SigDesign,
@@ -213,8 +283,8 @@ def sig_candidate_points(p: ProblemParams) -> List[Tuple[SigDesign,
     regime = classify(p)
     if regime.kind != "strong":
         return []
-    return [(design, _eval_design(p, design))
-            for design in _sig_candidates(p, regime.s)]
+    designs = _sig_candidates(p, regime.s)
+    return list(zip(designs, du1_outcomes(p, designs)))
 
 
 def _first_min(costs) -> int:
@@ -233,7 +303,8 @@ class UpperBoundEvaluator:
     the grid designs' triples as arrays, and a memo from each design
     evaluated so far to its du1 outcome.  Each weighting picks the best
     grid design with one array reduction and evaluates only the designs
-    of its refinement the memo lacks."""
+    of its refinement the memo lacks, in one du1_outcomes batch (the grid
+    is one batch too)."""
 
     def __init__(self, p: ProblemParams):
         self.p = p
@@ -248,16 +319,11 @@ class UpperBoundEvaluator:
         self.points = TradeoffPoint(*np.array([out for _, out in ok]).T) \
             if ok else None
 
-    def _outcome(self, design: SigDesign) -> Outcome:
-        out = self._memo.get(design)
-        if out is None:
-            out = self._memo[design] = _eval_design(self.p, design)
-        return out
-
     def best(self, q: float, r1: float, r2: float) -> UpperResult:
         """Minimize q D + r1 P1 + r2 P2 over the linear bang-bang triples
         and the signaling designs: the best grid design, then its REFINE
-        neighbours, keeping only strict improvements in that order."""
+        neighbours, keeping only strict improvements in that order.  The
+        neighbours the memo lacks are evaluated together first."""
         failures = Counter(self.grid_failures)
         best = None
         for controller, point in enumerate(self.linbb, 1):
@@ -270,11 +336,13 @@ class UpperBoundEvaluator:
             base = self.designs[_first_min(self.points.weighted(q, r1, r2))]
             point = self._memo[base]
             sig = (point.weighted(q, r1, r2), point, base)
-            for fd, fw in REFINE:
-                design = SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
-                if design.margin(a) <= 0:
-                    continue
-                out = self._outcome(design)
+            refine = [design for design in (
+                SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
+                for fd, fw in REFINE) if design.margin(a) > 0]
+            new = [design for design in refine if design not in self._memo]
+            self._memo.update(zip(new, du1_outcomes(self.p, new)))
+            for design in refine:
+                out = self._memo[design]
                 if isinstance(out, str):
                     failures[out] += 1
                     continue

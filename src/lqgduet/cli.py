@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 import click
 import numpy as np
@@ -31,6 +31,8 @@ from .detmodel import DetParams, det_radner, det_witsen, run_det
 #: stable CSV schema (documented; golden-file tested)
 CSV_COLUMNS = ("a", "q", "r1", "r2", "sv1sq", "sv2sq", "strategy", "s", "d",
                "k", "D", "P1", "P2", "weighted", "se_D", "se_P1", "se_P2")
+#: the upper command's schema: the signaling design's w1 after the rest
+UPPER_COLUMNS = CSV_COLUMNS + ("w1",)
 
 
 def _fmt(x) -> str:
@@ -47,7 +49,8 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Optional[str], header_meta: dict, rows,
-               trailer: Optional[str] = None) -> None:
+               trailer: Optional[str] = None,
+               columns: Tuple[str, ...] = CSV_COLUMNS) -> None:
     """Write '# key=value' metadata lines, the CSV header, one line per row
     dict and an optional trailer line to path ('-' or None for stdout)."""
     if path is None or path == "-":
@@ -61,9 +64,9 @@ def _write_csv(path: Optional[str], header_meta: dict, rows,
     try:
         for key, val in header_meta.items():
             out.write(f"# {key}={_fmt(val)}\n")
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS) + "\n")
+            out.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
         if trailer is not None:
             out.write(trailer + "\n")
     finally:
@@ -196,7 +199,9 @@ def upper(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
                [{**_param_cells(p), "strategy": res.spec.label,
                  "s": res.spec.s, "d": res.spec.d, "k": res.spec.k,
                  "D": res.point.D, "P1": res.point.P1, "P2": res.point.P2,
-                 "weighted": res.cost}])
+                 "weighted": res.cost,
+                 "w1": None if res.design is None else res.design.w1}],
+               columns=UPPER_COLUMNS)
 
 
 @cli.command()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfc
@@ -22,11 +23,18 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: can represent, about x = 38.5).
 _Q_TAIL_SWITCH = 37.0
 
+#: beyond this point exp(-x^2/2) is below half the smallest subnormal,
+#: 2**-1075, so the bracket is exactly 0 there (about x = 38.6)
+_Q_TAIL_ZERO = math.sqrt(2.0 * 1075.0 * math.log(2.0))
+
 #: series truncation contract shared by all tail series in this package
 SERIES_REL_TOL = 1e-12
 SERIES_MAX_TERMS = 1_000_000
 SERIES_GUARD_TERMS = 1_000
 SERIES_BLOCK = 512
+#: rows summed together by the row form of truncated_sum, which bounds its
+#: (rows x SERIES_BLOCK) temporaries
+SERIES_ROWS = 64
 
 
 class SeriesNonConvergent(RuntimeError):
@@ -66,16 +74,23 @@ def _q_tail_upper_pos(x):
 def q_tail(x):
     """Standard Gaussian upper-tail probability Q(x) = P(N(0,1) > x).
 
-    Computed via erfc; for x > 38 the analytic upper bracket is substituted
-    to avoid underflow to zero.  Elementwise on arrays.
+    Computed via erfc; for x > 37 the analytic upper bracket is substituted
+    to avoid underflow to zero, and beyond _Q_TAIL_ZERO, where the bracket
+    underflows too, the result is an exact 0 without evaluating either.
+    Elementwise on arrays.
     """
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x / _SQRT2)
+    if x.ndim == 0:
+        if x > _Q_TAIL_SWITCH:
+            return float(_q_tail_upper_pos(x)) if x < _Q_TAIL_ZERO else 0.0
+        return float(0.5 * erfc(x / _SQRT2))
     big = x > _Q_TAIL_SWITCH
-    if np.any(big):
-        out = np.where(big, _q_tail_upper_pos(np.maximum(x, 1.0)), out)
-    if out.ndim == 0:
-        return float(out)
+    body = ~big  # NaN and -inf included
+    out = np.zeros(x.shape)
+    out[body] = 0.5 * erfc(x[body] / _SQRT2)
+    mid = big & (x < _Q_TAIL_ZERO)
+    if mid.any():
+        out[mid] = _q_tail_upper_pos(x[mid])
     return out
 
 
@@ -135,33 +150,88 @@ def gaussian_comb(w: float, sigma: float) -> CombBound:
     return CombBound(math.inf, w, o)
 
 
-def truncated_sum(term_fn) -> float:
-    """Sum term_fn(i) for i = 1, 2, ... until the running term falls below
-    SERIES_REL_TOL times the accumulated sum.
+def truncated_sum(term_fn, rows: Optional[int] = None):
+    """Sum term_fn's terms for i = 1, 2, ... until the running term falls
+    below SERIES_REL_TOL times the accumulated sum.  A series with a
+    non-finite term sums to +inf.  The terms are summed in blocks of
+    SERIES_BLOCK; a series whose terms are still not decreasing after
+    SERIES_GUARD_TERMS terms, or that reaches the cap SERIES_MAX_TERMS,
+    fails.
 
-    term_fn receives a 1-D integer array and returns the matching terms.
-    If the terms are still not decreasing after SERIES_GUARD_TERMS terms, or
-    the cap SERIES_MAX_TERMS is hit, SeriesNonConvergent is raised.
+    Scalar form (rows None): term_fn(i) maps a 1-D integer array to the
+    matching terms.  Returns the float sum; a failed series raises
+    SeriesNonConvergent.
+
+    Row form: rows independent series, SERIES_ROWS at a time.
+    term_fn(i, live) returns the (len(live), len(i)) terms of the rows
+    whose indices are in live.  Returns (totals, failed): each row's sum,
+    NaN where its series failed, and the mask of the failed rows.  Each
+    row's sum is bit-identical to the scalar form's.
     """
-    total = 0.0
-    prev_last = math.inf
-    i0 = 1
-    while i0 <= SERIES_MAX_TERMS:
-        idx = np.arange(i0, min(i0 + SERIES_BLOCK, SERIES_MAX_TERMS + 1))
-        terms = np.asarray(term_fn(idx), dtype=float)
-        if not np.all(np.isfinite(terms)):
-            return math.inf
-        total += float(terms.sum())
-        last = float(terms[-1])
-        if last <= SERIES_REL_TOL * max(total, 1e-300):
-            return total
-        if idx[-1] >= SERIES_GUARD_TERMS and last >= prev_last:
+    if rows is None:
+        totals, failed = _sum_rows(
+            lambda i, live: np.reshape(term_fn(i), (1, -1)), np.arange(1))
+        if failed[0]:
             raise SeriesNonConvergent(
-                f"series term not decreasing after {idx[-1]} terms")
-        prev_last = last
+                f"series term not decreasing after {SERIES_GUARD_TERMS} "
+                f"terms, or no convergence in {SERIES_MAX_TERMS} terms")
+        return float(totals[0])
+    totals, failed = np.empty(rows), np.empty(rows, dtype=bool)
+    for r0 in range(0, rows, SERIES_ROWS):
+        live = np.arange(r0, min(r0 + SERIES_ROWS, rows))
+        totals[live], failed[live] = _sum_rows(term_fn, live)
+    return totals, failed
+
+
+def _sum_rows(term_fn, live):
+    """truncated_sum's loop over the rows live: their totals and the mask
+    of the rows that failed."""
+    totals = np.full(live.size, math.nan)
+    failed = np.zeros(live.size, dtype=bool)
+    pos = np.arange(live.size)  # where each still-summing row reports
+    total = np.zeros(live.size)
+    prev_last = np.full(live.size, math.inf)
+    i0 = 1
+    while live.size:
+        if i0 > SERIES_MAX_TERMS:
+            failed[pos] = True
+            break
+        idx = np.arange(i0, min(i0 + SERIES_BLOCK, SERIES_MAX_TERMS + 1))
+        # C order: each row is then summed like a 1-D array (pairwise)
+        terms = np.ascontiguousarray(term_fn(idx, live), dtype=float)
+        finite = np.isfinite(terms).all(axis=-1)
+        if not finite.all():
+            # such a row ends at +inf before its block is summed
+            totals[pos[~finite]] = math.inf
+            live, pos, total, prev_last, terms = live[finite], \
+                pos[finite], total[finite], prev_last[finite], terms[finite]
+        total = total + terms.sum(axis=-1)
+        last = terms[:, -1]
+        done = last <= SERIES_REL_TOL * np.maximum(total, 1e-300)
+        totals[pos[done]] = total[done]
+        if idx[-1] >= SERIES_GUARD_TERMS:
+            stuck = ~done & (last >= prev_last)
+            failed[pos[stuck]] = True
+            done |= stuck
+        keep = ~done
+        live, pos, total, prev_last = live[keep], pos[keep], total[keep], \
+            last[keep]
         i0 = idx[-1] + 1
-    raise SeriesNonConvergent(
-        f"series did not converge in {SERIES_MAX_TERMS} terms")
+    return totals, failed
+
+
+def comb_miss_terms(i, d, w, sigma, scale):
+    """Terms scale (i d + w/2)^2 Q(((2i-1) d - w) / (2 sigma)) of
+    comb_miss_series; broadcasts, so column arrays of d and w give one row
+    of terms per comb."""
+    return scale * (i * d + w / 2) ** 2 \
+        * q_tail(((2 * i - 1) * d - w) / (2.0 * sigma))
+
+
+def comb_outage_terms(i, d, sigma, scale=1.0):
+    """Terms scale (i d + d/2)^2 Q((i-1) d / sigma) of comb_outage_series;
+    broadcasts like comb_miss_terms."""
+    return scale * (i * d + d / 2) ** 2 * q_tail((i - 1) * d / sigma)
 
 
 def comb_miss_series(d: float, w: float, sigma: float,
@@ -171,20 +241,13 @@ def comb_miss_series(d: float, w: float, sigma: float,
 
     scale multiplies each term, not the sum: the two round differently, and
     the upper bounds are pinned to the per-term rounding bit for bit."""
-    def term(i):
-        return scale * (i * d + w / 2) ** 2 \
-            * q_tail(((2 * i - 1) * d - w) / (2.0 * sigma))
-
-    return truncated_sum(term)
+    return truncated_sum(lambda i: comb_miss_terms(i, d, w, sigma, scale))
 
 
 def comb_outage_series(d: float, sigma: float, scale: float = 1.0) -> float:
     """The same cost for an outage point, anywhere in its cell:
     sum_{i>=1} scale (i d + d/2)^2 Q((i-1) d / sigma)."""
-    def term(i):
-        return scale * (i * d + d / 2) ** 2 * q_tail((i - 1) * d / sigma)
-
-    return truncated_sum(term)
+    return truncated_sum(lambda i: comb_outage_terms(i, d, sigma, scale))
 
 
 def quantized_mmse_bound(b: CombBound, residual_msq: float,

@@ -14,7 +14,8 @@ from lqgduet.bounds_upper import (D_GRID_HI, D_GRID_LO, D_GRID_POINTS,
                                   linbb_bound, optimize_upper,
                                   simplified_bracket, simplified_upper,
                                   sweep_labels, upper_envelope_D)
-from lqgduet.lattice import SeriesNonConvergent, q_tail
+from lqgduet import lattice
+from lqgduet.lattice import SERIES_BLOCK, SeriesNonConvergent, q_tail
 from lqgduet.strategies import StrategySpec
 
 
@@ -314,13 +315,20 @@ def test_nan_grid_cost_follows_the_loop(monkeypatch, where):
     else:
         costs = [p.weighted(du1(p, d)) for d in grid]
         target = grid[costs.index(min(costs))]
-    real = bounds_upper.du1
+    real, real_batch = bounds_upper.du1, bounds_upper.du1_outcomes
 
     def du1_with_nan(p, design):
         point = real(p, design)
         return point._replace(D=math.nan) if design == target else point
 
+    def du1_outcomes_with_nan(p, designs):
+        return [out._replace(D=math.nan) if design == target else out
+                for design, out in zip(designs, real_batch(p, designs))]
+
+    # the evaluator settles most designs in the batch, the reference loop
+    # calls du1 for each: inject the NaN into both
     monkeypatch.setattr(bounds_upper, "du1", du1_with_nan)
+    monkeypatch.setattr(bounds_upper, "du1_outcomes", du1_outcomes_with_nan)
     ref = _reference_optimize_upper(p)
     # the NaN moves the result, so the case tells the rules apart
     assert (ref[0].spec, ref[0].design) != (clean.spec, clean.design)
@@ -339,14 +347,19 @@ def test_refinement_ties_resolve_in_search_order(monkeypatch):
     third = W1_REFINE[0]
     ties = [SigDesign(1, base.d * fd, base.w1 * fd * fw)
             for fd, fw in ((0.6, 0.5), (0.6, 2.0), (0.8, third))]
-    real = bounds_upper.du1
+    real, real_batch = bounds_upper.du1, bounds_upper.du1_outcomes
 
     def du1_with_ties(p, design):
         if design in ties:
             return TradeoffPoint(0.5, 0.0, 0.0)
         return real(p, design)
 
+    def du1_outcomes_with_ties(p, designs):
+        return [TradeoffPoint(0.5, 0.0, 0.0) if design in ties else out
+                for design, out in zip(designs, real_batch(p, designs))]
+
     monkeypatch.setattr(bounds_upper, "du1", du1_with_ties)
+    monkeypatch.setattr(bounds_upper, "du1_outcomes", du1_outcomes_with_ties)
     ref = _reference_optimize_upper(p)
     assert ref[0].design == ties[0]
     _assert_same(optimize_upper(p), ref)
@@ -370,6 +383,125 @@ def test_failed_designs_are_counted_by_type():
     # results built without counts (the linear candidates' shape) still work
     assert UpperResult(1.0, StrategySpec("linbb", controller=1),
                        linbb_bound(base, 1)).failures == {}
+
+
+def test_failures_are_the_raised_du1_calls(monkeypatch):
+    # a fresh query hands du1 exactly the designs the batch cannot settle,
+    # and each of them raises: the raised du1 calls are the failures the
+    # result counts (a benchmark's per-layer trace reads them off du1)
+    base = [p for p in strong_grid_params() if p.a == 25.0][4]
+    calls, raised = [], []
+    real = bounds_upper.du1
+
+    def counting_du1(p, design):
+        calls.append(design)
+        try:
+            return real(p, design)
+        except Exception:
+            raised.append(design)
+            raise
+
+    monkeypatch.setattr(bounds_upper, "du1", counting_du1)
+    res = optimize_upper(base)
+    assert res.failures["SeriesNonConvergent"] > 0
+    assert len(raised) == len(calls) == sum(res.failures.values())
+
+
+def _outcome_key(out):
+    """A du1 outcome by float.hex of each component, or exception name."""
+    return out if isinstance(out, str) else tuple(x.hex() for x in out)
+
+
+def _scalar_outcomes(p, designs):
+    return [_outcome_key(_reference_outcome(p, d)) for d in designs]
+
+
+def _batch_designs(p, every=None, sample=1):
+    """Every `sample`-th grid design of p's stage (stage 1 for a weak
+    base), every `every`-th one with its refinement neighbours (none by
+    default), plus an infeasible design and one whose prelude overflows."""
+    regime = classify(p)
+    s = regime.s if regime.kind == "strong" else 1
+    grid = bounds_upper._sig_candidates(p, s)
+    out = grid[::sample]
+    for base in grid[::every] if every else []:
+        out += [SigDesign(s, base.d * fd, base.w1 * fd * fw)
+                for fd, fw in bounds_upper.REFINE]
+    d = grid[len(grid) // 2]
+    out += [SigDesign(s, d.d, d.w1 * 1e3), SigDesign(s, 1e200, 1.0)]
+    return out
+
+
+def _random_strong_bases(n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        sv1 = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        p = ProblemParams(a=float(10.0 ** rng.uniform(0.4, 2.5)),
+                          sigmav1_sq=sv1,
+                          sigmav2_sq=sv1 + float(10.0 ** rng.uniform(0, 7)))
+        if classify(p).kind == "strong":
+            out.append(p)
+    return out
+
+
+def test_du1_outcomes_match_du1_bit_for_bit(monkeypatch):
+    # every grid base with its whole grid, and seeded random strong bases
+    # with a sample of theirs: triples to the last bit, failures by type
+    seen = {"max_term": 0}
+    real_terms = bounds_upper.comb_miss_terms
+
+    def recording_terms(i, *args):
+        seen["max_term"] = max(seen["max_term"], int(i[-1]))
+        return real_terms(i, *args)
+
+    monkeypatch.setattr(bounds_upper, "comb_miss_terms", recording_terms)
+    keys = Counter()
+    cases = [(p, _batch_designs(p, every=100))
+             for p in strong_grid_params() + weak_grid_params()]
+    cases += [(p, _batch_designs(p, sample=16))
+              for p in _random_strong_bases(200, 11)]
+    # sv2 = 0: closed-form series, no rows to sum
+    cases.append((ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=0.0),
+                  [SigDesign(1, 1.0, 0.1), SigDesign(2, 0.3, 0.5),
+                   SigDesign(1, 1.0, 5.0)]))
+    for p, designs in cases:
+        got = [_outcome_key(out)
+               for out in bounds_upper.du1_outcomes(p, designs)]
+        assert got == _scalar_outcomes(p, designs), p
+        keys.update(k if isinstance(k, str) else "point" for k in got)
+    # rows summed past the guard's block, guard failures, prelude failures
+    assert seen["max_term"] > 2 * SERIES_BLOCK
+    assert keys["SeriesNonConvergent"] and keys["ValueError"] \
+        and keys["OverflowError"] and keys["point"] > 10_000
+
+
+def test_du1_outcomes_match_du1_on_a_non_finite_term(monkeypatch):
+    # a real design reaches a non-finite series term only through a float
+    # overflow, whose RuntimeWarning this test configuration makes an
+    # error, so inject one into a middle row's outage series: that series
+    # sums to +inf in the batch as in du1
+    p = strong_grid_params()[4]
+    designs = _batch_designs(p, every=50)
+    target = designs[len(designs) // 3]
+    step = abs(p.a) ** target.s * target.d
+    real_terms = lattice.comb_outage_terms
+
+    def terms_with_inf(i, d, sigma, scale=1.0):
+        return np.where(np.asarray(d) == step, np.inf,
+                        real_terms(i, d, sigma, scale))
+
+    monkeypatch.setattr(lattice, "comb_outage_terms", terms_with_inf)
+    monkeypatch.setattr(bounds_upper, "comb_outage_terms", terms_with_inf)
+    got = [_outcome_key(out)
+           for out in bounds_upper.du1_outcomes(p, designs)]
+    assert got == _scalar_outcomes(p, designs)
+    # the target's row and the feasible refinement rows that share its
+    # lattice step, and no other
+    hit = [d.d == target.d for d in designs]
+    points = [(h, key) for h, key in zip(hit, got) if not isinstance(key, str)]
+    assert sum(h for h, _ in points) > 1
+    assert all((key[0] == "inf") == h for h, key in points)
 
 
 def test_evaluator_rejects_another_system():

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 import lqgduet
 from lqgduet.bounds_lower import LowerBoundEvaluator, lower_weighted_cost
-from lqgduet.cli import CSV_COLUMNS, cli
+from lqgduet.bounds_upper import optimize_upper
+from lqgduet.cli import CSV_COLUMNS, UPPER_COLUMNS, cli
 from lqgduet.core import ProblemParams
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -37,18 +38,22 @@ def _run_main(args):
                           capture_output=True, text=True, env=env)
 
 
-def _assert_numeric_cells(text):
+def _assert_numeric_cells(text, columns=CSV_COLUMNS):
     """Every data row has one cell per column, and every cell outside the
-    strategy column is empty or parses as a float."""
+    strategy column is empty or parses as a float.  Returns the data rows
+    as column -> cell dicts."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(columns)
     assert len(lines) > 1
+    rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        assert len(cells) == len(CSV_COLUMNS), ln
-        for col, cell in zip(CSV_COLUMNS, cells):
+        assert len(cells) == len(columns), ln
+        for col, cell in zip(columns, cells):
             if col != "strategy" and cell:
                 float(cell)
+        rows.append(dict(zip(columns, cells)))
+    return rows
 
 
 def test_simulate_fixed_seed_golden_file():
@@ -125,11 +130,27 @@ def test_upper_and_lower_consistent():
     ["sweep", "--a", "50", "--l-min", "0", "--l-max", "1", "--l-steps", "3"],
     ["upper", "--a", "4", "--sv2sq", "16", "--r1", "1"],
     ["lower", "--a", "4", "--sv2sq", "16", "--r1", "1"],
+    ["upper", "--a", "100", "--sv2sq", "100", "--r1", "100", "--r2", "0"],
 ])
 def test_csv_cells_parse_as_numbers(args):
     res = _invoke(args)
     assert res.exit_code == 0
-    _assert_numeric_cells(res.output)
+    if args[0] != "upper":
+        _assert_numeric_cells(res.output)
+        return
+    # upper adds the winning signaling design's w1, empty for a linear
+    # winner
+    row, = _assert_numeric_cells(res.output, UPPER_COLUMNS)
+    p = ProblemParams(a=float(row["a"]), q=float(row["q"]),
+                      r1=float(row["r1"]), r2=float(row["r2"]),
+                      sigmav1_sq=float(row["sv1sq"]),
+                      sigmav2_sq=float(row["sv2sq"]))
+    design = optimize_upper(p).design
+    if design is None:
+        assert row["strategy"].startswith("linbb") and row["w1"] == ""
+    else:
+        assert row["strategy"] == f"sig{design.s}"
+        assert row["d"] == repr(design.d) and row["w1"] == repr(design.w1)
 
 
 def test_sweep_row_count():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
-from lqgduet.lattice import (CombBound, SeriesNonConvergent, comb_add,
-                             comb_miss_series, comb_outage_series,
-                             comb_scale, gaussian_comb, q_tail, q_tail_lower,
-                             q_tail_upper, quantize, quantized_mmse_bound,
-                             remainder, truncated_sum)
+from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
+                             SERIES_MAX_TERMS, SERIES_REL_TOL, CombBound,
+                             SeriesNonConvergent, comb_add, comb_miss_series,
+                             comb_miss_terms, comb_outage_series,
+                             comb_outage_terms, comb_scale, gaussian_comb,
+                             q_tail, q_tail_lower, q_tail_upper, quantize,
+                             quantized_mmse_bound, remainder, truncated_sum)
 
 # y expressed as a bounded multiple of the step, so the identities are not
 # drowned by float64 resolution at extreme y/step ratios
@@ -59,6 +61,51 @@ def test_q_tail_positive_and_monotone_far_out():
     far = q_tail(np.linspace(38.0, 200.0, 40))
     assert np.all(far >= 0)
     assert np.all(np.diff(far) <= 0)
+
+
+def _q_tail_unmasked(x):
+    """q_tail as one formula over every entry: erfc everywhere, then the
+    bracket substituted beyond the switch."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.5 * erfc(x / math.sqrt(2.0))
+        bracket = (1.0 / math.sqrt(2.0 * math.pi)) / np.maximum(x, 1.0) \
+            * np.exp(-0.5 * np.maximum(x, 1.0) * np.maximum(x, 1.0))
+    return np.where(x > 37.0, bracket, out)
+
+
+def _edges(x0, n=200):
+    """n floats on each side of x0, x0 included."""
+    out = [x0]
+    lo = hi = x0
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_q_tail_matches_the_unmasked_formula_bit_for_bit():
+    # erfc only at or below the switch, the bracket only below the point
+    # where exp underflows, exact zeros beyond; the same bits as the one
+    # formula everywhere, in the array path and the scalar path alike
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 1e300,
+               -1e300, 37.0, 38.4853, 38.5, 38.6, 38.61, 200.0]
+    edges = _edges(37.0) + _edges(38.6043) + _edges(38.48528) \
+        + _edges(1.0) + _edges(-37.0)
+    x = np.concatenate([np.linspace(-45.0, 60.0, 210_001), special, edges])
+    got, want = q_tail(x), _q_tail_unmasked(x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
+    assert got[x == 38.0].item() > 0 and got[x == 38.6].item() == 0.0
+    for t in special + edges[::7] + list(x[::997]):
+        one, ref = q_tail(float(t)), _q_tail_unmasked(t).item()
+        assert isinstance(one, float)
+        assert one.hex() == ref.hex() or (math.isnan(one) and math.isnan(ref))
+    # rows of a 2-D block give the same bits as the flat array
+    block = x[:200 * 1000].reshape(200, 1000)
+    assert np.array_equal(q_tail(block), q_tail(x[:200 * 1000])
+                          .reshape(200, 1000), equal_nan=True)
 
 
 def test_q_tail_bracket_on_grid():
@@ -116,6 +163,91 @@ def test_truncated_sum_geometric():
 def test_truncated_sum_rejects_nondecreasing():
     with pytest.raises(SeriesNonConvergent):
         truncated_sum(lambda i: np.ones_like(np.asarray(i, dtype=float)))
+
+
+def _reference_truncated_sum(term_fn):
+    """The one-series summation loop truncated_sum's row form replaces."""
+    total = 0.0
+    prev_last = math.inf
+    i0 = 1
+    while i0 <= SERIES_MAX_TERMS:
+        idx = np.arange(i0, min(i0 + SERIES_BLOCK, SERIES_MAX_TERMS + 1))
+        terms = np.asarray(term_fn(idx), dtype=float)
+        if not np.all(np.isfinite(terms)):
+            return math.inf
+        total += float(terms.sum())
+        last = float(terms[-1])
+        if last <= SERIES_REL_TOL * max(total, 1e-300):
+            return total
+        if idx[-1] >= SERIES_GUARD_TERMS and last >= prev_last:
+            raise SeriesNonConvergent("not decreasing")
+        prev_last = last
+        i0 = idx[-1] + 1
+    raise SeriesNonConvergent("cap")
+
+
+def _series_cases():
+    """(name, term function of i) pairs: one-block and multi-block comb
+    series, a series with a non-finite term, one that fails its guard."""
+    cases = [("geometric", lambda i: 0.5 ** i)]
+    for d, w, sigma, scale in [(4.0, 1.0, 1.0, 2.0), (1.0, 0.5, 30.0, 7.0),
+                               (1.0, 0.9, 150.0, 64.0),
+                               (1e-3, 5e-4, 0.4, 4e4),
+                               (1.0, 0.5, 900.0, 1.0)]:
+        cases.append((f"miss-{sigma}", lambda i, d=d, w=w, sigma=sigma,
+                      scale=scale: comb_miss_terms(i, d, w, sigma, scale)))
+        cases.append((f"outage-{sigma}", lambda i, d=d, sigma=sigma,
+                      scale=scale: comb_outage_terms(i, d, sigma, scale)))
+    cases.append(("inf at 700", lambda i: np.where(i == 700, np.inf,
+                                                   1.0 / i ** 1.5)))
+    cases.append(("nan at 3", lambda i: np.where(i == 3, np.nan, 0.5 ** i)))
+    cases.append(("flat", lambda i: np.ones(i.shape)))
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except SeriesNonConvergent:
+        return "SeriesNonConvergent"
+
+
+def test_one_row_truncated_sum_matches_the_scalar_loop():
+    outcomes = set()
+    for name, term in _series_cases():
+        got = _outcome(truncated_sum, term)
+        assert got == _outcome(_reference_truncated_sum, term), name
+        outcomes.add(got)
+    # the cases reach every rule: a sum, +inf and the guard
+    assert {"inf", "SeriesNonConvergent"} < outcomes
+
+
+def test_truncated_sum_rows_match_one_row_calls():
+    # each row, settled in any block or failed, gives its one-row result;
+    # more rows than one SERIES_ROWS chunk, in a shuffled order
+    cases = _series_cases() * 30
+    order = np.random.default_rng(5).permutation(len(cases))
+    terms = [cases[k][1] for k in order]
+
+    def rows_fn(i, live):
+        return np.array([terms[r](i) for r in live], dtype=float)
+
+    totals, failed = truncated_sum(rows_fn, len(terms))
+    assert failed.dtype == bool and totals.shape == failed.shape
+    for r, term in enumerate(terms):
+        want = _outcome(_reference_truncated_sum, term)
+        if failed[r]:
+            assert want == "SeriesNonConvergent" and math.isnan(totals[r])
+        else:
+            assert float(totals[r]).hex() == want
+    assert failed.any() and np.isinf(totals).any()
+
+
+def test_comb_series_sum_their_term_functions():
+    assert comb_miss_series(1.0, 0.9, 150.0, 64.0) == truncated_sum(
+        lambda i: comb_miss_terms(i, 1.0, 0.9, 150.0, 64.0))
+    assert comb_outage_series(1.0, 150.0) == truncated_sum(
+        lambda i: comb_outage_terms(i, 1.0, 150.0))
 
 
 @pytest.mark.parametrize("d,w,sigma,scale", [
