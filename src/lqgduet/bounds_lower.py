@@ -11,7 +11,6 @@ the grid.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple
@@ -140,13 +139,6 @@ def _result(out: np.ndarray, single: bool):
     return float(out[0]) if out.ndim == 1 else out[0]
 
 
-def _check_dl1(p: ProblemParams, sp: SliceParams) -> None:
-    sp.check(p)
-    _check_certified(p)
-    if p.sigmav2_sq == 0:
-        raise ValueError("requires sigmav2_sq > 0")
-
-
 def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
     """First lower-bound family (signaling converse), evaluated exactly as
     the two (.)_+^2 branches weighted by alpha, plus 1.  Broadcasts over
@@ -156,7 +148,10 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
     single = isinstance(sp, SliceParams)
     sps = [sp] if single else list(sp)
     for s in sps:
-        _check_dl1(p, s)
+        s.check(p)
+    _check_certified(p)
+    if p.sigmav2_sq == 0:
+        raise ValueError("requires sigmav2_sq > 0")
     P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
     sv2_sq = p.sigmav2_sq
@@ -291,13 +286,6 @@ def _dl2_inner(A: float, Sigma, sv1_sq: float, sv2_sq: float, C1, C2):
     return best
 
 
-def _check_dl2(p: ProblemParams, k1: int, k: int, Sigma: float) -> None:
-    if k < k1 + 1:
-        raise ValueError("require k >= k1 + 1")
-    _check_sigma(p, k1, Sigma)
-    _check_certified(p)
-
-
 def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
     """Second family (simultaneous-action converse): the clamped-radical
     form built on the constrained two-sensor estimation game.  k1, k and
@@ -306,8 +294,11 @@ def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
     given)."""
     single = np.ndim(k1) == 0
     cands = [(k1, k, Sigma)] if single else list(zip(k1, k, Sigma))
-    for c in cands:
-        _check_dl2(p, *c)
+    for k1c, kc, Sig in cands:
+        if kc < k1c + 1:
+            raise ValueError("require k >= k1 + 1")
+        _check_sigma(p, k1c, Sig)
+    _check_certified(p)
     P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
     sv1_sq, sv2_sq = p.sigmav1_sq, p.sigmav2_sq
@@ -342,12 +333,6 @@ def dl3(p: ProblemParams, k1: int) -> float:
     return max(mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1), 1.0)
 
 
-def _check_dl4(p: ProblemParams, k: int) -> None:
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    _check_certified(p)
-
-
 def dl4(p: ProblemParams, k, P1t, P2t, out=None):
     """Fourth family: the direct disturbance-vs-power race
 
@@ -359,8 +344,9 @@ def dl4(p: ProblemParams, k, P1t, P2t, out=None):
     """
     single = np.ndim(k) == 0
     ks = [k] if single else list(k)
-    for kk in ks:
-        _check_dl4(p, kk)
+    if any(kk < 2 for kk in ks):
+        raise ValueError("k must be >= 2")
+    _check_certified(p)
     P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
     rows = [(A ** (kk - 1),
@@ -591,7 +577,10 @@ class LowerBoundEvaluator:
     D_hi[f, i, j] is family f at the upper corner (grid[i+1], grid[j+1]) of
     cell [grid[i], grid[i+1]] x [grid[j], grid[j+1]] (the grid includes 0);
     tail[f] lower-bounds family f beyond the grid.  Each family is built by
-    one stacked call over its valid candidates, in candidate order.
+    one stacked call over all of its recipe's candidates, in candidate
+    order; the recipe builds them inside their family's domain, so a
+    candidate that fails the family's checks is a recipe bug and raises
+    ValueError.
     """
 
     def __init__(self, p: ProblemParams):
@@ -602,9 +591,6 @@ class LowerBoundEvaluator:
         self.D_hi = np.empty((0, n, n))
         self.tail = np.empty(0)
         self.dl3_best = 1.0
-        #: converse candidates dropped by their family's checks, by
-        #: (family, exception type)
-        self.failures: Counter = Counter()
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
         if not self.certified:
@@ -620,36 +606,18 @@ class LowerBoundEvaluator:
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
         dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
-        # one stacked call per family, through the module names; no dl1
-        # candidates when sigmav2_sq = 0, which dl1 rejects
-        families = (("dl1", dl1, _check_dl1, [(sp,) for sp in dl1_cands]),
-                    ("dl2", dl2, _check_dl2, dl2_cands),
-                    ("dl4", dl4, _check_dl4, [(k,) for k in _DL4_KS]))
-        kept = [self._valid(name, check, cands)
-                for name, _, check, cands in families]
-        sizes = [len(args) for args in kept]
-        self.D_hi = np.empty((sum(sizes), n, n))
+        n1 = len(dl1_cands)
+        n2 = n1 + len(dl2_cands)
+        self.D_hi = np.empty((n2 + len(_DL4_KS), n, n))
         # beyond the grid dl1 and dl2 are at least 1, dl4 at least 0
-        self.tail = np.repeat([1.0, 1.0, 0.0], sizes)
-        f = 0
-        for (_, family, _, _), args in zip(families, kept):
-            if args:
-                family(p, *map(list, zip(*args)), hi1, hi2,
-                       out=self.D_hi[f:f + len(args)])
-            f += len(args)
-
-    def _valid(self, family: str, check, cands: list) -> list:
-        """The candidates (argument tuples) that pass check; failures
-        counts the others by family and exception type."""
-        kept = []
-        for args in cands:
-            try:
-                check(self.p, *args)
-            except ValueError as exc:
-                self.failures[family, type(exc).__name__] += 1
-            else:
-                kept.append(args)
-        return kept
+        self.tail = np.repeat([1.0, 1.0, 0.0],
+                              [n1, n2 - n1, len(_DL4_KS)])
+        # one stacked call per family; no dl1 candidates when
+        # sigmav2_sq = 0, which dl1 rejects
+        if dl1_cands:
+            dl1(p, dl1_cands, hi1, hi2, out=self.D_hi[:n1])
+        dl2(p, *zip(*dl2_cands), hi1, hi2, out=self.D_hi[n1:n2])
+        dl4(p, _DL4_KS, hi1, hi2, out=self.D_hi[n2:])
 
     def slicing_bound(self, q: float, r1: float, r2: float) -> float:
         """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -390,15 +390,15 @@ def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
 
 def sweep_labels(a: float, l_values) -> List[dict]:
     """Regularization sweep: for sv1^2 = 0, sv2^2 = a, q = 1, r1 = a^l,
-    r2 = 0, report the best candidate label and cost per l."""
-    upper = UpperBoundEvaluator(ProblemParams(a=a, sigmav1_sq=0.0,
-                                              sigmav2_sq=float(a)))
+    r2 = 0, report per l the problem ("params"), and the best candidate's
+    label and cost."""
+    base = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=float(a))
+    upper = UpperBoundEvaluator(base)
     rows = []
-    for l in l_values:
-        p = ProblemParams(a=a, q=1.0, r1=float(a) ** l, r2=0.0,
-                          sigmav1_sq=0.0, sigmav2_sq=float(a))
+    for l in map(float, l_values):
+        p = replace(base, r1=float(a) ** l)
         res = optimize_upper(p, upper)
-        rows.append({"l": float(l), "label": res.spec.label,
+        rows.append({"l": l, "params": p, "label": res.spec.label,
                      "cost": res.cost, "D": res.point.D,
                      "P1": res.point.P1, "P2": res.point.P2})
     return rows

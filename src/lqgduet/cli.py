@@ -172,13 +172,15 @@ def sweep(a, l_min, l_max, l_steps, output):
     its cost, and the matching lower bound per l."""
     if l_steps < 2:
         raise click.UsageError("--l-steps must be >= 2")
-    ls = np.linspace(l_min, l_max, l_steps)
-    lower_ev = LowerBoundEvaluator(ProblemParams(a=a, sigmav1_sq=0.0,
-                                                 sigmav2_sq=float(a)))
+    try:
+        # a non-finite, or |a| <= 1, where no regime is defined
+        swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
+    except ValueError as e:
+        raise click.UsageError(str(e))
+    lower_ev = LowerBoundEvaluator(swept[0]["params"])
     rows = []
-    for row in sweep_labels(a, ls):
-        p = ProblemParams(a=a, q=1.0, r1=float(a) ** row["l"], r2=0.0,
-                          sigmav1_sq=0.0, sigmav2_sq=float(a))
+    for row in swept:
+        p = row["params"]
         rows.append({**_param_cells(p), "strategy": row["label"],
                      "D": row["D"], "P1": row["P1"], "P2": row["P2"],
                      "weighted": row["cost"],
@@ -194,7 +196,11 @@ def sweep(a, l_min, l_max, l_steps, output):
 def upper(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
     """Best analytic achievable weighted cost and its strategy."""
     p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
-    res = optimize_upper(p)
+    try:
+        # the regime classification requires |a| > 1
+        res = optimize_upper(p)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     _write_csv(output, {"command": "upper"},
                [{**_param_cells(p), "strategy": res.spec.label,
                  "s": res.spec.s, "d": res.spec.d, "k": res.spec.k,

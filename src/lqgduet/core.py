@@ -12,13 +12,21 @@ labeling convention sigmav1_sq <= sigmav2_sq.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 #: Threshold on |a| below which the converse machinery is not certified:
 #: the value the closed-form constants were derived for.  A constant of the
 #: derivation, not a setting; changing it does not re-derive the constants.
 A_MIN_CERTIFIED = 2.5
+
+
+def _check_finite(params) -> None:
+    """Raise ValueError unless every field of the dataclass params is
+    finite: NaN passes every comparison check and inf has no meaning."""
+    for f in fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 class TradeoffPoint(NamedTuple):
@@ -56,6 +64,7 @@ class RawParams:
     sigmav2_sq: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         for name in ("sigma0_sq", "sigmaw_sq", "sigmav1_sq", "sigmav2_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -82,6 +91,7 @@ class ProblemParams:
     sigmav2_sq: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         for name in ("sigma0_sq", "sigmav1_sq", "sigmav2_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

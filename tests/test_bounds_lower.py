@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
+from lqgduet import bounds_lower
 from lqgduet.certifier import (default_weight_grid, strong_grid_params,
                                weak_grid_params)
 from lqgduet.core import ProblemParams
@@ -338,8 +339,8 @@ def _ref_dl4(p, k, P1t, P2t):
 
 def _one_candidate_rows(ev):
     """Reference for the stacked build: one scalar family call per
-    candidate, invalid candidates skipped, rows in candidate order; also
-    the same rows from the reference formulas."""
+    candidate, rows in candidate order; also the same rows from the
+    reference formulas."""
     p, n = ev.p, ev.grid.size - 1
     hi1, hi2 = ev.grid[1:, None], ev.grid[None, 1:]
     dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
@@ -348,23 +349,22 @@ def _one_candidate_rows(ev):
         + [(dl4, _ref_dl4, (k,), 0.0) for k in _DL4_KS]
     rows, refs, tails = [], [], []
     for family, ref, args, tail in calls:
-        try:
-            rows.append(family(p, *args, hi1, hi2))
-        except ValueError:
-            continue
+        rows.append(family(p, *args, hi1, hi2))
         refs.append(ref(p, *args, hi1, hi2))
         tails.append(tail)
     return (np.reshape(rows, (-1, n, n)), np.reshape(refs, (-1, n, n)),
             np.array(tails))
 
 
-def _random_bases(count, seed):
+def _random_bases(count, seed, a_decade=3.0, sv2_decade=6.0):
+    """Seeded bases with 2.5 <= a <= 10^a_decade, a third of them with
+    sv1^2 = 0, and sv2^2 - sv1^2 up to 10^sv2_decade."""
     rng = np.random.default_rng(seed)
     bases = []
     for i in range(count):
-        a = float(10 ** rng.uniform(math.log10(2.5), 3))
+        a = float(10 ** rng.uniform(math.log10(2.5), a_decade))
         sv1 = 0.0 if i % 3 == 0 else float(10 ** rng.uniform(-3, 3))
-        sv2 = sv1 + float(10 ** rng.uniform(-3, 6))
+        sv2 = sv1 + float(10 ** rng.uniform(-3, sv2_decade))
         bases.append(ProblemParams(a=a, sigmav1_sq=sv1, sigmav2_sq=sv2))
     return bases
 
@@ -425,13 +425,28 @@ def test_stacked_call_covers_every_branch_mask(a, sv1, sv2):
     assert np.isnan(stacked[0][0]).any() == (a == 1e8)
 
 
-def test_dropped_candidate_is_counted_and_the_rest_kept(monkeypatch):
+def test_every_recipe_candidate_passes_its_family_checks():
+    # the evaluator validates each candidate once, inside its family's
+    # kernel, and drops none: the recipe must build every candidate inside
+    # its family's domain (one stacked call per family at one power point
+    # runs all of the checks), with dl1 candidates exactly when sv2^2 > 0
+    bases = weak_grid_params() + strong_grid_params() \
+        + _random_bases(2000, 31, a_decade=8.0, sv2_decade=20.0)
+    for p in bases:
+        dl1_cands, dl2_cands = _slicing_candidates(p, RegionPartition(p))
+        assert bool(dl1_cands) == (p.sigmav2_sq > 0), p
+        if dl1_cands:
+            dl1(p, dl1_cands, 1.0, 1.0)
+        dl2(p, *zip(*dl2_cands), 1.0, 1.0)
+        dl4(p, _DL4_KS, 1.0, 1.0)
+
+
+def test_failing_candidate_raises_out_of_the_evaluator(monkeypatch):
+    # a candidate outside its family's domain is a recipe bug: the kernel's
+    # check raises through the constructor instead of being dropped
     p = strong_grid_params()[10]
-    ev = LowerBoundEvaluator(p)
-    assert ev.failures == Counter()
-    dl1_cands, _ = _slicing_candidates(p, ev.partition)
+    dl1_cands, _ = _slicing_candidates(p, RegionPartition(p))
     victim = dl1_cands[5]
-    assert dl1_cands.count(victim) == 1
     check = SliceParams.check
 
     def failing_check(self, q):
@@ -440,8 +455,58 @@ def test_dropped_candidate_is_counted_and_the_rest_kept(monkeypatch):
         check(self, q)
 
     monkeypatch.setattr(SliceParams, "check", failing_check)
-    dropped = LowerBoundEvaluator(p)
-    assert dropped.failures == Counter({("dl1", "ValueError"): 1})
-    assert np.array_equal(_bits(dropped.D_hi),
-                          _bits(np.delete(ev.D_hi, 5, axis=0)))
-    assert np.array_equal(dropped.tail, np.delete(ev.tail, 5))
+    with pytest.raises(ValueError, match="rejected"):
+        LowerBoundEvaluator(p)
+
+
+@pytest.mark.parametrize("p, expected", [
+    (strong_grid_params()[10], {"dl1": 1, "dl2": 1, "dl4": 1}),
+    # no dl1 candidates without a second observation noise
+    (ProblemParams(a=4.0), {"dl2": 1, "dl4": 1}),
+])
+def test_evaluator_calls_each_family_once(monkeypatch, p, expected):
+    calls = Counter()
+    for name in ("dl1", "dl2", "dl4"):
+        def counting(*args, _kernel=getattr(bounds_lower, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_lower, name, counting)
+    ev = LowerBoundEvaluator(p)
+    assert calls == expected
+    assert ev.D_hi.shape[0] == len(ev.tail) > len(_DL4_KS)
+
+
+def _assert_labelled(ev, weights, label):
+    """weighted's labelled route reports label with the unlabelled value,
+    bit for bit."""
+    val, lab = ev.weighted(*weights, with_label=True)
+    assert lab == label, (ev.p, weights)
+    assert _bits(val) == _bits(ev.weighted(*weights)), (ev.p, weights)
+
+
+def test_labelled_bound_is_the_unlabelled_one():
+    # degenerate (q = 0) and the universal floor (|a| < 2.5)
+    _assert_labelled(LowerBoundEvaluator(ProblemParams(
+        a=4.0, sigmav2_sq=16.0)), (0.0, 1.0, 1.0), "degenerate")
+    _assert_labelled(LowerBoundEvaluator(ProblemParams(
+        a=2.0, sigmav2_sq=16.0)), (3.0, 1.0, 1.0), "floor")
+    # the slicing families bind on every grid cell
+    for p in weak_grid_params() + strong_grid_params():
+        ev = LowerBoundEvaluator(p)
+        for weights in default_weight_grid():
+            _assert_labelled(ev, weights, "slicing")
+    # region floors bind only off the grid (bases and weightings found by
+    # a seeded random search)
+    for (a, sv1, sv2), weights, label in [
+            ((980.0, 0.87, 13376.0), (0.92, 0.54, 4.3e-4), "weak-iii"),
+            ((980.0, 0.87, 13376.0), (0.17, 3800.0, 2.6e-4), "weak-ii"),
+            ((2.71, 68.3, 60480.0), (1.5e-4, 252.0, 410.0), "strong-v")]:
+        base = dict(a=a, sigmav1_sq=sv1, sigmav2_sq=sv2)
+        _assert_labelled(LowerBoundEvaluator(ProblemParams(**base)), weights,
+                         label)
+        p = ProblemParams(q=weights[0], r1=weights[1], r2=weights[2], **base)
+        val, lab = lower_weighted_cost(p, with_label=True)
+        assert lab == label
+        assert _bits(val) == _bits(lower_weighted_cost(p))

@@ -169,7 +169,12 @@ def test_upper_envelope_requires_fitting_powers():
 
 
 def test_sweep_label_sequence_has_two_changes():
-    rows = sweep_labels(100.0, np.linspace(-1, 3, 17))
+    ls = np.linspace(-1, 3, 17)
+    rows = sweep_labels(100.0, ls)
+    # each row carries the problem it solved
+    assert [r["params"] for r in rows] == [
+        ProblemParams(a=100.0, q=1.0, r1=100.0 ** float(l), r2=0.0,
+                      sigmav1_sq=0.0, sigmav2_sq=100.0) for l in ls]
     labels = [r["label"] for r in rows]
     changes = sum(1 for x, y in zip(labels, labels[1:]) if x != y)
     assert changes == 2

@@ -222,6 +222,28 @@ def test_certify_subcommand_small(tmp_path):
     _assert_numeric_cells(text)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["lower", "--a", "nan"], "a must be finite"),
+    (["upper", "--a", "inf", "--sv2sq", "1"], "a must be finite"),
+    (["sweep", "--a", "nan"], "a must be finite"),
+    # upper and sweep classify the regime, which needs |a| > 1
+    (["upper", "--a", "1", "--sv2sq", "1"], "requires |a| > 1"),
+    (["sweep", "--a", "1"], "requires |a| > 1"),
+])
+def test_out_of_domain_input_is_config_error(args, message):
+    out = _run_main(args)
+    assert out.returncode == 1, out.stderr
+    # one error line, no traceback
+    line, = out.stderr.splitlines()
+    assert line.startswith("error: ") and message in line, out.stderr
+
+
+def test_lower_and_simulate_accept_a_below_one():
+    assert _invoke(["lower", "--a", "1", "--sv2sq", "1"]).exit_code == 0
+    assert _invoke(["simulate", "--a", "0.5", "--horizon", "2000",
+                    "--trials", "2"]).exit_code == 0
+
+
 def test_missing_output_directory_is_config_error(tmp_path):
     out = _run_main(["upper", "--a", "4", "--output",
                      str(tmp_path / "missing" / "upper.csv")])

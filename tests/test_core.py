@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_normalize_scales_and_swaps():
     assert p.sigma0_sq == 2.0
     assert (p.sigmav1_sq, p.sigmav2_sq) == (1.0, 16.0)
     assert (p.r1, p.r2) == (16.0, 8.0)
+
+
+@pytest.mark.parametrize("cls, valid", [
+    (ProblemParams, dict(a=4.0, sigmav2_sq=16.0)),
+    (RawParams, dict(a=4.0, sigmav2_sq=16.0)),
+])
+def test_non_finite_fields_rejected(cls, valid):
+    # NaN passes every ordering check; a NaN weight would be dropped from
+    # the weighted cost as if it were zero
+    for f in fields(cls):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{f.name} must be finite"):
+                cls(**{**valid, f.name: bad})
 
 
 def test_labeling_convention_enforced():
