@@ -565,8 +565,35 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
     return dl1_cands, dl2_cands
 
 
-#: race lengths k of the dl4 candidates
-_DL4_KS = (2, 3, 4, 6, 8)
+#: race lengths k of the dl4 candidates: dl4(k) = a^{2(k-2)} (a - sqrt(c P1)
+#: - sqrt(c P2))_+^2 is nondecreasing in k for |a| > 1 and every dl4 tail
+#: is 0, so a shorter race never binds where k = 8 is offered
+_DL4_KS = (8,)
+
+
+def _undominated(D: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Indices, in increasing order, of the family rows that no other row
+    dominates.  Row g dominates row f when D[g] >= D[f] on every cell and
+    tail[g] >= tail[f]; of equal rows the first walked is kept.  A NaN cell
+    compares False both ways, so a row with one is always kept and never
+    drops another.
+
+    The rows are walked by decreasing sum of cells plus tail (a stable
+    sort).  A row still alive when walked is kept and drops every row it
+    dominates, in one vectorised comparison against all of them.  So every
+    dropped row is dominated by a kept one.  A dominator's sum is at least
+    its dominated row's, so it is walked first, and by transitivity the
+    kept rows are the undominated ones (a dominated row is kept only when
+    its sum ties its dominator's and the stable sort walks it first)."""
+    cells = D.reshape(len(D), math.prod(D.shape[1:]))
+    order = np.argsort(-(cells.sum(axis=1) + tail), kind="stable")
+    alive = np.ones(len(D), dtype=bool)
+    kept = []
+    for g in order:
+        if alive[g]:
+            kept.append(g)
+            alive &= ~(np.all(cells[g] >= cells, axis=1) & (tail[g] >= tail))
+    return np.sort(np.array(kept, dtype=np.intp))
 
 
 class LowerBoundEvaluator:
@@ -581,6 +608,12 @@ class LowerBoundEvaluator:
     order; the recipe builds them inside their family's domain, so a
     candidate that fails the family's checks is a recipe bug and raises
     ValueError.
+
+    D_hi and tail keep every candidate row.  At its second slicing_bound
+    query the evaluator keeps a private copy of the undominated rows only
+    (usually a few percent) and answers every later query from them: a
+    dominated row never sets the max, so each answer is bit-identical to
+    the full reduction.  A single query does not pay for the pruning.
     """
 
     def __init__(self, p: ProblemParams):
@@ -593,6 +626,10 @@ class LowerBoundEvaluator:
         self.dl3_best = 1.0
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
+        # slicing_bound's query count, and from its second query on the
+        # undominated rows (D, tail) it reduces instead of all of them
+        self._queries = 0
+        self._kept: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if not self.certified:
             return
         self.partition = RegionPartition(p)
@@ -623,16 +660,27 @@ class LowerBoundEvaluator:
         """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at
         least q times the dl3 floor): per cell, q D at its upper corner plus
         the powers at its lower corner (D is nonincreasing), and the tail
-        beyond the grid; all-NaN families are skipped."""
+        beyond the grid; all-NaN families are skipped.
+
+        For q > 0 and r1, r2 >= 0 every step (q D, + r lo, fmin over the
+        cells, the tail terms, np.minimum) is monotone in IEEE arithmetic,
+        so a dominated row's family value never exceeds its dominator's
+        and dropping it leaves the fmax bit-identical.  The second query
+        prunes the rows to the undominated ones, once."""
+        self._queries += 1
+        if self._queries == 2:
+            keep = _undominated(self.D_hi, self.tail)
+            self._kept = self.D_hi[keep], self.tail[keep]
+        D, tail = self._kept or (self.D_hi, self.tail)
         lo = self.grid[:-1]
         with np.errstate(invalid="ignore"):
-            vals = np.multiply(self.D_hi, q)
+            vals = np.multiply(D, q)
             vals += r1 * lo[:, None]
             vals += r2 * lo[None, :]
         cell = np.fmin.reduce(vals, axis=(1, 2))
         g_hi = self.grid[-1]
-        fam = np.minimum(cell, np.minimum(q * self.tail + r1 * g_hi,
-                                          q * self.tail + r2 * g_hi))
+        fam = np.minimum(cell, np.minimum(q * tail + r1 * g_hi,
+                                          q * tail + r2 * g_hi))
         return float(np.fmax.reduce(fam, initial=q * self.dl3_best))
 
     def weighted(self, q: float, r1: float, r2: float,

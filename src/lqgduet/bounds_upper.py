@@ -391,12 +391,20 @@ def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
 def sweep_labels(a: float, l_values) -> List[dict]:
     """Regularization sweep: for sv1^2 = 0, sv2^2 = a, q = 1, r1 = a^l,
     r2 = 0, report per l the problem ("params"), and the best candidate's
-    label and cost."""
+    label and cost.  Raises ValueError, before any row is computed, where
+    a^l overflows a float."""
     base = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=float(a))
+    weights = []
+    for l in map(float, l_values):
+        try:
+            weights.append((l, float(a) ** l))
+        except OverflowError:
+            raise ValueError(f"r1 = a^l overflows a float at a = {a:g}, "
+                             f"l = {l:g}") from None
     upper = UpperBoundEvaluator(base)
     rows = []
-    for l in map(float, l_values):
-        p = replace(base, r1=float(a) ** l)
+    for l, r1 in weights:
+        p = replace(base, r1=r1)
         res = optimize_upper(p, upper)
         rows.append({"l": l, "params": p, "label": res.spec.label,
                      "cost": res.cost, "D": res.point.D,

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from lqgduet import bounds_lower
-from lqgduet.certifier import (default_weight_grid, strong_grid_params,
-                               weak_grid_params)
+from lqgduet.certifier import (certify_grid, default_weight_grid,
+                               strong_grid_params, weak_grid_params)
 from lqgduet.core import ProblemParams
 from lqgduet.bounds_lower import (_DL4_KS, LowerBoundEvaluator,
                                   RegionPartition, SliceParams, _dl2_inner,
@@ -230,16 +230,132 @@ def _cell_min(q, r1, r2, D_hi, grid, tail_floor):
     return min(best, q * tail_floor + r1 * g_hi, q * tail_floor + r2 * g_hi)
 
 
+def _family_max(ev, rows, q, r1, r2):
+    """Reference slicing bound: the per-family _cell_min of each of rows
+    (D_hi, tail), maxed with the dl3 floor."""
+    best = q * ev.dl3_best
+    for D_hi, tail in rows:
+        best = max(best, _cell_min(q, r1, r2, D_hi, ev.grid, tail))
+    return best
+
+
 @pytest.mark.parametrize("base", [weak_grid_params()[4],
                                   strong_grid_params()[10]])
 def test_stacked_slicing_bound_equals_per_family_max(base):
     ev = LowerBoundEvaluator(base)
     assert ev.D_hi.shape[0] == ev.tail.shape[0] > 0
+    # every candidate row, taken before the first query (queries after the
+    # first are answered from the undominated rows)
+    rows = list(zip(ev.D_hi.copy(), ev.tail.copy()))
     for q, r1, r2 in default_weight_grid():
-        best = q * ev.dl3_best
-        for D_hi, tail in zip(ev.D_hi, ev.tail):
-            best = max(best, _cell_min(q, r1, r2, D_hi, ev.grid, tail))
-        assert ev.slicing_bound(q, r1, r2) == best
+        assert ev.slicing_bound(q, r1, r2) == _family_max(ev, rows, q, r1, r2)
+
+
+def _log_uniform(lo, hi):
+    """Floats 10^x for x drawn from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+_WEIGHT = st.one_of(st.just(0.0), _log_uniform(-4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_log_uniform(math.log10(2.5), 8.0),
+       sv1=st.one_of(st.just(0.0), _log_uniform(-3, 3)),
+       sv2_gap=_log_uniform(-3, 12),
+       weights=st.lists(st.tuples(_log_uniform(-4, 4), _WEIGHT, _WEIGHT),
+                        min_size=3, max_size=3))
+def test_pruned_slicing_bound_equals_the_full_family_max(a, sv1, sv2_gap,
+                                                         weights):
+    # the first query reduces every row, the later ones only the
+    # undominated rows: each answer is the per-family max over all of D_hi,
+    # bit for bit
+    ev = LowerBoundEvaluator(ProblemParams(a=a, sigmav1_sq=sv1,
+                                           sigmav2_sq=sv1 + sv2_gap))
+    rows = list(zip(ev.D_hi.copy(), ev.tail.copy()))
+    for q, r1, r2 in weights:
+        assert ev.slicing_bound(q, r1, r2).hex() \
+            == _family_max(ev, rows, q, r1, r2).hex()
+
+
+def test_undominated_keeps_nan_rows_and_drops_only_dominated_ones():
+    nan = math.nan
+    D = np.array([[[5.0, 5.0], [5.0, 5.0]],
+                  # dominated by row 0, and a duplicate of it
+                  [[1.0, 1.0], [1.0, 1.0]],
+                  [[5.0, 5.0], [5.0, 5.0]],
+                  # below row 1 off its NaN cell: kept
+                  [[nan, 0.5], [0.5, 0.5]],
+                  # above row 5 off its NaN cell: drops nothing
+                  [[nan, 7.0], [7.0, 7.0]],
+                  # above row 0 in one cell only: undominated
+                  [[6.0, 2.0], [2.0, 2.0]],
+                  # cells equal to row 0's but a larger tail
+                  [[5.0, 5.0], [5.0, 5.0]],
+                  # below row 6 on every cell, above it on the tail
+                  [[4.0, 4.0], [4.0, 4.0]]])
+    tail = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0, 30.0])
+    assert bounds_lower._undominated(D, tail).tolist() == [3, 4, 5, 6, 7]
+    assert bounds_lower._undominated(D[:3], tail[:3]).tolist() == [0]
+    # one ULP above in one cell is enough not to be dominated
+    ulp = np.array([[[5.0, 5.0], [5.0, 6.0]],
+                    [[np.nextafter(5.0, 6.0), 5.0], [5.0, 5.0]]])
+    assert bounds_lower._undominated(ulp, np.ones(2)).tolist() == [0, 1]
+    assert bounds_lower._undominated(D[:0], tail[:0]).tolist() == []
+
+
+def test_pruned_queries_keep_a_binding_nan_row():
+    # a copy of the binding row with a NaN in its minimising cell: fmin
+    # skips that cell, so the copy binds, though the original is >= it on
+    # every other cell; pruning must keep it
+    ev = LowerBoundEvaluator(strong_grid_params()[10])
+    q, r1, r2 = 1.0, 1.0, 1.0
+    lo = ev.grid[:-1]
+    vals = q * ev.D_hi + r1 * lo[:, None] + r2 * lo[None, :]
+    top = int(np.argmax(vals.min(axis=(1, 2))))
+    cell = np.unravel_index(np.argmin(vals[top]), vals[top].shape)
+    victim = int(np.argmin(ev.D_hi.sum(axis=(1, 2))))
+    ev.D_hi[victim] = ev.D_hi[top]
+    ev.D_hi[victim][cell] = np.nan
+    ev.tail[victim] = ev.tail[top]
+    rows = list(zip(ev.D_hi.copy(), ev.tail.copy()))
+    expect = _family_max(ev, rows, q, r1, r2)
+    assert expect > _family_max(ev, rows[:victim] + rows[victim + 1:], q, r1,
+                                r2)
+    for _ in range(3):
+        assert ev.slicing_bound(q, r1, r2) == expect
+
+
+def test_single_query_never_prunes_and_certify_prunes_once_per_base(
+        monkeypatch):
+    calls = Counter()
+    prune = bounds_lower._undominated
+
+    def counting(D, tail):
+        calls["prune"] += 1
+        return prune(D, tail)
+
+    monkeypatch.setattr(bounds_lower, "_undominated", counting)
+    lower_weighted_cost(ProblemParams(a=4.0, sigmav1_sq=0.5,
+                                      sigmav2_sq=50.0))
+    assert calls["prune"] == 0
+    bases = [weak_grid_params()[4], strong_grid_params()[10]]
+    certify_grid(bases)
+    assert calls["prune"] == len(bases)
+
+
+def test_longest_dl4_race_dominates_the_shorter_ones():
+    # dl4(k) = a^{2(k-2)} (a - sqrt(c P1) - sqrt(c P2))_+^2 is
+    # nondecreasing in k for |a| > 1, so the evaluator offers only k = 8:
+    # in floats too, k = 8 is >= every shorter race on every grid cell
+    assert _DL4_KS == (8,)
+    grid = LowerBoundEvaluator(weak_grid_params()[0]).grid
+    hi1, hi2 = grid[1:, None], grid[None, 1:]
+    bases = weak_grid_params() + strong_grid_params() \
+        + _random_bases(500, 77, a_decade=8.0, sv2_decade=12.0)
+    for p in bases:
+        rows = dl4(p, [2, 3, 4, 6, 8], hi1, hi2)
+        assert np.all(rows[-1] >= rows[:-1]), p
 
 
 def _bits(x):

@@ -229,13 +229,16 @@ def test_certify_subcommand_small(tmp_path):
     # upper and sweep classify the regime, which needs |a| > 1
     (["upper", "--a", "1", "--sv2sq", "1"], "requires |a| > 1"),
     (["sweep", "--a", "1"], "requires |a| > 1"),
+    # r1 = a^l overflows a float at a = 100 beyond l ~ 154
+    (["sweep", "--a", "100", "--l-max", "1000"], "overflows"),
 ])
 def test_out_of_domain_input_is_config_error(args, message):
     out = _run_main(args)
     assert out.returncode == 1, out.stderr
-    # one error line, no traceback
+    # one error line, no traceback, and no row before it
     line, = out.stderr.splitlines()
     assert line.startswith("error: ") and message in line, out.stderr
+    assert out.stdout == ""
 
 
 def test_lower_and_simulate_accept_a_below_one():
