@@ -673,14 +673,16 @@ class LowerBoundEvaluator:
             self._kept = self.D_hi[keep], self.tail[keep]
         D, tail = self._kept or (self.D_hi, self.tail)
         lo = self.grid[:-1]
-        with np.errstate(invalid="ignore"):
+        g_hi = self.grid[-1]
+        # a weight near the float limit overflows a term to +inf, which is
+        # the bound's value there
+        with np.errstate(over="ignore", invalid="ignore"):
             vals = np.multiply(D, q)
             vals += r1 * lo[:, None]
             vals += r2 * lo[None, :]
-        cell = np.fmin.reduce(vals, axis=(1, 2))
-        g_hi = self.grid[-1]
-        fam = np.minimum(cell, np.minimum(q * tail + r1 * g_hi,
-                                          q * tail + r2 * g_hi))
+            cell = np.fmin.reduce(vals, axis=(1, 2))
+            fam = np.minimum(cell, np.minimum(q * tail + r1 * g_hi,
+                                              q * tail + r2 * g_hi))
         return float(np.fmax.reduce(fam, initial=q * self.dl3_best))
 
     def weighted(self, q: float, r1: float, r2: float,

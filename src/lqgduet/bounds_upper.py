@@ -333,7 +333,11 @@ class UpperBoundEvaluator:
                         point, None)
         if self.designs:
             a = self.p.a
-            base = self.designs[_first_min(self.points.weighted(q, r1, r2))]
+            # a weight near the float limit overflows a design's cost to
+            # +inf, its intended value
+            with np.errstate(over="ignore"):
+                costs = self.points.weighted(q, r1, r2)
+            base = self.designs[_first_min(costs)]
             point = self._memo[base]
             sig = (point.weighted(q, r1, r2), point, base)
             refine = [design for design in (

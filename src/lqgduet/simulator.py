@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProblemParams, TradeoffPoint
+from .core import ProblemParams
 from .strategies import StrategySpec, make_strategy
 
 DIVERGENCE_THRESHOLD = 1e150
@@ -92,10 +92,6 @@ class SimResult:
     unstable: bool = False
     unstable_step: Optional[int] = None
 
-    def tradeoff(self) -> TradeoffPoint:
-        return TradeoffPoint(self.avg_state_cost, self.avg_u1_power,
-                             self.avg_u2_power)
-
 
 def _fold_squares(total: np.ndarray, rows: np.ndarray,
                   buf: np.ndarray) -> None:
@@ -117,12 +113,13 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     trial) is reported as unstable with weighted cost +inf.
 
     The horizon runs in chunks of about _CHUNK_ELEMS / trials steps.  Each
-    chunk draws its noise at once, writes the states into a
-    (steps + 1, trials) buffer and the inputs into (steps, trials) buffers,
-    then checks the whole chunk for divergence (reporting the first step
-    whose next state diverged) and folds the post-burn-in squares into the
-    per-trial sums with one sequential add.accumulate per quantity.  Results
-    are bit-identical to a step-by-step loop, for any chunk size."""
+    chunk draws its noise at once, and one call of the strategy's
+    ``run_chunk`` runs the closed loop over it, writing the states into a
+    (steps + 1, trials) buffer and the inputs into (steps, trials) buffers.
+    run() then checks the whole chunk for divergence (reporting the first
+    step whose next state diverged) and folds the post-burn-in squares into
+    the per-trial sums with one sequential add.accumulate per quantity.
+    Results are bit-identical to a step-by-step loop, for any chunk size."""
     n_tr = cfg.trials
     strat = make_strategy(spec, p)
     strat.reset(n_tr)
@@ -133,8 +130,9 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
 
     rows = max(1, _CHUNK_ELEMS // n_tr)
     X = np.empty((rows + 1, n_tr))
-    U1 = np.empty((rows, n_tr))
-    U2 = np.empty((rows, n_tr))
+    # a silent controller's rows are never written and stay zero
+    U1 = np.zeros((rows, n_tr))
+    U2 = np.zeros((rows, n_tr))
     buf = np.empty((rows + 1, n_tr))
     X[0] = sigma0 * counter_normals(cfg.seed, n_tr, 0, 1, _CH_X0)[0]
 
@@ -142,7 +140,6 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     su1 = np.zeros(n_tr)
     su2 = np.zeros(n_tr)
 
-    a = p.a
     for lo in range(0, cfg.horizon, rows):
         k = min(rows, cfg.horizon - lo)
         hi = lo + k
@@ -154,16 +151,7 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
         Xk = X[1:k + 1]
         # a diverged trial runs on to the end of the chunk as inf/NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, x_next, v1, v2, w, u1_row, u2_row in zip(
-                    X, Xk, v1c, v2c, wc, U1, U2):
-                u1, u2 = strat.step(x + v1, x + v2)
-                u1_row[:] = u1
-                u2_row[:] = u2
-                # x[n+1] = a x[n] + u1 + u2 + w, in that order
-                np.multiply(a, x, out=x_next)
-                x_next += u1
-                x_next += u2
-                x_next += w
+            strat.run_chunk(p.a, X[:k + 1], v1c, v2c, wc, U1[:k], U2[:k])
             if not np.max(np.abs(Xk)) <= DIVERGENCE_THRESHOLD:
                 bad = ~(np.abs(Xk) <= DIVERGENCE_THRESHOLD)
                 n = lo + int(np.argmax(bad.any(axis=1)))

@@ -1,11 +1,14 @@
 """Controller families: zero input, linear bang-bang, Kalman-based linear
 control, and the s-stage quantization signaling pair.
 
-Each runtime strategy exposes ``reset(n_trials)`` and
-``step(y1, y2) -> (u1, u2)``, operating elementwise on trial vectors.  A
-strategy runs one trial count, set by ``reset`` or by its first step (a 0-d
-observation is one trial); a step with another count raises ValueError.
-The input of a silent controller is one shared read-only zero vector.
+Each runtime strategy exposes ``reset(n_trials)``, one closed-loop kernel
+``run_chunk`` that the simulator calls once per chunk of time steps, and
+``step(y1, y2) -> (u1, u2)``, the validating one-row wrapper of that kernel.
+Both operate elementwise on trial vectors, so each control law is written
+once.  A strategy runs one trial count, set by ``reset`` or by its first
+step (a 0-d observation is one trial); a step with another count raises
+ValueError.  The input of a silent controller is one shared read-only zero
+vector.
 """
 from __future__ import annotations
 
@@ -108,6 +111,8 @@ def lqr_gain(a: float, q: float, r: float) -> float:
 class _Base:
     #: trials per step, fixed by ``reset`` or by the first ``step``
     n_trials: Optional[int] = None
+    #: the controllers (1, 2) whose input is always zero
+    silent: tuple = ()
 
     def reset(self, n_trials: int) -> None:
         self.n_trials = n_trials
@@ -131,11 +136,43 @@ class _Base:
             self.reset(y.shape[0])
         return y
 
+    def run_chunk(self, a, X, V1, V2, W, U1, U2) -> None:
+        """Run the closed loop over the k = len(W) rows of a chunk.
+
+        For each row n it observes y_i = X[n] + V_i[n], writes the inputs
+        into U1[n] and U2[n], and writes the next state
+        X[n+1] = a X[n] + u1 + u2 + W[n] (in that order) into X.  The rows
+        of a silent controller are never written, and its zero input is not
+        added to the state: that could change only the sign of an exactly
+        zero sum, which the nonzero W[n] then absorbs."""
+        raise NotImplementedError
+
+    def step(self, y1, y2):
+        """(u1, u2) for the observations y1, y2: one row of ``run_chunk``
+        from the state -0.0, since -0.0 + v == v bit for bit.  The next
+        state it computes is discarded; the plant gain NaN keeps it from
+        raising floating-point warnings.  Each strategy class binds this
+        function under its own name, so that per-class tracing (perfbench)
+        can patch ``LinBB.step`` without touching the other classes."""
+        y1 = self._trials(y1)
+        y2 = self._trials(y2)
+        X = np.full((2, self.n_trials), -0.0)
+        U1, U2 = np.empty((2, 1, self.n_trials))
+        self.run_chunk(math.nan, X, y1[None], y2[None],
+                       np.zeros((1, self.n_trials)), U1, U2)
+        return (self._zero if 1 in self.silent else U1[0],
+                self._zero if 2 in self.silent else U2[0])
+
 
 class ZeroInput(_Base):
-    def step(self, y1, y2):
-        self._trials(y1)
-        return self._zero, self._zero
+    silent = (1, 2)
+    step = _Base.step
+
+    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+        a = np.asarray(a)
+        for x, x_next, w in zip(X, X[1:], W):
+            np.multiply(a, x, out=x_next)
+            x_next += w
 
 
 class LinBB(_Base):
@@ -144,12 +181,20 @@ class LinBB(_Base):
     def __init__(self, a: float, controller: int):
         self.a = a
         self.controller = controller
+        self.silent = (3 - controller,)
 
-    def step(self, y1, y2):
-        if self.controller == 1:
-            return -self.a * self._trials(y1), self._zero
-        u2 = -self.a * self._trials(y2)
-        return self._zero, u2
+    step = _Base.step
+
+    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+        a = np.asarray(a)
+        neg_a = np.asarray(-self.a)
+        V, U = (V1, U1) if self.controller == 1 else (V2, U2)
+        for x, x_next, v, w, u in zip(X, X[1:], V, W, U):
+            np.add(x, v, out=u)
+            u *= neg_a
+            np.multiply(a, x, out=x_next)
+            x_next += u
+            x_next += w
 
 
 class LinKal(_Base):
@@ -159,6 +204,7 @@ class LinKal(_Base):
     def __init__(self, a: float, controller: int, k: float, sigmav_sq: float):
         self.a = a
         self.controller = controller
+        self.silent = (3 - controller,)
         self.k = k
         self.sigmav_sq = sigmav_sq
         self.xhat = None
@@ -170,26 +216,38 @@ class LinKal(_Base):
         self.xhat = np.zeros(n_trials)
         self.u_prev = np.zeros(n_trials)
         self.p = 0.0
+        self._xhat_minus = np.empty(n_trials)
 
-    def step(self, y1, y2):
-        y = self._trials(y1 if self.controller == 1 else y2)
-        # predict in place: xhat^- = a xhat + u_prev
-        xhat_minus = self.xhat
-        xhat_minus *= self.a
-        xhat_minus += self.u_prev
-        p_minus = self.a * self.a * self.p + 1.0
-        g = p_minus / (p_minus + self.sigmav_sq)
-        # correct: xhat = xhat^- + g (y - xhat^-)
-        xhat = y - xhat_minus
-        xhat *= g
-        xhat += xhat_minus
-        self.xhat = xhat
-        self.p = (1.0 - g) * p_minus
-        u = -self.k * xhat
-        self.u_prev = u
-        if self.controller == 1:
-            return u, self._zero
-        return self._zero, u
+    step = _Base.step
+
+    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+        a = np.asarray(a)
+        model_a = np.asarray(self.a)
+        neg_k = np.asarray(-self.k)
+        a2, sv, p = self.a * self.a, self.sigmav_sq, self.p
+        xhat, xhat_minus, u_prev = self.xhat, self._xhat_minus, self.u_prev
+        V, U = (V1, U1) if self.controller == 1 else (V2, U2)
+        for x, x_next, v, w, u in zip(X, X[1:], V, W, U):
+            # predict: xhat^- = a xhat + u_prev
+            np.multiply(xhat, model_a, out=xhat_minus)
+            xhat_minus += u_prev
+            p_minus = a2 * p + 1.0
+            g = p_minus / (p_minus + sv)
+            # correct: xhat = xhat^- + g (y - xhat^-)
+            np.add(x, v, out=xhat)
+            xhat -= xhat_minus
+            xhat *= g
+            xhat += xhat_minus
+            p = (1.0 - g) * p_minus
+            np.multiply(xhat, neg_k, out=u)
+            u_prev = u
+            np.multiply(a, x, out=x_next)
+            x_next += u
+            x_next += w
+        self.p = p
+        # u_prev is a row of the caller's buffer, which the next chunk
+        # overwrites
+        self.u_prev[:] = u_prev
 
 
 class Sig(_Base):
@@ -200,7 +258,8 @@ class Sig(_Base):
         m = R_{|a|^s d}( sum_{i=1..s} a^{i-1} u2[n-i] ),
     and snaps the compensated observation to the coarse lattice:
         u2 = -a ( Q_{|a|^s d}(y2 - m) + m ).
-    The u2 history is zero-padded (u2[n] = 0 for n < 0).
+    The u2 history is zero-padded (u2[n] = 0 for n < 0); ``hist[i - 1]``
+    holds u2[n-i].
     """
 
     def __init__(self, a: float, s: int, d: float):
@@ -218,39 +277,53 @@ class Sig(_Base):
         # a^{i-1} weights for i = 1..s, applied to u2[n-i]
         self.weights = a ** np.arange(s)
         self.hist = None
-        self.pos = 0
 
     def reset(self, n_trials: int) -> None:
         super().reset(n_trials)
         self.hist = np.zeros((self.s, n_trials))
-        self.pos = 0
+        self._pair = np.empty((2, n_trials))
+        self._lattice = np.empty((2, n_trials))
+        self._term = np.empty(n_trials)
 
-    def compensation(self):
-        """m[n]: the coarse-lattice residue of the weighted u2 history."""
-        # hist[pos - i] holds u2[n-i]; roll the weights accordingly
-        acc = np.zeros(self.hist.shape[1])
-        for i in range(1, self.s + 1):
-            acc += self.weights[i - 1] * self.hist[(self.pos - i) % self.s]
-        acc -= _quantize_unchecked(self.big_step, acc)
-        return acc
+    step = _Base.step
 
-    def step(self, y1, y2):
-        y1 = self._trials(y1)
-        y2 = self._trials(y2)
-        neg_a = -self.a
-        # u1 = -a (y1 - Q_d(y1))
-        u1 = _quantize_unchecked(self.d, y1, np.empty(self.n_trials))
-        np.subtract(y1, u1, out=u1)
-        u1 *= neg_a
-        # u2 = -a (Q_{|a|^s d}(y2 - m) + m)
-        m = self.compensation()
-        u2 = np.subtract(y2, m)
-        _quantize_unchecked(self.big_step, u2, u2)
-        u2 += m
-        u2 *= neg_a
-        self.hist[self.pos % self.s] = u2
-        self.pos += 1
-        return u1, u2
+    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+        a = np.asarray(a)
+        neg_a = np.asarray(-self.a)
+        big = np.asarray(self.big_step)
+        # the fine and the coarse lattice step, one per row of pair
+        steps = np.array([[self.d], [self.big_step]])
+        weights = [np.asarray(c) for c in self.weights]
+        pair, lattice, term = self._pair, self._lattice, self._term
+        fine, m = pair
+        past = list(self.hist)  # past[i - 1] is u2[n-i]
+        for x, x_next, v1, v2, w, u1, u2 in zip(X, X[1:], V1, V2, W, U1, U2):
+            # pair = (y1, sum a^{i-1} u2[n-i]), then its residues
+            # (R_d(y1), m), both in one pass.  The sum starts at its first
+            # term, not at +0.0: that can change only the sign of an exactly
+            # zero m, which u2 below cannot see (Q never returns -0.0)
+            np.add(x, v1, out=fine)
+            np.multiply(weights[0], past[0], out=m)
+            for c, h in zip(weights[1:], past[1:]):
+                np.multiply(c, h, out=term)
+                m += term
+            np.subtract(pair, _quantize_unchecked(steps, pair, lattice),
+                        out=pair)
+            # u1 = -a R_d(y1)
+            np.multiply(fine, neg_a, out=u1)
+            # u2 = -a (Q_{|a|^s d}(y2 - m) + m)
+            np.add(x, v2, out=u2)
+            u2 -= m
+            _quantize_unchecked(big, u2, u2)
+            u2 += m
+            u2 *= neg_a
+            past = [u2] + past[:-1]
+            np.multiply(a, x, out=x_next)
+            x_next += u1
+            x_next += u2
+            x_next += w
+        # the rows of past belong to the caller's buffer and to hist
+        self.hist = np.stack(past)
 
 
 def make_strategy(spec: StrategySpec, p: ProblemParams) -> _Base:

@@ -190,6 +190,23 @@ def test_sweep_builds_one_lower_evaluator(monkeypatch):
         assert cells[col["se_D"]] == repr(lower_weighted_cost(p))
 
 
+def test_sweep_weight_near_float_limit_is_quiet():
+    # r1 = 100^l is 1e300 and 1e308: r1 P1 overflows to +inf, the intended
+    # cost of every design that uses controller 1's power, and no
+    # "overflow encountered" warning may reach stderr
+    out = _run_main(["sweep", "--a", "100", "--l-min", "150", "--l-max",
+                     "154", "--l-steps", "2"])
+    assert out.returncode == 0 and out.stderr == ""
+    rows = [ln for ln in out.stdout.splitlines() if not ln.startswith("#")]
+    assert rows == [
+        ",".join(CSV_COLUMNS),
+        "100.0,1.0,1e+300,0.0,0.0,100.0,linbb2,,,,1000001.0,0.0,"
+        "10001010000.0,1000001.0,8001.0,,",
+        "100.0,1.0,1e+308,0.0,0.0,100.0,linbb2,,,,1000001.0,0.0,"
+        "10001010000.0,1000001.0,8001.0,,",
+    ]
+
+
 def test_detmodel_text_and_json():
     res = _invoke(["detmodel", "--strategy", "optimal", "--steps", "6"])
     assert res.exit_code == 0

@@ -8,6 +8,7 @@ from lqgduet import simulator
 from lqgduet.core import ProblemParams
 from lqgduet.simulator import SimConfig, counter_normals, run
 from lqgduet.strategies import StrategySpec
+from test_strategies import _RefLinKal, _RefSig
 
 
 def test_counter_normals_reproducible_and_chunk_invariant():
@@ -68,9 +69,8 @@ def test_nan_state_flags_unstable(monkeypatch):
         def reset(self, trials):
             pass
 
-        def step(self, y1, y2):
-            u = np.full_like(y1, np.nan)
-            return u, u
+        def run_chunk(self, a, X, V1, V2, W, U1, U2):
+            U1[:] = U2[:] = X[1:] = np.nan
 
     monkeypatch.setattr(simulator, "make_strategy",
                         lambda spec, p: NanInputs())
@@ -115,13 +115,39 @@ def test_standard_errors_shrink_with_trials():
 
 # -- the chunk-buffered loop against the step-by-step loop it replaced -----
 
+class _RefLinBB:
+    """u = -a y on the active side and an allocated zero on the other (the
+    zero strategy when controller is None)."""
+
+    def __init__(self, a, controller):
+        self.a, self.controller = a, controller
+
+    def step(self, y1, y2):
+        z = np.zeros_like(y1)
+        if self.controller is None:
+            return z, z
+        u = -self.a * (y1 if self.controller == 1 else y2)
+        return (u, z) if self.controller == 1 else (z, u)
+
+
+def _reference_strategy(spec, p, n_tr):
+    """The allocating per-step control laws the strategies' kernels
+    replaced, so that the reference shares no code with run_chunk."""
+    if spec.variant == "sig":
+        return _RefSig(p.a, spec.s, spec.d, n_tr)
+    if spec.variant == "linkal":
+        sv = p.sigmav1_sq if spec.controller == 1 else p.sigmav2_sq
+        return _RefLinKal(p.a, spec.controller, spec.k, sv, n_tr)
+    return _RefLinBB(p.a, spec.controller)
+
+
 def _reference_run(p, spec, cfg):
     """The per-step loop of run() before chunk buffering, kept as its
-    reference: one strategy step, one running sum and one divergence check
-    per simulated step."""
+    reference: one allocating control-law step (adding a silent
+    controller's zero input), one running sum and one divergence check per
+    simulated step."""
     n_tr = cfg.trials
-    strat = simulator.make_strategy(spec, p)
-    strat.reset(n_tr)
+    strat = _reference_strategy(spec, p, n_tr)
     sv1 = math.sqrt(p.sigmav1_sq)
     sv2 = math.sqrt(p.sigmav2_sq)
     x = math.sqrt(p.sigma0_sq) * counter_normals(cfg.seed, n_tr, 0, 1,
@@ -169,16 +195,19 @@ def _assert_same(got, ref):
         assert a == b or (a != a and b != b), (f.name, a, b)
 
 
-def _instance(s):
+def _instance(s, a=3.0, sv1=0.5):
     """A stage-s strongly degraded instance and its signaling design."""
-    a, sv1 = 3.0, 0.5
-    sv2 = a ** (2 * s - 1) * max(1.0, a * a * sv1)
+    sv2 = abs(a) ** (2 * s - 1) * max(1.0, a * a * sv1)
     p = ProblemParams(a=a, q=1.0, r1=0.1, r2=0.01, sigma0_sq=1.0,
                       sigmav1_sq=sv1, sigmav2_sq=sv2)
-    return p, StrategySpec("sig", s=s, d=2.0 * math.sqrt(sv2) / a ** s)
+    return p, StrategySpec("sig", s=s, d=2.0 * math.sqrt(sv2) / abs(a) ** s)
 
 
 _P2, _SIG2 = _instance(2)
+_NEG2, _NEG_SIG2 = _instance(2, a=-3.3)
+# noiseless observations: both noise rows come from the np.zeros branch
+_EXACT = ProblemParams(a=3.0, q=1.0, r1=0.1, r2=0.01, sigma0_sq=1.0,
+                       sigmav1_sq=0.0, sigmav2_sq=0.0)
 _VARIANTS = {
     "zero": (_P2, StrategySpec("zero")),
     "linbb1": (_P2, StrategySpec("linbb", controller=1)),
@@ -188,6 +217,14 @@ _VARIANTS = {
     "sig1": _instance(1),
     "sig2": (_P2, _SIG2),
     "sig3": _instance(3),
+    # the sv1 = 0 stage-1 instance of the benchmark's narrow workload
+    "sig1_sv1_0": _instance(1, a=3.7, sv1=0.0),
+    "linbb2_exact": (_EXACT, StrategySpec("linbb", controller=2)),
+    "linkal1_exact": (_EXACT, StrategySpec("linkal", controller=1, k=2.5)),
+    "linkal2_exact": (_EXACT, StrategySpec("linkal", controller=2, k=2.5)),
+    "linbb1_neg_a": (_NEG2, StrategySpec("linbb", controller=1)),
+    "linkal2_neg_a": (_NEG2, StrategySpec("linkal", controller=2, k=-2.5)),
+    "sig2_neg_a": (_NEG2, _NEG_SIG2),
 }
 
 

@@ -136,8 +136,12 @@ def test_sig_history_depth_matches_stage_count():
     s = Sig(2.0, 3, 0.5)
     s.reset(4)
     assert s.hist.shape == (3, 4)
-    # zero-padded history: compensation is zero before any input
-    assert np.allclose(s.compensation(), 0.0)
+    # zero-padded history: no compensation before any input, so the first
+    # u2 is -a Q_{|a|^s d}(y2)
+    y2 = np.array([0.3, -1.7, 2.0, 9.1])
+    _, u2 = s.step(np.zeros(4), y2)
+    assert np.array_equal(u2, -2.0 * quantize(s.big_step, y2))
+    assert s.hist.shape == (3, 4) and np.array_equal(s.hist[0], u2)
 
 
 def test_make_strategy_dispatch():
@@ -289,3 +293,40 @@ def test_trial_count_mismatch_is_rejected(make):
 def test_sig_rejects_steps_that_are_not_finite_and_positive(a, s, d):
     with pytest.raises(ValueError):
         Sig(a, s, d)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("make", [
+    ZeroInput,
+    lambda: LinBB(-2.5, 1),
+    lambda: LinBB(-2.5, 2),
+    lambda: LinKal(-2.5, 1, -1.7, 0.3),
+    lambda: LinKal(-2.5, 2, -1.2, 0.0),
+    lambda: Sig(-2.5, 1, 0.7),
+    lambda: Sig(-2.5, 3, 0.05),
+])
+def test_step_is_a_one_row_kernel_call(make, rows):
+    # a chunk of the kernel against a twin strategy stepped row by row:
+    # the same inputs and next states to the last bit, signed zeros
+    # included, with the strategy state carried across three chunks
+    n, a = 6, -2.5
+    chunked, stepped = make(), make()
+    chunked.reset(n)
+    stepped.reset(n)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        X = np.empty((rows + 1, n))
+        X[0] = rng.normal(0.0, 3.0, n)
+        X[0, :3] = -0.0, 0.0, -0.0
+        V1, V2, W = rng.normal(0.0, 3.0, (3, rows, n))
+        V1[:, :3] = 0.0, -0.0, -0.0
+        V2[:, :3] = -0.0, -0.0, 0.0
+        U1, U2 = np.zeros((2, rows, n))
+        chunked.run_chunk(a, X, V1, V2, W, U1, U2)
+        x = X[0].copy()
+        for j in range(rows):
+            u1, u2 = stepped.step(x + V1[j], x + V2[j])
+            assert np.array_equal(_bits(u1), _bits(U1[j]))
+            assert np.array_equal(_bits(u2), _bits(U2[j]))
+            x = a * x + u1 + u2 + W[j]
+            assert np.array_equal(_bits(x), _bits(X[j + 1]))
