@@ -94,7 +94,7 @@ def _check_sigma(p: ProblemParams, k1: int, Sigma: float) -> None:
 
 def _check_certified(p: ProblemParams) -> None:
     if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError("requires |a| >= 2.5")
+        raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
 
 
 def _geo(a: float, k_exp: int, count: int):
@@ -534,7 +534,24 @@ class RegionPartition:
 def _slicing_candidates(p: ProblemParams, part: RegionPartition
                         ) -> Tuple[List[SliceParams],
                                    List[Tuple[int, int, float]]]:
-    """Parameter recipes (with perturbations) for the dl1 and dl2 families."""
+    """Parameter recipes (with perturbations) for the dl1 and dl2 families.
+
+    Two slices of the recipe are left out because they never bind:
+
+    - dl1's sv2p^2 = (100/70) sv2^2 option.  Its row is <= the
+      sv2p^2 = sv2^2 row with the same (k1, k2, k, Sigma) on every cell.
+      Its branch-1 head radicand c Sigma a^{2(k-k1)} 2^{-2 I1} is at most
+      c (4 / 2 pi e)(100/70) <= 0.156 of that row's (the entropy gap, and
+      1 + x/sv2p^2 >= (sv2^2/sv2p^2)(1 + x/sv2^2) in I1), so the head
+      shrinks by at least sqrt(0.156) ~ 0.395, while the r2c subtraction
+      shrinks only by sqrt(c) ~ 0.683, and the other radicals are the
+      same: (h' - 0.683 r - t)_+ <= (h - r - t)_+ for every r, t >= 0
+      whenever h' <= 0.395 h.  Branch 2 does not depend on sv2p.
+    - dl2's Sigma < cap slices.  dl2 is nondecreasing in Sigma: the
+      objective (a - c1 - c2)^2 Sigma + ... grows with Sigma and the box
+      |c_i| <= C_i ~ (Sigma + sv_i^2)^{-1/2} shrinks, so its minimum does
+      not fall, and the rest of the row does not depend on Sigma.
+    """
     a2sv1 = p.a * p.a * p.sigmav1_sq
     A = abs(p.a)
     m = part.m
@@ -551,8 +568,8 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
     if p.sigmav2_sq > 0:
         # large-deviation variance inflation near the signaling power scale
         base_P = p.sigmav2_sq / (STRONG_T1_DIV * A ** (2 * (s - 1)))
-        sv2p_options = [p.sigmav2_sq] + [
-            100.0 * A ** (2 * (s - 1)) * base_P * f for f in (1.0, 16.0)]
+        sv2p_options = [p.sigmav2_sq,
+                        100.0 * A ** (2 * (s - 1)) * base_P * 16.0]
     for k1 in sorted({max(1, k1_base + off) for off in (-1, 0, 1)}):
         cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
         for Sigma in sorted({min(cap, FLOOR_COEF * m), cap * 0.5, cap}):
@@ -560,8 +577,7 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
                 for k in (k2, k2 + 2):
                     dl1_cands += [SliceParams(k1, k2, k, sv2p_sq, 1.0, Sigma)
                                   for sv2p_sq in sv2p_options]
-            for k_off in (1, 2, 4):
-                dl2_cands.append((k1, k1 + k_off, Sigma))
+        dl2_cands += [(k1, k1 + k_off, cap) for k_off in (1, 2, 4)]
     return dl1_cands, dl2_cands
 
 
@@ -609,11 +625,11 @@ class LowerBoundEvaluator:
     candidate that fails the family's checks is a recipe bug and raises
     ValueError.
 
-    D_hi and tail keep every candidate row.  At its second slicing_bound
-    query the evaluator keeps a private copy of the undominated rows only
-    (usually a few percent) and answers every later query from them: a
+    D_hi and tail keep every candidate row.  The constructor also keeps a
+    private copy of the undominated rows only (a few percent of them on
+    the grid), and slicing_bound answers every query from those: a
     dominated row never sets the max, so each answer is bit-identical to
-    the full reduction.  A single query does not pay for the pruning.
+    the full reduction.
     """
 
     def __init__(self, p: ProblemParams):
@@ -626,35 +642,34 @@ class LowerBoundEvaluator:
         self.dl3_best = 1.0
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
-        # slicing_bound's query count, and from its second query on the
-        # undominated rows (D, tail) it reduces instead of all of them
-        self._queries = 0
-        self._kept: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if not self.certified:
-            return
-        self.partition = RegionPartition(p)
-        # the k1 scan ends where info_mmse leaves its domain (a^{2(k1-1)}
-        # overflows); mmse_floor has reached its limit long before
-        for k1 in range(1, 40):
-            try:
-                self.dl3_best = max(self.dl3_best, dl3(p, k1))
-            except ValueError:
-                break
-        hi1 = self.grid[1:, None]
-        hi2 = self.grid[None, 1:]
-        dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
-        n1 = len(dl1_cands)
-        n2 = n1 + len(dl2_cands)
-        self.D_hi = np.empty((n2 + len(_DL4_KS), n, n))
-        # beyond the grid dl1 and dl2 are at least 1, dl4 at least 0
-        self.tail = np.repeat([1.0, 1.0, 0.0],
-                              [n1, n2 - n1, len(_DL4_KS)])
-        # one stacked call per family; no dl1 candidates when
-        # sigmav2_sq = 0, which dl1 rejects
-        if dl1_cands:
-            dl1(p, dl1_cands, hi1, hi2, out=self.D_hi[:n1])
-        dl2(p, *zip(*dl2_cands), hi1, hi2, out=self.D_hi[n1:n2])
-        dl4(p, _DL4_KS, hi1, hi2, out=self.D_hi[n2:])
+        if self.certified:
+            self.partition = RegionPartition(p)
+            # the k1 scan ends where info_mmse leaves its domain
+            # (a^{2(k1-1)} overflows); mmse_floor has reached its limit
+            # long before
+            for k1 in range(1, 40):
+                try:
+                    self.dl3_best = max(self.dl3_best, dl3(p, k1))
+                except ValueError:
+                    break
+            hi1 = self.grid[1:, None]
+            hi2 = self.grid[None, 1:]
+            dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
+            n1 = len(dl1_cands)
+            n2 = n1 + len(dl2_cands)
+            self.D_hi = np.empty((n2 + len(_DL4_KS), n, n))
+            # beyond the grid dl1 and dl2 are at least 1, dl4 at least 0
+            self.tail = np.repeat([1.0, 1.0, 0.0],
+                                  [n1, n2 - n1, len(_DL4_KS)])
+            # one stacked call per family; no dl1 candidates when
+            # sigmav2_sq = 0, which dl1 rejects
+            if dl1_cands:
+                dl1(p, dl1_cands, hi1, hi2, out=self.D_hi[:n1])
+            dl2(p, *zip(*dl2_cands), hi1, hi2, out=self.D_hi[n1:n2])
+            dl4(p, _DL4_KS, hi1, hi2, out=self.D_hi[n2:])
+        # the rows slicing_bound reduces
+        keep = _undominated(self.D_hi, self.tail)
+        self._D, self._tail = self.D_hi[keep], self.tail[keep]
 
     def slicing_bound(self, q: float, r1: float, r2: float) -> float:
         """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at
@@ -665,13 +680,9 @@ class LowerBoundEvaluator:
         For q > 0 and r1, r2 >= 0 every step (q D, + r lo, fmin over the
         cells, the tail terms, np.minimum) is monotone in IEEE arithmetic,
         so a dominated row's family value never exceeds its dominator's
-        and dropping it leaves the fmax bit-identical.  The second query
-        prunes the rows to the undominated ones, once."""
-        self._queries += 1
-        if self._queries == 2:
-            keep = _undominated(self.D_hi, self.tail)
-            self._kept = self.D_hi[keep], self.tail[keep]
-        D, tail = self._kept or (self.D_hi, self.tail)
+        and reducing only the undominated rows leaves the fmax
+        bit-identical."""
+        D, tail = self._D, self._tail
         lo = self.grid[:-1]
         g_hi = self.grid[-1]
         # a weight near the float limit overflows a term to +inf, which is

@@ -136,7 +136,7 @@ def certify_point(p: ProblemParams,
     must be built for p's system (ValueError otherwise); certify_grid
     shares them across a base's weightings."""
     if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError("certification requires |a| >= 2.5")
+        raise ValueError(f"certification requires |a| >= {A_MIN_CERTIFIED}")
     if evaluator is None:
         evaluator = LowerBoundEvaluator(p)
     else:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProblemParams
+from .core import ProblemParams, TradeoffPoint
 from .strategies import StrategySpec, make_strategy
 
 DIVERGENCE_THRESHOLD = 1e150
@@ -119,7 +119,10 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     run() then checks the whole chunk for divergence (reporting the first
     step whose next state diverged) and folds the post-burn-in squares into
     the per-trial sums with one sequential add.accumulate per quantity.
-    Results are bit-identical to a step-by-step loop, for any chunk size."""
+    A silent controller's observation noise is not drawn (its V rows are
+    None) and its all-zero inputs are not folded: the noise streams are
+    keyed by channel, and a sum of 0 * 0 stays 0.0.  Results are
+    bit-identical to a step-by-step loop, for any chunk size."""
     n_tr = cfg.trials
     strat = make_strategy(spec, p)
     strat.reset(n_tr)
@@ -127,6 +130,13 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     sigma0 = math.sqrt(p.sigma0_sq)
     sv1 = math.sqrt(p.sigmav1_sq)
     sv2 = math.sqrt(p.sigmav2_sq)
+
+    def observation_noise(i, sv, channel, lo, hi):
+        if i in strat.silent:
+            return None
+        if not sv:
+            return np.zeros((hi - lo, n_tr))
+        return sv * counter_normals(cfg.seed, n_tr, lo, hi, channel)
 
     rows = max(1, _CHUNK_ELEMS // n_tr)
     X = np.empty((rows + 1, n_tr))
@@ -139,15 +149,16 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     sx = np.zeros(n_tr)
     su1 = np.zeros(n_tr)
     su2 = np.zeros(n_tr)
+    # the input rows that are folded: a silent controller's stay zero
+    folded = [(su, U) for i, su, U in ((1, su1, U1), (2, su2, U2))
+              if i not in strat.silent]
 
     for lo in range(0, cfg.horizon, rows):
         k = min(rows, cfg.horizon - lo)
         hi = lo + k
         wc = counter_normals(cfg.seed, n_tr, lo, hi, _CH_W)
-        v1c = sv1 * counter_normals(cfg.seed, n_tr, lo, hi, _CH_V1) \
-            if sv1 else np.zeros((k, n_tr))
-        v2c = sv2 * counter_normals(cfg.seed, n_tr, lo, hi, _CH_V2) \
-            if sv2 else np.zeros((k, n_tr))
+        v1c = observation_noise(1, sv1, _CH_V1, lo, hi)
+        v2c = observation_noise(2, sv2, _CH_V2, lo, hi)
         Xk = X[1:k + 1]
         # a diverged trial runs on to the end of the chunk as inf/NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -161,8 +172,8 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
         j0 = max(0, cfg.burn_in - lo)
         if j0 < k:
             _fold_squares(sx, X[j0:k], buf)
-            _fold_squares(su1, U1[j0:k], buf)
-            _fold_squares(su2, U2[j0:k], buf)
+            for su, U in folded:
+                _fold_squares(su, U[j0:k], buf)
         X[0] = X[k]
 
     m = cfg.horizon - cfg.burn_in
@@ -176,6 +187,6 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
         return float(np.std(v, ddof=1) / math.sqrt(n_tr))
 
     D, P1, P2 = float(sx.mean()), float(su1.mean()), float(su2.mean())
-    return SimResult(D, P1, P2, p.q * D + p.r1 * P1 + p.r2 * P2,
+    return SimResult(D, P1, P2, p.weighted(TradeoffPoint(D, P1, P2)),
                      se(sx), se(su1), se(su2))
 

@@ -141,10 +141,11 @@ class _Base:
 
         For each row n it observes y_i = X[n] + V_i[n], writes the inputs
         into U1[n] and U2[n], and writes the next state
-        X[n+1] = a X[n] + u1 + u2 + W[n] (in that order) into X.  The rows
-        of a silent controller are never written, and its zero input is not
-        added to the state: that could change only the sign of an exactly
-        zero sum, which the nonzero W[n] then absorbs."""
+        X[n+1] = a X[n] + u1 + u2 + W[n] (in that order) into X.  A silent
+        controller's V rows are never read (run passes None), its U rows
+        are never written, and its zero input is not added to the state:
+        that could change only the sign of an exactly zero sum, which the
+        nonzero W[n] then absorbs."""
         raise NotImplementedError
 
     def step(self, y1, y2):

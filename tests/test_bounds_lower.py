@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -244,9 +245,8 @@ def _family_max(ev, rows, q, r1, r2):
 def test_stacked_slicing_bound_equals_per_family_max(base):
     ev = LowerBoundEvaluator(base)
     assert ev.D_hi.shape[0] == ev.tail.shape[0] > 0
-    # every candidate row, taken before the first query (queries after the
-    # first are answered from the undominated rows)
-    rows = list(zip(ev.D_hi.copy(), ev.tail.copy()))
+    # every candidate row (the queries reduce only the undominated ones)
+    rows = list(zip(ev.D_hi, ev.tail))
     for q, r1, r2 in default_weight_grid():
         assert ev.slicing_bound(q, r1, r2) == _family_max(ev, rows, q, r1, r2)
 
@@ -267,12 +267,11 @@ _WEIGHT = st.one_of(st.just(0.0), _log_uniform(-4, 4))
                         min_size=3, max_size=3))
 def test_pruned_slicing_bound_equals_the_full_family_max(a, sv1, sv2_gap,
                                                          weights):
-    # the first query reduces every row, the later ones only the
-    # undominated rows: each answer is the per-family max over all of D_hi,
-    # bit for bit
+    # every query reduces only the undominated rows: each answer is the
+    # per-family max over all of D_hi, bit for bit
     ev = LowerBoundEvaluator(ProblemParams(a=a, sigmav1_sq=sv1,
                                            sigmav2_sq=sv1 + sv2_gap))
-    rows = list(zip(ev.D_hi.copy(), ev.tail.copy()))
+    rows = list(zip(ev.D_hi, ev.tail))
     for q, r1, r2 in weights:
         assert ev.slicing_bound(q, r1, r2).hex() \
             == _family_max(ev, rows, q, r1, r2).hex()
@@ -304,30 +303,42 @@ def test_undominated_keeps_nan_rows_and_drops_only_dominated_ones():
     assert bounds_lower._undominated(D[:0], tail[:0]).tolist() == []
 
 
-def test_pruned_queries_keep_a_binding_nan_row():
+def test_pruned_queries_keep_a_binding_nan_row(monkeypatch):
     # a copy of the binding row with a NaN in its minimising cell: fmin
     # skips that cell, so the copy binds, though the original is >= it on
-    # every other cell; pruning must keep it
-    ev = LowerBoundEvaluator(strong_grid_params()[10])
+    # every other cell; the pruning in the constructor must keep it
+    p = strong_grid_params()[10]
     q, r1, r2 = 1.0, 1.0, 1.0
-    lo = ev.grid[:-1]
-    vals = q * ev.D_hi + r1 * lo[:, None] + r2 * lo[None, :]
+    plain = LowerBoundEvaluator(p)
+    lo = plain.grid[:-1]
+    vals = q * plain.D_hi + r1 * lo[:, None] + r2 * lo[None, :]
     top = int(np.argmax(vals.min(axis=(1, 2))))
     cell = np.unravel_index(np.argmin(vals[top]), vals[top].shape)
-    victim = int(np.argmin(ev.D_hi.sum(axis=(1, 2))))
-    ev.D_hi[victim] = ev.D_hi[top]
-    ev.D_hi[victim][cell] = np.nan
-    ev.tail[victim] = ev.tail[top]
-    rows = list(zip(ev.D_hi.copy(), ev.tail.copy()))
+    dl1_cands, dl2_cands = _slicing_candidates(p, plain.partition)
+    n1, n2 = len(dl1_cands), len(dl1_cands) + len(dl2_cands)
+    # the binding row is a dl2 row: copy it over the smallest other one
+    assert n1 <= top < n2
+    sums = plain.D_hi[n1:n2].sum(axis=(1, 2))
+    sums[top - n1] = np.inf
+    victim = n1 + int(np.argmin(sums))
+
+    def nan_copy(*args, **kwargs):
+        out = dl2(*args, **kwargs)
+        out[victim - n1] = out[top - n1]
+        out[victim - n1][cell] = np.nan
+        return out
+
+    monkeypatch.setattr(bounds_lower, "dl2", nan_copy)
+    ev = LowerBoundEvaluator(p)
+    assert np.isnan(ev.D_hi[victim][cell])
+    rows = list(zip(ev.D_hi, ev.tail))
     expect = _family_max(ev, rows, q, r1, r2)
     assert expect > _family_max(ev, rows[:victim] + rows[victim + 1:], q, r1,
                                 r2)
-    for _ in range(3):
-        assert ev.slicing_bound(q, r1, r2) == expect
+    assert ev.slicing_bound(q, r1, r2) == expect
 
 
-def test_single_query_never_prunes_and_certify_prunes_once_per_base(
-        monkeypatch):
+def test_every_evaluator_prunes_once_at_construction(monkeypatch):
     calls = Counter()
     prune = bounds_lower._undominated
 
@@ -336,12 +347,22 @@ def test_single_query_never_prunes_and_certify_prunes_once_per_base(
         return prune(D, tail)
 
     monkeypatch.setattr(bounds_lower, "_undominated", counting)
+    ev = LowerBoundEvaluator(ProblemParams(a=4.0, sigmav1_sq=0.5,
+                                           sigmav2_sq=50.0))
+    assert calls["prune"] == 1
+    for weights in default_weight_grid()[:3]:
+        ev.weighted(*weights)
+    assert calls["prune"] == 1
+    # one query, an evaluator outside the certified range, and one
+    # evaluator per base of certify_grid
     lower_weighted_cost(ProblemParams(a=4.0, sigmav1_sq=0.5,
                                       sigmav2_sq=50.0))
-    assert calls["prune"] == 0
+    assert calls["prune"] == 2
+    LowerBoundEvaluator(ProblemParams(a=2.0, sigmav2_sq=16.0))
+    assert calls["prune"] == 3
     bases = [weak_grid_params()[4], strong_grid_params()[10]]
     certify_grid(bases)
-    assert calls["prune"] == len(bases)
+    assert calls["prune"] == 3 + len(bases)
 
 
 def test_longest_dl4_race_dominates_the_shorter_ones():
@@ -356,6 +377,107 @@ def test_longest_dl4_race_dominates_the_shorter_ones():
     for p in bases:
         rows = dl4(p, [2, 3, 4, 6, 8], hi1, hi2)
         assert np.all(rows[-1] >= rows[:-1]), p
+
+
+def _full_recipe(p, part):
+    """The recipe before its never-binding slices were cut: dl1 offered
+    sv2p^2 = (100/70) sv2^2 beside sv2^2 and (1600/70) sv2^2, and dl2 took
+    the same three Sigma slices as dl1."""
+    a2sv1 = p.a * p.a * p.sigmav1_sq
+    A = abs(p.a)
+    k1_base = 1 if a2sv1 < 1 else \
+        2 + int(math.floor(math.log(a2sv1) / (2 * math.log(A))))
+    s = part.regime.s if part.regime.kind == "strong" else 1
+    dl1_cands, dl2_cands, sv2p_options = [], [], []
+    if p.sigmav2_sq > 0:
+        base_P = p.sigmav2_sq / (70.0 * A ** (2 * (s - 1)))
+        sv2p_options = [p.sigmav2_sq] + [
+            100.0 * A ** (2 * (s - 1)) * base_P * f for f in (1.0, 16.0)]
+    for k1 in sorted({max(1, k1_base + off) for off in (-1, 0, 1)}):
+        cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
+        for Sigma in sorted({min(cap, 0.295 * part.m), cap * 0.5, cap}):
+            for k2 in (k1 + s + 1, k1 + s + 2):
+                for k in (k2, k2 + 2):
+                    dl1_cands += [SliceParams(k1, k2, k, sv2p_sq, 1.0, Sigma)
+                                  for sv2p_sq in sv2p_options]
+            for k_off in (1, 2, 4):
+                dl2_cands.append((k1, k1 + k_off, Sigma))
+    return dl1_cands, dl2_cands
+
+
+def _cut_rows(p, part):
+    """The recipe's deleted candidates, each beside the kept candidate that
+    dominates it: dl1's (100/70) sv2^2 option beside sv2p^2 = sv2^2, and
+    dl2's Sigma < cap slices beside Sigma = cap."""
+    full1, full2 = _full_recipe(p, part)
+    kept1, kept2 = _slicing_candidates(p, part)
+    assert set(kept1) <= set(full1) and set(kept2) <= set(full2)
+    cut1 = [sp for sp in full1 if sp not in kept1]
+    cut2 = [c for c in full2 if c not in kept2]
+    assert len(cut1) == len(full1) - len(kept1) == len(full1) // 3
+    part1 = [dataclasses.replace(sp, sigmav2p_sq=p.sigmav2_sq) for sp in cut1]
+    part2 = [(k1, k, mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1))
+             for k1, k, _ in cut2]
+    assert set(part1) <= set(kept1) and set(part2) <= set(kept2)
+    return (cut1, part1), (cut2, part2)
+
+
+def test_cut_recipe_rows_are_dominated_by_their_kept_partners():
+    # dl1's (100/70) sv2^2 option is below sv2p^2 = sv2^2, and dl2 is
+    # nondecreasing in Sigma (see _slicing_candidates); in floats too,
+    # every deleted row is <= its kept partner on every cell (both are
+    # NaN where branch 2's 0 inf is), with the same tail of 1
+    grid = LowerBoundEvaluator(weak_grid_params()[0]).grid
+    hi1, hi2 = grid[1:, None], grid[None, 1:]
+    bases = weak_grid_params() + strong_grid_params() \
+        + _random_bases(500, 1313, a_decade=8.0, sv2_decade=20.0)
+    for p in bases:
+        part = RegionPartition(p)
+        (cut1, part1), (cut2, part2) = _cut_rows(p, part)
+        pairs = [(dl2(p, *zip(*cut2), hi1, hi2),
+                  dl2(p, *zip(*part2), hi1, hi2))]
+        if cut1:
+            pairs.append((dl1(p, cut1, hi1, hi2), dl1(p, part1, hi1, hi2)))
+        for cut, kept in pairs:
+            assert np.all((cut <= kept)
+                          | (np.isnan(cut) & np.isnan(kept))), p
+
+
+def test_cut_recipe_answers_equal_the_full_recipe_max():
+    # on the grid, every weighted answer is the max over the floor, the
+    # region corollary and the per-family bounds of the full recipe's rows,
+    # bit for bit
+    for p in weak_grid_params() + strong_grid_params():
+        ev = LowerBoundEvaluator(p)
+        hi1, hi2 = ev.grid[1:, None], ev.grid[None, 1:]
+        full1, full2 = _full_recipe(p, ev.partition)
+        rows = [(D, 1.0) for D in dl1(p, full1, hi1, hi2)] \
+            + [(D, 1.0) for D in dl2(p, *zip(*full2), hi1, hi2)] \
+            + [(D, 0.0) for D in dl4(p, _DL4_KS, hi1, hi2)]
+        for q, r1, r2 in default_weight_grid():
+            expect = max(q, ev.partition.corollary(q, r1, r2)[0],
+                         _family_max(ev, rows, q, r1, r2))
+            assert ev.weighted(q, r1, r2).hex() == expect.hex(), (p, q)
+
+
+def test_evaluator_rows_are_nonincreasing_along_both_power_axes():
+    # the premise of slicing_bound's corner rule, on the rows it reduces:
+    # dl1 and dl4 rows never rise from one grid point to the next; dl2
+    # rows rise by a few ulps in floats at some random bases (its inner
+    # minimum's rounding), never by more than 8
+    bases = weak_grid_params() + strong_grid_params() \
+        + _random_bases(500, 4242, a_decade=8.0, sv2_decade=20.0)
+    for p in bases:
+        ev = LowerBoundEvaluator(p)
+        dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
+        n1, n2 = len(dl1_cands), len(dl1_cands) + len(dl2_cands)
+        for D in (ev.D_hi, ev.D_hi.transpose(0, 2, 1)):
+            prev, nxt = D[:, :-1], D[:, 1:]
+            rise = nxt > prev
+            assert not rise[:n1].any() and not rise[n2:].any(), p
+            up = rise[n1:n2]
+            before, after = prev[n1:n2][up], nxt[n1:n2][up]
+            assert np.all(after - before <= 8 * np.spacing(before)), p
 
 
 def _bits(x):

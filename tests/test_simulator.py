@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -66,6 +67,8 @@ def test_zero_input_diverges_and_flags_unstable():
 
 def test_nan_state_flags_unstable(monkeypatch):
     class NanInputs:
+        silent = ()
+
         def reset(self, trials):
             pass
 
@@ -287,3 +290,30 @@ def test_divergence_that_overflows_within_its_chunk(monkeypatch, trials,
     res = run(p, spec, cfg)
     assert res.unstable and res.unstable_step == 1
     _assert_same(res, _reference_run(p, spec, cfg))
+
+
+@pytest.mark.parametrize("variant, channels", [
+    ("zero", ()),
+    ("linbb1", (simulator._CH_V1,)),
+    ("linkal2", (simulator._CH_V2,)),
+    ("sig2", (simulator._CH_V1, simulator._CH_V2)),
+])
+def test_only_read_observation_channels_are_drawn(monkeypatch, variant,
+                                                  channels):
+    # a silent controller's observation is never read, so run draws its
+    # noise channel in no chunk (4 chunks of 32 steps at 2048 trials); the
+    # reference draws every channel and still agrees bit for bit
+    calls = Counter()
+    draw = simulator.counter_normals
+
+    def counting(seed, trials, step_lo, step_hi, channel):
+        calls[channel] += 1
+        return draw(seed, trials, step_lo, step_hi, channel)
+
+    p, spec = _VARIANTS[variant]
+    cfg = SimConfig(horizon=100, burn_in=45, trials=2048, seed=11)
+    ref = _reference_run(p, spec, cfg)
+    monkeypatch.setattr(simulator, "counter_normals", counting)
+    _assert_same(run(p, spec, cfg), ref)
+    assert calls == Counter({simulator._CH_X0: 1, simulator._CH_W: 4,
+                             **{ch: 4 for ch in channels}})
