@@ -17,8 +17,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify, \
-    noise_floor
+from .core import A_MIN_CERTIFIED, ProblemParams, Regime, check_weights, \
+    classify, noise_floor
 
 #: geometric slicing ratio used by the converse bounds
 RCONST = 2.5
@@ -681,7 +681,9 @@ class LowerBoundEvaluator:
         cells, the tail terms, np.minimum) is monotone in IEEE arithmetic,
         so a dominated row's family value never exceeds its dominator's
         and reducing only the undominated rows leaves the fmax
-        bit-identical."""
+        bit-identical.  A negative or non-finite weight raises
+        ValueError."""
+        check_weights(q, r1, r2)
         D, tail = self._D, self._tail
         lo = self.grid[:-1]
         g_hi = self.grid[-1]
@@ -705,8 +707,10 @@ class LowerBoundEvaluator:
         minimized so the result bounds the continuum minimum).  Outside
         |a| >= 2.5 only the universal floor is used.  With with_label, also
         returns the binding route: 'floor', 'slicing', a region label, or
-        'degenerate' for q = 0.
+        'degenerate' for q = 0.  A negative or non-finite weight raises
+        ValueError.
         """
+        check_weights(q, r1, r2)
         if q == 0:
             return (0.0, "degenerate") if with_label else 0.0
         best, label = q * 1.0, "floor"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds_lower import SIG_DECAY_COEF, RegionPartition
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
-    classify, noise_floor
+    check_weights, classify, noise_floor
 from .lattice import SeriesNonConvergent, comb_miss_series, \
     comb_miss_terms, comb_outage_series, comb_outage_terms, gaussian_comb, \
     truncated_sum
@@ -323,7 +323,9 @@ class UpperBoundEvaluator:
         """Minimize q D + r1 P1 + r2 P2 over the linear bang-bang triples
         and the signaling designs: the best grid design, then its REFINE
         neighbours, keeping only strict improvements in that order.  The
-        neighbours the memo lacks are evaluated together first."""
+        neighbours the memo lacks are evaluated together first.  A negative
+        or non-finite weight raises ValueError."""
+        check_weights(q, r1, r2)
         failures = Counter(self.grid_failures)
         best = None
         for controller, point in enumerate(self.linbb, 1):

@@ -33,6 +33,12 @@ CSV_COLUMNS = ("a", "q", "r1", "r2", "sv1sq", "sv2sq", "strategy", "s", "d",
                "k", "D", "P1", "P2", "weighted", "se_D", "se_P1", "se_P2")
 #: the upper command's schema: the signaling design's w1 after the rest
 UPPER_COLUMNS = CSV_COLUMNS + ("w1",)
+#: the sweep command's schema: the converse lower bound after the rest
+SWEEP_COLUMNS = CSV_COLUMNS + ("lower",)
+#: the certify command's schema: the case label, the two bounds, their
+#: ratio, the cap it is checked against and the pass flag (1 or 0)
+CERTIFY_COLUMNS = ("a", "q", "r1", "r2", "sv1sq", "sv2sq", "label", "s",
+                   "upper", "lower", "ratio", "cap", "passed")
 
 
 def _fmt(x) -> str:
@@ -184,10 +190,9 @@ def sweep(a, l_min, l_max, l_steps, output):
         rows.append({**_param_cells(p), "strategy": row["label"],
                      "D": row["D"], "P1": row["P1"], "P2": row["P2"],
                      "weighted": row["cost"],
-                     "se_D": lower_ev.weighted(p.q, p.r1, p.r2)})
+                     "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
     _write_csv(output, {"command": "sweep", "l_min": l_min, "l_max": l_max,
-                        "l_steps": l_steps,
-                        "note": "se_D column carries the lower bound"}, rows)
+                        "l_steps": l_steps}, rows, columns=SWEEP_COLUMNS)
 
 
 @cli.command()
@@ -238,17 +243,15 @@ def certify(regime, cap, output):
     if regime in ("strong", "both"):
         params += strong_grid_params()
     reports = certify_grid(params, cap=cap)
-    rows = [{**_param_cells(rep.params), "strategy": rep.case_label,
-             "s": rep.regime.s, "D": rep.upper, "P1": rep.lower,
-             "P2": rep.ratio, "weighted": rep.cap,
-             "se_D": 1.0 if rep.passed else 0.0} for rep in reports]
+    rows = [{**_param_cells(rep.params), "label": rep.case_label,
+             "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
+             "ratio": rep.ratio, "cap": rep.cap, "passed": int(rep.passed)}
+            for rep in reports]
     n_pass = sum(r.passed for r in reports)
     _write_csv(output, {"command": "certify", "regime": regime,
                         "cap_weak": cap if cap is not None else CAP_WEAK,
-                        "cap_strong": cap if cap is not None else CAP_STRONG,
-                        "note": "columns D,P1,P2 carry upper,lower,ratio; "
-                                "se_D carries pass flag; sampled-grid check "
-                                "only"}, rows,
+                        "cap_strong": cap if cap is not None else CAP_STRONG},
+               rows, columns=CERTIFY_COLUMNS,
                trailer=f"# {'PASS' if n_pass == len(reports) else 'FAIL'}: "
                        f"{n_pass}/{len(reports)} points within cap")
     if n_pass != len(reports):

@@ -29,6 +29,16 @@ def _check_finite(params) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
+def check_weights(q: float, r1: float, r2: float) -> None:
+    """Raise ValueError unless the cost weights q, r1, r2 are finite and
+    >= 0, the domain every weighted cost and bound is defined on."""
+    for name, w in (("q", q), ("r1", r1), ("r2", r2)):
+        if not math.isfinite(w):
+            raise ValueError(f"{name} must be finite")
+        if w < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 class TradeoffPoint(NamedTuple):
     """A power-disturbance triple (D, P1, P2) on the extended reals."""
 
@@ -73,9 +83,7 @@ class RawParams:
         for name in ("b1", "b2", "c1", "c2"):
             if getattr(self, name) == 0:
                 raise ValueError(f"{name} must be nonzero")
-        for name in ("q", "r1", "r2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_weights(self.q, self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,7 @@ class ProblemParams:
         for name in ("sigma0_sq", "sigmav1_sq", "sigmav2_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("q", "r1", "r2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_weights(self.q, self.r1, self.r2)
         if self.sigmav1_sq > self.sigmav2_sq:
             raise ValueError("labeling convention requires "
                              "sigmav1_sq <= sigmav2_sq")

@@ -32,38 +32,85 @@ _CH_V1 = 1
 _CH_V2 = 2
 _CH_X0 = 3
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 2 ** 64 - 1
+_GOLD = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
+#: counter_normals packs the channel into bits 1-3 of the counter
+_N_CHANNELS = 8
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (64-bit avalanche bijection; the multiplies
-    wrap mod 2^64 by design)."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+#: counter_normals hashes the counters of about this many normals at a
+#: time, so that its two scratch arrays (256 KB each) stay in cache
+_BLOCK_ELEMS = 2 ** 14
 
 
-def _uniform(counters: np.ndarray, seed_hash: np.uint64) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        h = _mix(seed_hash ^ (counters * _GOLD))
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer (64-bit avalanche bijection) in place on z, with
+    tmp as scratch of z's shape.  The multiplies wrap mod 2^64 by design."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _M2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def counter_normals(seed: int, trials: int, step_lo: int, step_hi: int,
                     channel: int) -> np.ndarray:
     """Standard normals of shape (step_hi - step_lo, trials), a pure function
-    of (seed, trial index, step index, channel)."""
+    of (seed, trial index, step index, channel).
+
+    The normal at (step, trial) is sqrt(-2 log u0) * cos(2 pi u1).  The
+    uniform uj is ((h >> 11) + 0.5) 2^-53 for the hash
+    h = mix(mix(seed) ^ c G) of the counter
+    c = (step << 24) | (trial << 4) | (channel << 1) | j, with G the
+    golden-ratio constant and all integer arithmetic mod 2^64.  The bit
+    fields of c are disjoint, so c G = (step << 24) G + (2 channel + j) G
+    + (trial << 4) G: a per-step column plus a per-trial row.  Each block
+    of rows is hashed, converted and transformed in place."""
+    if not 0 <= channel < _N_CHANNELS:
+        raise ValueError(f"channel must be in [0, {_N_CHANNELS})")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [0, {MAX_TRIALS}]")
+    seed_hash = np.array(seed & _MASK64, dtype=np.uint64)
+    _mix(seed_hash, np.empty_like(seed_hash))
     steps = np.arange(step_lo, step_hi, dtype=np.uint64)[:, None]
-    trial = np.arange(trials, dtype=np.uint64)[None, :]
-    base = (steps << np.uint64(24)) | (trial << np.uint64(4)) \
-        | np.uint64(channel << 1)
-    seed_hash = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    u0 = _uniform(base, seed_hash)
-    u1 = _uniform(base | np.uint64(1), seed_hash)
-    return np.sqrt(-2.0 * np.log(u0)) * np.cos(2.0 * math.pi * u1)
+    offsets = np.array([[[(2 * channel + j) * _GOLD & _MASK64]]
+                        for j in (0, 1)], dtype=np.uint64)
+    # (2, steps, 1) and (trials,)
+    step_g = (steps << np.uint64(24)) * np.uint64(_GOLD) + offsets
+    trial_g = (np.arange(trials, dtype=np.uint64) << np.uint64(4)) \
+        * np.uint64(_GOLD)
+
+    m = len(steps)
+    out = np.empty((m, trials))
+    rows = max(1, _BLOCK_ELEMS // max(trials, 1))
+    h = np.empty((2, min(rows, m), trials), dtype=np.uint64)
+    tmp = np.empty_like(h)
+    for lo in range(0, m, rows):
+        k = min(rows, m - lo)
+        hk, tk = h[:, :k], tmp[:, :k]
+        np.add(step_g[:, lo:lo + k], trial_g, out=hk)
+        hk ^= seed_hash
+        _mix(hk, tk)
+        # h >> 11 is below 2^53: its int64 view converts to float64
+        # exactly, and faster than the uint64 array
+        hk >>= np.uint64(11)
+        u = tk.view(np.float64)
+        np.copyto(u, hk.view(np.int64))
+        u += 0.5
+        u *= 2.0 ** -53
+        u0, u1 = u
+        np.log(u0, out=u0)
+        u0 *= -2.0
+        np.sqrt(u0, out=u0)
+        u1 *= 2.0 * math.pi
+        np.cos(u1, out=u1)
+        np.multiply(u0, u1, out=out[lo:lo + k])
+    return out
 
 
 @dataclass(frozen=True)
@@ -136,7 +183,9 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
             return None
         if not sv:
             return np.zeros((hi - lo, n_tr))
-        return sv * counter_normals(cfg.seed, n_tr, lo, hi, channel)
+        v = counter_normals(cfg.seed, n_tr, lo, hi, channel)
+        v *= sv
+        return v
 
     rows = max(1, _CHUNK_ELEMS // n_tr)
     X = np.empty((rows + 1, n_tr))

@@ -20,12 +20,17 @@ def test_star_import_binds_every_exported_name():
     assert set(lqgduet.__all__) <= set(namespace)
 
 
-def test_benchmark_traced_names_resolve():
-    # perfbench/tracer.py patches these by name; a rename must fail here,
-    # not only in the benchmark's own self-tests
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracer.py patches these by name; a rename must fail here,
+    # not only in the benchmark's own self-tests
+    tracer = _load_tracer()
     missing = []
     for mod, name, _ in tracer.FUNCTIONS:
         module = importlib.import_module(f"{tracer.PACKAGE}.{mod}")
@@ -41,3 +46,13 @@ def test_benchmark_traced_names_resolve():
     # which the tracer patches only when it is the same function
     from lqgduet import bounds_upper, certifier
     assert certifier.optimize_upper is bounds_upper.optimize_upper
+
+
+def test_benchmark_counts_the_normals_drawn():
+    # the tracer's count hook for counter_normals reads the result's size:
+    # one normal per (step, trial)
+    hooks = {(mod, name): count
+             for mod, name, count in _load_tracer().FUNCTIONS}
+    from lqgduet.simulator import counter_normals
+    count = hooks["simulator", "counter_normals"]
+    assert count(counter_normals(0, 3, 5, 9, 1)) == 4 * 3

@@ -748,3 +748,21 @@ def test_labelled_bound_is_the_unlabelled_one():
         val, lab = lower_weighted_cost(p, with_label=True)
         assert lab == label
         assert _bits(val) == _bits(lower_weighted_cost(p))
+
+
+#: weightings outside the domain, each with the message check_weights gives
+_BAD_WEIGHTS = [((bad, 1.0, 1.0), "q") for bad in (-1.0, math.nan, math.inf)] \
+    + [((1.0, bad, 0.0), "r1") for bad in (-5.0, math.nan, math.inf)] \
+    + [((0.0, 1.0, bad), "r2") for bad in (-1.0, math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("query", ["weighted", "slicing_bound"])
+def test_queries_reject_weights_outside_the_domain(query):
+    # before the check, weighted(-1, 1, 1) returned -1.0, weighted(nan, 1,
+    # 1) nan and weighted(1, -5, 0) 23.8 on this base; a zero q no longer
+    # short-cuts past the check
+    ev = LowerBoundEvaluator(ProblemParams(a=5.0, sigmav1_sq=1.0,
+                                           sigmav2_sq=125.0))
+    for weights, name in _BAD_WEIGHTS:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            getattr(ev, query)(*weights)

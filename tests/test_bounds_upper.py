@@ -17,6 +17,7 @@ from lqgduet.bounds_upper import (D_GRID_HI, D_GRID_LO, D_GRID_POINTS,
 from lqgduet import lattice
 from lqgduet.lattice import SERIES_BLOCK, SeriesNonConvergent, q_tail
 from lqgduet.strategies import StrategySpec
+from test_bounds_lower import _BAD_WEIGHTS
 
 
 def test_design_feasibility():
@@ -517,3 +518,12 @@ def test_evaluator_rejects_another_system():
     # same system, other weights: accepted
     p = _with_weights(base, 1e-2, 1.0, 1e2)
     assert optimize_upper(p, UpperBoundEvaluator(base)) == optimize_upper(p)
+
+
+def test_best_rejects_weights_outside_the_domain():
+    # before the check, best(nan, 1, 1).cost was 675.0 on this base
+    upper = UpperBoundEvaluator(ProblemParams(a=5.0, sigmav1_sq=1.0,
+                                              sigmav2_sq=125.0))
+    for weights, name in _BAD_WEIGHTS:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            upper.best(*weights)

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 import lqgduet
 from lqgduet.bounds_lower import LowerBoundEvaluator, lower_weighted_cost
 from lqgduet.bounds_upper import optimize_upper
-from lqgduet.cli import CSV_COLUMNS, UPPER_COLUMNS, cli
+from lqgduet.cli import CERTIFY_COLUMNS, CSV_COLUMNS, SWEEP_COLUMNS, \
+    UPPER_COLUMNS, cli
 from lqgduet.core import ProblemParams
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -40,8 +41,8 @@ def _run_main(args):
 
 def _assert_numeric_cells(text, columns=CSV_COLUMNS):
     """Every data row has one cell per column, and every cell outside the
-    strategy column is empty or parses as a float.  Returns the data rows
-    as column -> cell dicts."""
+    strategy and label columns is empty or parses as a float.  Returns the
+    data rows as column -> cell dicts."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     assert lines[0] == ",".join(columns)
     assert len(lines) > 1
@@ -50,7 +51,7 @@ def _assert_numeric_cells(text, columns=CSV_COLUMNS):
         cells = ln.split(",")
         assert len(cells) == len(columns), ln
         for col, cell in zip(columns, cells):
-            if col != "strategy" and cell:
+            if col not in ("strategy", "label") and cell:
                 float(cell)
         rows.append(dict(zip(columns, cells)))
     return rows
@@ -136,7 +137,8 @@ def test_csv_cells_parse_as_numbers(args):
     res = _invoke(args)
     assert res.exit_code == 0
     if args[0] != "upper":
-        _assert_numeric_cells(res.output)
+        _assert_numeric_cells(res.output, SWEEP_COLUMNS
+                              if args[0] == "sweep" else CSV_COLUMNS)
         return
     # upper adds the winning signaling design's w1, empty for a linear
     # winner
@@ -177,7 +179,8 @@ def test_sweep_builds_one_lower_evaluator(monkeypatch):
     monkeypatch.undo()
     lines = [ln for ln in res.output.splitlines()
              if ln and not ln.startswith("#")]
-    col = {c: i for i, c in enumerate(CSV_COLUMNS)}
+    col = {c: i for i, c in enumerate(SWEEP_COLUMNS)}
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 1 + 5
     for ln in lines[1:]:
         cells = ln.split(",")
@@ -186,8 +189,11 @@ def test_sweep_builds_one_lower_evaluator(monkeypatch):
                           r2=float(cells[col["r2"]]),
                           sigmav1_sq=float(cells[col["sv1sq"]]),
                           sigmav2_sq=float(cells[col["sv2sq"]]))
-        # the bound a fresh evaluator per row reports, to the last bit
-        assert cells[col["se_D"]] == repr(lower_weighted_cost(p))
+        # the bound a fresh evaluator per row reports, to the last bit, in
+        # its own column; the standard-error columns stay empty
+        assert cells[col["lower"]] == repr(lower_weighted_cost(p))
+        assert [cells[col[c]] for c in ("se_D", "se_P1", "se_P2")] \
+            == ["", "", ""]
 
 
 def test_sweep_weight_near_float_limit_is_quiet():
@@ -199,11 +205,11 @@ def test_sweep_weight_near_float_limit_is_quiet():
     assert out.returncode == 0 and out.stderr == ""
     rows = [ln for ln in out.stdout.splitlines() if not ln.startswith("#")]
     assert rows == [
-        ",".join(CSV_COLUMNS),
+        ",".join(SWEEP_COLUMNS),
         "100.0,1.0,1e+300,0.0,0.0,100.0,linbb2,,,,1000001.0,0.0,"
-        "10001010000.0,1000001.0,8001.0,,",
+        "10001010000.0,1000001.0,,,,8001.0",
         "100.0,1.0,1e+308,0.0,0.0,100.0,linbb2,,,,1000001.0,0.0,"
-        "10001010000.0,1000001.0,8001.0,,",
+        "10001010000.0,1000001.0,,,,8001.0",
     ]
 
 
@@ -236,7 +242,15 @@ def test_certify_subcommand_small(tmp_path):
     assert out.returncode == 0, out.stderr
     text = out_file.read_text()
     assert text.splitlines()[-1] == "# PASS: 486/486 points within cap"
-    _assert_numeric_cells(text)
+    assert not any(ln.startswith("# note") for ln in text.splitlines())
+    rows = _assert_numeric_cells(text, CERTIFY_COLUMNS)
+    assert len(rows) == 486
+    for row in rows:
+        upper, lower, ratio, cap = (float(row[c]) for c in
+                                    ("upper", "lower", "ratio", "cap"))
+        assert row["label"].startswith("weak") and row["s"] == ""
+        assert ratio == upper / lower and lower <= upper
+        assert (cap, row["passed"]) == (1200.0, "1") and ratio <= cap
 
 
 @pytest.mark.parametrize("args, message", [

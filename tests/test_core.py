@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lqgduet.core import (ProblemParams, RawParams, TradeoffPoint, classify,
-                          noise_floor, normalize)
+from lqgduet.core import (ProblemParams, RawParams, TradeoffPoint,
+                          check_weights, classify, noise_floor, normalize)
 
 
 def test_tradeoff_weighted():
@@ -74,6 +74,23 @@ def test_non_finite_fields_rejected(cls, valid):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{f.name} must be finite"):
                 cls(**{**valid, f.name: bad})
+
+
+def test_weights_share_one_domain_check():
+    check_weights(0.0, 1.0, 1e300)
+    for i, name in enumerate(("q", "r1", "r2")):
+        for bad, what in ((-1.0, ">= 0"), (math.nan, "finite"),
+                          (math.inf, "finite")):
+            weights = [1.0, 1.0, 1.0]
+            weights[i] = bad
+            with pytest.raises(ValueError, match=f"{name} must be {what}"):
+                check_weights(*weights)
+            if bad < 0:
+                # the parameter types give the same message
+                for cls in (ProblemParams, RawParams):
+                    with pytest.raises(ValueError,
+                                       match=f"{name} must be >= 0"):
+                        cls(a=4.0, **{name: bad})
 
 
 def test_labeling_convention_enforced():

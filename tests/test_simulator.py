@@ -35,6 +35,64 @@ def test_counter_normals_moments():
     assert abs(np.mean(x ** 3)) < 0.05
 
 
+_REF_GOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _ref_mix(z):
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _ref_uniform(counters, seed_hash):
+    with np.errstate(over="ignore"):
+        h = _ref_mix(seed_hash ^ (counters * _REF_GOLD))
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def _ref_counter_normals(seed, trials, step_lo, step_hi, channel):
+    """The stream's definition, counter by counter with fresh arrays: OR
+    the bit fields, multiply each counter by G, hash, convert from
+    uint64."""
+    steps = np.arange(step_lo, step_hi, dtype=np.uint64)[:, None]
+    trial = np.arange(trials, dtype=np.uint64)[None, :]
+    base = (steps << np.uint64(24)) | (trial << np.uint64(4)) \
+        | np.uint64(channel << 1)
+    seed_hash = _ref_mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    u0 = _ref_uniform(base, seed_hash)
+    u1 = _ref_uniform(base | np.uint64(1), seed_hash)
+    return np.sqrt(-2.0 * np.log(u0)) * np.cos(2.0 * math.pi * u1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63, 2 ** 64 - 1])
+def test_counter_normals_equal_the_reference_stream(seed):
+    """The in-place blocks give the reference's bits: the sum of the
+    per-step and per-trial products equals the OR'd counter times G mod
+    2^64 (also where step << 24 wraps), and the int64 view converts like
+    the uint64 array.  The last cases cross block boundaries."""
+    cases = [(trials, lo, hi)
+             for trials in (1, 7, 1024)
+             for lo, hi in ((0, 5), (2 ** 40 - 2, 2 ** 40 + 3))]
+    cases += [(7, 0, 2400), (1024, 3, 43), (2 ** 14 + 3, 0, 2)]
+    for trials, lo, hi in cases:
+        for channel in range(4):
+            got = counter_normals(seed, trials, lo, hi, channel)
+            want = _ref_counter_normals(seed, trials, lo, hi, channel)
+            assert got.shape == want.shape == (hi - lo, trials)
+            assert got.tobytes() == want.tobytes(), (trials, lo, channel)
+
+
+def test_counter_normals_reject_counters_outside_their_bit_fields():
+    # channel << 1 has three bits, trial << 4 twenty
+    for channel in (-1, 8):
+        with pytest.raises(ValueError, match="channel"):
+            counter_normals(0, 4, 0, 2, channel)
+    with pytest.raises(ValueError, match="trials"):
+        counter_normals(0, simulator.MAX_TRIALS + 1, 0, 1, 0)
+    assert counter_normals(0, 4, 0, 2, 7).shape == (2, 4)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=10, burn_in=10)
