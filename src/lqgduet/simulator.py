@@ -23,6 +23,11 @@ DIVERGENCE_THRESHOLD = 1e150
 #: 512 KB of float64, so a chunk's noise and squares stay in cache
 _CHUNK_ELEMS = 2 ** 16
 
+#: _fold_squares folds chunks of at most this many trials with one
+#: add.accumulate, wider ones row by row: the crossover measured at
+#: simulator.run's chunk sizes (CHANGES.md has the table)
+_ACCUMULATE_MAX_TRIALS = 384
+
 #: counter_normals packs the trial index into 20 bits; beyond that the
 #: streams of different trials and steps would coincide
 MAX_TRIALS = 2 ** 20
@@ -34,8 +39,8 @@ _CH_X0 = 3
 
 _MASK64 = 2 ** 64 - 1
 _GOLD = 0x9E3779B97F4A7C15
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 #: counter_normals packs the channel into bits 1-3 of the counter
 _N_CHANNELS = 8
@@ -50,12 +55,21 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
     tmp as scratch of z's shape.  The multiplies wrap mod 2^64 by design."""
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
-    z *= _M1
+    z *= np.uint64(_M1)
     np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
-    z *= _M2
+    z *= np.uint64(_M2)
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
+
+
+def _mix_int(z: int) -> int:
+    """The splitmix64 finalizer of _mix on one Python int in [0, 2^64)."""
+    z ^= z >> 30
+    z = z * _M1 & _MASK64
+    z ^= z >> 27
+    z = z * _M2 & _MASK64
+    return z ^ (z >> 31)
 
 
 def counter_normals(seed: int, trials: int, step_lo: int, step_hi: int,
@@ -69,23 +83,27 @@ def counter_normals(seed: int, trials: int, step_lo: int, step_hi: int,
     c = (step << 24) | (trial << 4) | (channel << 1) | j, with G the
     golden-ratio constant and all integer arithmetic mod 2^64.  The bit
     fields of c are disjoint, so c G = (step << 24) G + (2 channel + j) G
-    + (trial << 4) G: a per-step column plus a per-trial row.  Each block
-    of rows is hashed, converted and transformed in place."""
+    + (trial << 4) G: a per-step column plus a per-trial row that carries
+    the channel term.  The seed's hash and the channel terms are Python
+    ints; each block of rows is hashed, converted and transformed in
+    place."""
     if not 0 <= channel < _N_CHANNELS:
         raise ValueError(f"channel must be in [0, {_N_CHANNELS})")
     if not 0 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [0, {MAX_TRIALS}]")
-    seed_hash = np.array(seed & _MASK64, dtype=np.uint64)
-    _mix(seed_hash, np.empty_like(seed_hash))
-    steps = np.arange(step_lo, step_hi, dtype=np.uint64)[:, None]
-    offsets = np.array([[[(2 * channel + j) * _GOLD & _MASK64]]
-                        for j in (0, 1)], dtype=np.uint64)
-    # (2, steps, 1) and (trials,)
-    step_g = (steps << np.uint64(24)) * np.uint64(_GOLD) + offsets
-    trial_g = (np.arange(trials, dtype=np.uint64) << np.uint64(4)) \
-        * np.uint64(_GOLD)
+    seed_hash = np.uint64(_mix_int(seed & _MASK64))
+    # (steps, 1) and (2, 1, trials)
+    step_g = np.arange(step_lo, step_hi, dtype=np.uint64)[:, None]
+    step_g <<= np.uint64(24)
+    step_g *= np.uint64(_GOLD)
+    trial_g = np.arange(trials, dtype=np.uint64)
+    trial_g <<= np.uint64(4)
+    trial_g *= np.uint64(_GOLD)
+    trial_g = trial_g + np.array(
+        [[[(2 * channel + j) * _GOLD & _MASK64]] for j in (0, 1)],
+        dtype=np.uint64)
 
-    m = len(steps)
+    m = len(step_g)
     out = np.empty((m, trials))
     rows = max(1, _BLOCK_ELEMS // max(trials, 1))
     h = np.empty((2, min(rows, m), trials), dtype=np.uint64)
@@ -93,7 +111,7 @@ def counter_normals(seed: int, trials: int, step_lo: int, step_hi: int,
     for lo in range(0, m, rows):
         k = min(rows, m - lo)
         hk, tk = h[:, :k], tmp[:, :k]
-        np.add(step_g[:, lo:lo + k], trial_g, out=hk)
+        np.add(step_g[lo:lo + k], trial_g, out=hk)
         hk ^= seed_hash
         _mix(hk, tk)
         # h >> 11 is below 2^53: its int64 view converts to float64
@@ -144,8 +162,16 @@ def _fold_squares(total: np.ndarray, rows: np.ndarray,
                   buf: np.ndarray) -> None:
     """total += r * r for each row r of rows, in row order.
 
-    add.accumulate is sequential by definition, so the result is the same
-    as a per-step running sum; sum would add pairwise."""
+    Up to _ACCUMULATE_MAX_TRIALS trials one add.accumulate folds the chunk;
+    wider chunks fold row by row, which costs two NumPy calls per row but
+    adds each element once.  add.accumulate is sequential by definition, so
+    both give the bits of a per-step running sum; sum would add pairwise."""
+    if rows.shape[1] > _ACCUMULATE_MAX_TRIALS:
+        square = buf[0]
+        for r in rows:
+            np.multiply(r, r, out=square)
+            total += square
+        return
     m = rows.shape[0]
     acc = buf[:m + 1]
     acc[0] = total
@@ -165,7 +191,7 @@ def run(p: ProblemParams, spec: StrategySpec, cfg: SimConfig) -> SimResult:
     (steps + 1, trials) buffer and the inputs into (steps, trials) buffers.
     run() then checks the whole chunk for divergence (reporting the first
     step whose next state diverged) and folds the post-burn-in squares into
-    the per-trial sums with one sequential add.accumulate per quantity.
+    the per-trial sums in row order (``_fold_squares``).
     A silent controller's observation noise is not drawn (its V rows are
     None) and its all-zero inputs are not folded: the noise streams are
     keyed by channel, and a sum of 0 * 0 stays 0.0.  Results are

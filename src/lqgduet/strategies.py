@@ -1,19 +1,25 @@
 """Controller families: zero input, linear bang-bang, Kalman-based linear
 control, and the s-stage quantization signaling pair.
 
-Each runtime strategy exposes ``reset(n_trials)``, one closed-loop kernel
-``run_chunk`` that the simulator calls once per chunk of time steps, and
-``step(y1, y2) -> (u1, u2)``, the validating one-row wrapper of that kernel.
-Both operate elementwise on trial vectors, so each control law is written
-once.  A strategy runs one trial count, set by ``reset`` or by its first
-step (a 0-d observation is one trial); a step with another count raises
-ValueError.  The input of a silent controller is one shared read-only zero
-vector.
+Each runtime strategy exposes ``reset(n_trials)``, ``run_chunk``, the
+closed loop that the simulator calls once per chunk of time steps, and
+``step(y1, y2) -> (u1, u2)``, the validating one-row wrapper of
+``run_chunk``.  Each active control law has two kernels behind
+``run_chunk``: an array kernel, whose NumPy calls each run one time step
+over all trials in place, and a float kernel, which runs the chunk trial by
+trial on Python floats and is faster while the trials are few (the small
+NumPy calls cost more than the float operations they replace).  Both do the
+same IEEE operations in the same order, so they agree to the last bit, and
+both are pinned to the same allocating references in the tests.  A
+strategy runs one trial count, set by ``reset`` or by its first step (a 0-d
+observation is one trial); a step with another count raises ValueError.
+The input of a silent controller is one shared read-only zero vector.
 """
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,6 +30,11 @@ from .core import ProblemParams
 # quantize is the validated public form of the kernel; it stays importable
 # from this module
 from .lattice import _quantize_unchecked, quantize  # noqa: F401
+
+#: run_chunk runs chunks of at most this many trials on the float kernel and
+#: wider chunks on the array kernel: the crossover measured per strategy
+#: (CHANGES.md has the table)
+_FLOAT_MAX_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,18 @@ def parse_strategy(text: Union[str, dict]) -> StrategySpec:
     return StrategySpec(variant, **obj)
 
 
+def _columns(A: np.ndarray):
+    """The trial columns of a (rows, trials) array, each a memoryview that
+    yields its entries as Python floats when iterated."""
+    return map(memoryview, np.ascontiguousarray(A.T))
+
+
+def _vector(values: list) -> np.ndarray:
+    """A list of Python floats as a float vector (through array('d'), which
+    converts them faster than NumPy's type discovery)."""
+    return np.frombuffer(array("d", values))
+
+
 def lqr_gain(a: float, q: float, r: float) -> float:
     """LQR-optimal scalar feedback gain k for x[n+1] = a x + u, unit input
     gain, stage cost q x^2 + r u^2 (helper for the Kalman-based strategy)."""
@@ -145,7 +168,25 @@ class _Base:
         controller's V rows are never read (run passes None), its U rows
         are never written, and its zero input is not added to the state:
         that could change only the sign of an exactly zero sum, which the
-        nonzero W[n] then absorbs."""
+        nonzero W[n] then absorbs.
+
+        Chunks of at most _FLOAT_MAX_TRIALS trials run on the float kernel,
+        wider ones on the array kernel; the two give the same bits."""
+        kernel = (self._float_chunk if X.shape[1] <= _FLOAT_MAX_TRIALS
+                  else self._array_chunk)
+        kernel(a, X, V1, V2, W, U1, U2)
+
+    def _array_chunk(self, a, X, V1, V2, W, U1, U2) -> None:
+        """run_chunk one time step at a time, each NumPy call over all
+        trials, in place."""
+        raise NotImplementedError
+
+    def _float_chunk(self, a, X, V1, V2, W, U1, U2) -> None:
+        """run_chunk one trial at a time on Python floats: each column is
+        read once and written back by one assignment, and the strategy
+        state is updated only after the whole chunk has run.  An input that
+        is a function of the row alone is computed again on arrays after
+        the loop, by the same operations, instead of being collected."""
         raise NotImplementedError
 
     def step(self, y1, y2):
@@ -170,6 +211,7 @@ class ZeroInput(_Base):
     step = _Base.step
 
     def run_chunk(self, a, X, V1, V2, W, U1, U2):
+        # the array kernel alone: the open loop computes no input
         a = np.asarray(a)
         for x, x_next, w in zip(X, X[1:], W):
             np.multiply(a, x, out=x_next)
@@ -186,7 +228,7 @@ class LinBB(_Base):
 
     step = _Base.step
 
-    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+    def _array_chunk(self, a, X, V1, V2, W, U1, U2):
         a = np.asarray(a)
         neg_a = np.asarray(-self.a)
         V, U = (V1, U1) if self.controller == 1 else (V2, U2)
@@ -196,6 +238,18 @@ class LinBB(_Base):
             np.multiply(a, x, out=x_next)
             x_next += u
             x_next += w
+
+    def _float_chunk(self, a, X, V1, V2, W, U1, U2):
+        a, neg_a = float(a), -self.a
+        V, U = (V1, U1) if self.controller == 1 else (V2, U2)
+        for j, (x, vs, ws) in enumerate(zip(X[0].tolist(), _columns(V),
+                                            _columns(W))):
+            # x_next = a x + u + w with u = (x + v)(-a)
+            X[1:, j] = _vector([x := a * x + (x + v) * neg_a + w
+                                for v, w in zip(vs, ws)])
+        # the inputs again, from the states and by the same operations
+        np.add(X[:-1], V, out=U)
+        U *= neg_a
 
 
 class LinKal(_Base):
@@ -221,25 +275,34 @@ class LinKal(_Base):
 
     step = _Base.step
 
-    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+    def _gains(self, k: int):
+        """The filter gains of the next k steps and the posterior variance
+        after them: the Riccati recursion does not depend on the data."""
+        a2, sv, p = self.a * self.a, self.sigmav_sq, self.p
+        gains = []
+        for _ in range(k):
+            p_minus = a2 * p + 1.0
+            g = p_minus / (p_minus + sv)
+            gains.append(g)
+            p = (1.0 - g) * p_minus
+        return gains, p
+
+    def _array_chunk(self, a, X, V1, V2, W, U1, U2):
         a = np.asarray(a)
         model_a = np.asarray(self.a)
         neg_k = np.asarray(-self.k)
-        a2, sv, p = self.a * self.a, self.sigmav_sq, self.p
+        gains, p = self._gains(len(W))
         xhat, xhat_minus, u_prev = self.xhat, self._xhat_minus, self.u_prev
         V, U = (V1, U1) if self.controller == 1 else (V2, U2)
-        for x, x_next, v, w, u in zip(X, X[1:], V, W, U):
+        for x, x_next, v, w, u, g in zip(X, X[1:], V, W, U, gains):
             # predict: xhat^- = a xhat + u_prev
             np.multiply(xhat, model_a, out=xhat_minus)
             xhat_minus += u_prev
-            p_minus = a2 * p + 1.0
-            g = p_minus / (p_minus + sv)
             # correct: xhat = xhat^- + g (y - xhat^-)
             np.add(x, v, out=xhat)
             xhat -= xhat_minus
             xhat *= g
             xhat += xhat_minus
-            p = (1.0 - g) * p_minus
             np.multiply(xhat, neg_k, out=u)
             u_prev = u
             np.multiply(a, x, out=x_next)
@@ -249,6 +312,31 @@ class LinKal(_Base):
         # u_prev is a row of the caller's buffer, which the next chunk
         # overwrites
         self.u_prev[:] = u_prev
+
+    def _float_chunk(self, a, X, V1, V2, W, U1, U2):
+        a, model_a, neg_k = float(a), self.a, -self.k
+        gains, p = self._gains(len(W))
+        V, U = (V1, U1) if self.controller == 1 else (V2, U2)
+        xhats, u_prevs = [], []
+        for j, (x, xh, up, vs, ws) in enumerate(zip(
+                X[0].tolist(), self.xhat.tolist(), self.u_prev.tolist(),
+                _columns(V), _columns(W))):
+            xcol, ucol = [], []
+            x_out, u_out = xcol.append, ucol.append
+            for v, w, g in zip(vs, ws, gains):
+                xm = xh * model_a + up
+                xh = ((x + v) - xm) * g + xm
+                up = xh * neg_k
+                x = a * x + up + w
+                u_out(up)
+                x_out(x)
+            X[1:, j] = _vector(xcol)
+            U[:, j] = _vector(ucol)
+            xhats.append(xh)
+            u_prevs.append(up)
+        self.xhat[:] = xhats
+        self.u_prev[:] = u_prevs
+        self.p = p
 
 
 class Sig(_Base):
@@ -288,7 +376,7 @@ class Sig(_Base):
 
     step = _Base.step
 
-    def run_chunk(self, a, X, V1, V2, W, U1, U2):
+    def _array_chunk(self, a, X, V1, V2, W, U1, U2):
         a = np.asarray(a)
         neg_a = np.asarray(-self.a)
         big = np.asarray(self.big_step)
@@ -325,6 +413,52 @@ class Sig(_Base):
             x_next += w
         # the rows of past belong to the caller's buffer and to hist
         self.hist = np.stack(past)
+
+    def _float_chunk(self, a, X, V1, V2, W, U1, U2):
+        a, neg_a = float(a), -self.a
+        d, big, s = self.d, self.big_step, self.s
+        # m = sum a^{i-1} u2[n-i]: its first weight is a^0 = 1.0, and
+        # 1.0 * u2 is u2 bit for bit; the others are (a^{i-1}, -i) pairs
+        # indexing u2col below
+        terms = [(c, -i) for i, c in enumerate(self.weights.tolist()[1:], 2)]
+        floor = math.floor
+        hists = []
+        try:
+            for j, (x, past, v1s, v2s, ws) in enumerate(zip(
+                    X[0].tolist(), self.hist.T.tolist(), _columns(V1),
+                    _columns(V2), _columns(W))):
+                # u2[n-s], ..., u2[n-1], then the chunk's inputs
+                u2col = past[::-1]
+                xcol = []
+                x_out, u2_out = xcol.append, u2col.append
+                u2 = u2col[-1]
+                for v1, v2, w in zip(v1s, v2s, ws):
+                    # the array kernel's operations, in its order
+                    m = u2
+                    for c, i in terms:
+                        m += c * u2col[i]
+                    m -= floor(m / big + 0.5) * big
+                    y1 = x + v1
+                    u2 = (floor(((x + v2) - m) / big + 0.5) * big + m) \
+                        * neg_a
+                    x = a * x + (y1 - floor(y1 / d + 0.5) * d) * neg_a \
+                        + u2 + w
+                    x_out(x)
+                    u2_out(u2)
+                X[1:, j] = _vector(xcol)
+                U2[:, j] = _vector(u2col[s:])
+                hists.append(u2col[:-s - 1:-1])
+        except (ValueError, OverflowError):
+            # math.floor raises on NaN and inf, where np.floor returns them:
+            # the array kernel reruns the chunk from the state it started
+            # from, and rewrites every row written so far
+            self._array_chunk(a, X, V1, V2, W, U1, U2)
+            return
+        self.hist = np.array(hists).T.copy()
+        # u1 = -a R_d(y1) again, from the states and by the same operations
+        np.add(X[:-1], V1, out=U1)
+        U1 -= _quantize_unchecked(d, U1, np.empty_like(U1))
+        U1 *= neg_a
 
 
 def make_strategy(spec: StrategySpec, p: ProblemParams) -> _Base:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lqgduet import simulator
+from lqgduet import simulator, strategies
 from lqgduet.core import ProblemParams
 from lqgduet.simulator import SimConfig, counter_normals, run
 from lqgduet.strategies import StrategySpec
@@ -289,7 +289,18 @@ _VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("trials", [1, 2, 9, 2048])
+#: trial counts on each side of both the float kernel's and the fold's
+#: threshold
+_TRIALS = [1, 2, 9, 2048]
+
+
+def test_trial_counts_cover_both_sides_of_each_threshold():
+    for threshold in (strategies._FLOAT_MAX_TRIALS,
+                      simulator._ACCUMULATE_MAX_TRIALS):
+        assert min(_TRIALS) <= threshold < max(_TRIALS)
+
+
+@pytest.mark.parametrize("trials", _TRIALS)
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
 def test_run_matches_step_by_step_reference(variant, trials):
     # 2048 trials: 32-step chunks, so burn-in 45 lies inside the second
@@ -348,6 +359,35 @@ def test_divergence_that_overflows_within_its_chunk(monkeypatch, trials,
     res = run(p, spec, cfg)
     assert res.unstable and res.unstable_step == 1
     _assert_same(res, _reference_run(p, spec, cfg))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e300])
+@pytest.mark.parametrize("variant", ["sig1", "sig3", "sig2_neg_a",
+                                     "linkal1"])
+def test_float_kernel_diverges_like_the_array_kernel(monkeypatch, variant,
+                                                     bad):
+    # one noise value in trial 3 of 8 at step 37 sends that trial's state
+    # to inf or NaN, on which math.floor raises where np.floor does not, or
+    # (1e300) past the divergence threshold, where math.floor returns huge
+    # ints: the run must report the array kernel's result, with no warning
+    # and no error
+    draw = simulator.counter_normals
+
+    def injected(seed, trials, step_lo, step_hi, channel):
+        out = draw(seed, trials, step_lo, step_hi, channel)
+        if channel == simulator._CH_W and step_lo <= 37 < step_hi:
+            out[37 - step_lo, 3] = bad
+        return out
+
+    monkeypatch.setattr(simulator, "counter_normals", injected)
+    p, spec = _VARIANTS[variant]
+    cfg = SimConfig(horizon=100, burn_in=10, trials=8, seed=6)
+    assert cfg.trials <= strategies._FLOAT_MAX_TRIALS
+    got = run(p, spec, cfg)
+    assert got.unstable and got.unstable_step == 37
+    monkeypatch.setattr(strategies, "_FLOAT_MAX_TRIALS", 0)
+    _assert_same(got, run(p, spec, cfg))
 
 
 @pytest.mark.parametrize("variant, channels", [

@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from lqgduet import strategies
 from lqgduet.core import ProblemParams
 from lqgduet.lattice import quantize, remainder
 from lqgduet.strategies import (LinBB, LinKal, Sig, StrategySpec, ZeroInput,
                                 lqr_gain, make_strategy, parse_strategy)
+
+#: a trial count on each side of the float/array kernel threshold
+_KERNEL_TRIALS = [6, strategies._FLOAT_MAX_TRIALS + 1]
 
 
 def test_parse_shorthand():
@@ -212,26 +216,27 @@ def _bits(x):
     lambda n: (Sig(2.5, 3, 0.05), _RefSig(2.5, 3, 0.05, n)),
 ])
 def test_steps_bit_identical_to_allocating_reference(make):
-    n = 7
-    strat, ref = make(n)
-    strat.reset(n)
-    rng = np.random.default_rng(0)
-    for t in range(60):
-        # exact zeros and lattice ties exercise signed zeros and rounding
-        y1 = rng.normal(0, 3.0, n)
-        y2 = rng.normal(0, 30.0, n)
-        y1[0], y2[0] = 0.0, 0.0
-        y1[1] = 0.35 * (t % 5)
-        if ref is None:
-            u = -strat.a * (y1 if strat.controller == 1 else y2)
-            z = np.zeros(n)
-            want = (u, z) if strat.controller == 1 else (z, u)
-        else:
-            want = ref.step(y1, y2)
-        got = strat.step(y1, y2)
-        for g, w in zip(got, want):
-            assert g.shape == (n,)
-            assert np.array_equal(_bits(g), _bits(w))
+    # both kernels: a trial count on each side of the threshold
+    for n in _KERNEL_TRIALS:
+        strat, ref = make(n)
+        strat.reset(n)
+        rng = np.random.default_rng(0)
+        for t in range(60):
+            # exact zeros and lattice ties exercise signed zeros and rounding
+            y1 = rng.normal(0, 3.0, n)
+            y2 = rng.normal(0, 30.0, n)
+            y1[0], y2[0] = 0.0, 0.0
+            y1[1] = 0.35 * (t % 5)
+            if ref is None:
+                u = -strat.a * (y1 if strat.controller == 1 else y2)
+                z = np.zeros(n)
+                want = (u, z) if strat.controller == 1 else (z, u)
+            else:
+                want = ref.step(y1, y2)
+            got = strat.step(y1, y2)
+            for g, w in zip(got, want):
+                assert g.shape == (n,)
+                assert np.array_equal(_bits(g), _bits(w))
 
 
 @pytest.mark.parametrize("strat", [LinBB(2.0, 1), LinBB(2.0, 2),
@@ -308,25 +313,64 @@ def test_sig_rejects_steps_that_are_not_finite_and_positive(a, s, d):
 def test_step_is_a_one_row_kernel_call(make, rows):
     # a chunk of the kernel against a twin strategy stepped row by row:
     # the same inputs and next states to the last bit, signed zeros
-    # included, with the strategy state carried across three chunks
-    n, a = 6, -2.5
-    chunked, stepped = make(), make()
-    chunked.reset(n)
-    stepped.reset(n)
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        X = np.empty((rows + 1, n))
-        X[0] = rng.normal(0.0, 3.0, n)
-        X[0, :3] = -0.0, 0.0, -0.0
-        V1, V2, W = rng.normal(0.0, 3.0, (3, rows, n))
-        V1[:, :3] = 0.0, -0.0, -0.0
-        V2[:, :3] = -0.0, -0.0, 0.0
-        U1, U2 = np.zeros((2, rows, n))
-        chunked.run_chunk(a, X, V1, V2, W, U1, U2)
-        x = X[0].copy()
-        for j in range(rows):
-            u1, u2 = stepped.step(x + V1[j], x + V2[j])
-            assert np.array_equal(_bits(u1), _bits(U1[j]))
-            assert np.array_equal(_bits(u2), _bits(U2[j]))
-            x = a * x + u1 + u2 + W[j]
-            assert np.array_equal(_bits(x), _bits(X[j + 1]))
+    # included, with the strategy state carried across three chunks; both
+    # kernels, at a trial count on each side of the threshold
+    a = -2.5
+    for n in _KERNEL_TRIALS:
+        chunked, stepped = make(), make()
+        chunked.reset(n)
+        stepped.reset(n)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            X = np.empty((rows + 1, n))
+            X[0] = rng.normal(0.0, 3.0, n)
+            X[0, :3] = -0.0, 0.0, -0.0
+            V1, V2, W = rng.normal(0.0, 3.0, (3, rows, n))
+            V1[:, :3] = 0.0, -0.0, -0.0
+            V2[:, :3] = -0.0, -0.0, 0.0
+            U1, U2 = np.zeros((2, rows, n))
+            chunked.run_chunk(a, X, V1, V2, W, U1, U2)
+            x = X[0].copy()
+            for j in range(rows):
+                u1, u2 = stepped.step(x + V1[j], x + V2[j])
+                assert np.array_equal(_bits(u1), _bits(U1[j]))
+                assert np.array_equal(_bits(u2), _bits(U2[j]))
+                x = a * x + u1 + u2 + W[j]
+                assert np.array_equal(_bits(x), _bits(X[j + 1]))
+
+
+def _state(strat):
+    """The strategy state a chunk carries to the next one."""
+    if isinstance(strat, LinKal):
+        return [strat.xhat, strat.u_prev, np.array(strat.p)]
+    return [strat.hist]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda: Sig(2.5, 1, 0.7),
+    lambda: Sig(-2.5, 3, 0.05),
+    lambda: LinKal(2.5, 1, 1.7, 0.3),
+    lambda: LinKal(-2.5, 2, 1.2, 0.0),
+])
+def test_float_kernel_steps_non_finite_observations_like_arrays(make, bad):
+    # math.floor raises on NaN and inf where np.floor returns them: the
+    # float kernel must give the array kernel's inputs and state, to the
+    # last bit, for observations and histories that are not finite
+    n = 5
+    assert n <= strategies._FLOAT_MAX_TRIALS
+    on_floats, on_arrays = make(), make()
+    on_arrays._float_chunk = on_arrays._array_chunk
+    rng = np.random.default_rng(5)
+    # the array kernel warns on inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(8):
+            y1, y2 = rng.normal(0.0, 3.0, (2, n))
+            if t in (2, 5):
+                y1[t % n] = bad
+                y2[(t + 1) % n] = bad
+            got = on_floats.step(y1, y2)
+            want = on_arrays.step(y1, y2)
+            for g, w in zip(got + tuple(_state(on_floats)),
+                            want + tuple(_state(on_arrays))):
+                assert np.array_equal(_bits(g), _bits(w)), t
