@@ -71,9 +71,9 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
         (D, a^2 d^2 / 4, 8 a^2 D + (7/2) a^{2(s+1)} d^2 + 4 a^2 sv2^2)
 
     with D the four-line disturbance bound.  Its tail series are
-    comb_miss_series and comb_outage_series on the coarse comb (|a|^s d, B)
-    under noise sv2, and its outage rate is gaussian_comb(w1, spread): the
-    parts lattice.quantized_mmse_bound is built from.
+    comb_miss_series (each term scaled by 4 a^2) and comb_outage_series on
+    the coarse comb (|a|^s d, B) under noise sv2, and its outage rate is
+    gaussian_comb(w1, spread).
 
     The one evaluation of a design: raises ValueError on an infeasible
     design and SeriesNonConvergent when a tail series fails its guard.
@@ -174,13 +174,6 @@ def simplified_upper(p: ProblemParams, s: int, P: float) -> TradeoffPoint:
         ENV_D_SIG_COEF * A2s * P * decay + ENV_D_M_COEF * A2s * m,
         ENV_P1_COEF * P,
         ENV_P2_SIG_COEF * A2s1 * P * decay + ENV_P2_M_COEF * A2s1 * m)
-
-
-def appendix_design(p: ProblemParams, s: int, P: float) -> SigDesign:
-    """The design pairing behind the simplified envelope:
-    d = sqrt(320000 P / a^2), w1 = |a|^s d / 6."""
-    d = math.sqrt(4.0 * ENV_P1_COEF * P / (p.a * p.a))
-    return SigDesign(s, d, abs(p.a) ** s * d / 6.0)
 
 
 @dataclass(frozen=True)

@@ -134,9 +134,12 @@ def certify_point(p: ProblemParams,
     """Certify the upper/lower weighted-cost ratio at one parameter point
     against the regime's cap.  The lower and upper evaluators, when given,
     must be built for p's system (ValueError otherwise); certify_grid
-    shares them across a base's weightings."""
+    shares them across a base's weightings.  A cap, when given, must be
+    > 0 (+inf allowed)."""
     if abs(p.a) < A_MIN_CERTIFIED:
         raise ValueError(f"certification requires |a| >= {A_MIN_CERTIFIED}")
+    if cap is not None and not cap > 0:
+        raise ValueError(f"cap must be > 0, got {cap!r}")
     if evaluator is None:
         evaluator = LowerBoundEvaluator(p)
     else:
@@ -227,8 +230,8 @@ def prop1_divergence(a_values: Iterable[float]) -> List[dict]:
     strictly increasing along any increasing sequence of a."""
     rows = []
     for a in a_values:
-        if a < PROP1_A_MIN:
-            raise ValueError(f"requires a >= {PROP1_A_MIN:g}")
+        if not PROP1_A_MIN <= a < math.inf:
+            raise ValueError(f"requires a finite a >= {PROP1_A_MIN:g}")
         log_lin = 3 * math.log(a) - math.log(66.0)
         log_nonlin = math.log(3297.0) + 2 * math.log(a) \
             + math.log(math.log(a))

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .core import ProblemParams
-from .strategies import StrategySpec, parse_strategy
+from .strategies import StrategySpec, make_strategy, parse_strategy
 from .simulator import SimConfig, SimResult, run
 from .bounds_upper import optimize_upper, sweep_labels
 from .bounds_lower import LowerBoundEvaluator, lower_weighted_cost
@@ -66,7 +66,10 @@ def _write_csv(path: Optional[str], header_meta: dict, rows,
         if not os.path.isdir(parent):
             raise click.UsageError(
                 f"output directory does not exist: {parent}")
-        out = open(path, "w")
+        try:
+            out = open(path, "w")
+        except OSError as e:
+            raise click.UsageError(f"cannot write {path}: {e.strerror}")
     try:
         for key, val in header_meta.items():
             out.write(f"# {key}={_fmt(val)}\n")
@@ -148,6 +151,8 @@ def simulate(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, strategy, horizon,
     p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
     try:
         spec = parse_strategy(strategy)
+        # builds the runtime strategy once to reject specs p cannot run
+        make_strategy(spec, p)
         cfg = SimConfig(horizon=horizon, burn_in=burn_in, trials=trials,
                         seed=_seed(seed))
     except (ValueError, json.JSONDecodeError, TypeError) as e:
@@ -242,7 +247,10 @@ def certify(regime, cap, output):
         params += weak_grid_params()
     if regime in ("strong", "both"):
         params += strong_grid_params()
-    reports = certify_grid(params, cap=cap)
+    try:
+        reports = certify_grid(params, cap=cap)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     rows = [{**_param_cells(rep.params), "label": rep.case_label,
              "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
              "ratio": rep.ratio, "cap": rep.cap, "passed": int(rep.passed)}
@@ -266,7 +274,8 @@ def certify(regime, cap, output):
               type=click.Choice(["optimal", "linearshift", "witsen",
                                  "radner"]),
               default="optimal", show_default=True)
-@click.option("--steps", type=int, default=12, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=12,
+              show_default=True)
 @click.option("--json", "as_json", is_flag=True,
               help="machine-readable output")
 def detmodel(aprime, sv2_level, p1_level, strategy, steps, as_json):

@@ -80,9 +80,9 @@ def det_step(p: DetParams, strategy: str, state: BitWord, n: int) -> BitWord:
 
         x[n+1]_i = x[n]_{i - a'} ^ u1_i ^ u2_i ^ w_i   (fresh w at i < 0).
 
-    Optimal: u1 exactly cancels levels < p1_level (first observation is
-    noise-free); u2 exactly cancels level i whenever its content came from a
-    noise-free level of the second observation (i - a' >= sigma_v2_level).
+    Optimal: u1 and u2 exactly cancel every level converse_allows admits
+    (u1 the levels < p1_level, u2 those whose content came from a
+    noise-free level of the second observation).
 
     LinearShift: u1 adds one shifted copy of the state with its top bit at
     level p1_level - 1; u2, once the state top reaches the noise level, adds
@@ -102,11 +102,8 @@ def det_step(p: DetParams, strategy: str, state: BitWord, n: int) -> BitWord:
             out.xor(i, prov)
 
     if strategy == "Optimal":
-        # u1: exact cancellation below the power level
-        for i in [lvl for lvl in out if lvl < p.p1_level]:
-            del out[i]
-        # u2: exact cancellation where the observation is noise-free
-        for i in [lvl for lvl in out if lvl - a >= p.sigma_v2_level]:
+        # u1 and u2 cancel exactly the levels the converse says they can
+        for i in [lvl for lvl in out if converse_allows(p, lvl)]:
             del out[i]
     else:
         if state:

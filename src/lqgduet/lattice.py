@@ -1,5 +1,6 @@
-"""Scalar quantizer pair, Gaussian tail brackets, and the (d, w, o)
-approximate comb-lattice calculus.
+"""Scalar quantizer, Gaussian tail brackets, and the parts of the (d, w, o)
+approximate comb-lattice model that the signaling bound du1 uses: the
+outage rate of a Gaussian (gaussian_comb) and the two tail series.
 
 A claim ``X <= (d, w, o)`` means: except with probability at most o, X lies
 in one of the width-w boxes centered on the spacing-d lattice points,
@@ -61,11 +62,6 @@ def _quantize_unchecked(step, y, out=None):
     return np.multiply(q, step, out)
 
 
-def remainder(step, y):
-    """y - quantize(step, y), in [-step/2, step/2)."""
-    return y - quantize(step, y)
-
-
 def _q_tail_upper_pos(x):
     """Upper tail bracket exp(-x^2/2)/(sqrt(2 pi) x) for x > 0."""
     return _INV_SQRT_2PI / x * np.exp(-0.5 * x * x)
@@ -123,21 +119,6 @@ class CombBound:
             raise ValueError("finite spacing requires d > w")
         if not 0 <= self.o <= 1:
             raise ValueError("o must be in [0, 1]")
-
-
-def comb_add(b1: CombBound, b2: CombBound) -> CombBound:
-    """Sum rule: X1 <= (d, w1, o1) and X2 <= (d or inf, w2, o2) gives
-    X1 + X2 <= (d, w1 + w2, o1 + o2)."""
-    if math.isfinite(b2.d) and b2.d != b1.d:
-        raise ValueError("incompatible finite spacings")
-    return CombBound(b1.d, b1.w + b2.w, min(1.0, b1.o + b2.o))
-
-
-def comb_scale(k: float, b: CombBound) -> CombBound:
-    """Scaling rule: k X <= (k d, k w, o) for k > 0."""
-    if k <= 0:
-        raise ValueError("k must be > 0")
-    return CombBound(k * b.d, k * b.w, b.o)
 
 
 def gaussian_comb(w: float, sigma: float) -> CombBound:
@@ -228,10 +209,10 @@ def comb_miss_terms(i, d, w, sigma, scale):
         * q_tail(((2 * i - 1) * d - w) / (2.0 * sigma))
 
 
-def comb_outage_terms(i, d, sigma, scale=1.0):
-    """Terms scale (i d + d/2)^2 Q((i-1) d / sigma) of comb_outage_series;
+def comb_outage_terms(i, d, sigma):
+    """Terms (i d + d/2)^2 Q((i-1) d / sigma) of comb_outage_series;
     broadcasts like comb_miss_terms."""
-    return scale * (i * d + d / 2) ** 2 * q_tail((i - 1) * d / sigma)
+    return (i * d + d / 2) ** 2 * q_tail((i - 1) * d / sigma)
 
 
 def comb_miss_series(d: float, w: float, sigma: float,
@@ -244,29 +225,7 @@ def comb_miss_series(d: float, w: float, sigma: float,
     return truncated_sum(lambda i: comb_miss_terms(i, d, w, sigma, scale))
 
 
-def comb_outage_series(d: float, sigma: float, scale: float = 1.0) -> float:
+def comb_outage_series(d: float, sigma: float) -> float:
     """The same cost for an outage point, anywhere in its cell:
-    sum_{i>=1} scale (i d + d/2)^2 Q((i-1) d / sigma)."""
-    return truncated_sum(lambda i: comb_outage_terms(i, d, sigma, scale))
-
-
-def quantized_mmse_bound(b: CombBound, residual_msq: float,
-                         sigma: float) -> float:
-    """Upper bound on E[(X - Q_d(X + V))^2] for X on the (d, w, o) comb and
-    an independent perturbation V of standard deviation <= sigma.
-
-    residual_msq must upper-bound E[(X - Q_d(X))^2].  The bound is
-
-        residual_msq + comb_miss_series(d, w, sigma, 2)
-        + o comb_outage_series(d, sigma, 2).
-    """
-    if not math.isfinite(b.d):
-        raise ValueError("requires a finite lattice spacing")
-    if b.d <= b.w:
-        raise ValueError("requires d > w")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    total = residual_msq + comb_miss_series(b.d, b.w, sigma, 2.0)
-    if b.o > 0:
-        total += b.o * comb_outage_series(b.d, sigma, 2.0)
-    return total
+    sum_{i>=1} (i d + d/2)^2 Q((i-1) d / sigma)."""
+    return truncated_sum(lambda i: comb_outage_terms(i, d, sigma))

@@ -141,8 +141,8 @@ class SimConfig:
     def __post_init__(self):
         if not (self.horizon > self.burn_in >= 0):
             raise ValueError("require horizon > burn_in >= 0")
-        if not 1 <= self.trials < MAX_TRIALS:
-            raise ValueError(f"trials must be in [1, {MAX_TRIALS})")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS}]")
 
 
 @dataclass(frozen=True)

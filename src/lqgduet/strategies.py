@@ -57,16 +57,16 @@ class StrategySpec:
         if self.variant not in ("zero", "linbb", "linkal", "sig"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant in ("linbb", "linkal"):
-            if self.controller not in (1, 2):
-                raise ValueError("controller must be 1 or 2")
+            if not _is_int(self.controller) or self.controller not in (1, 2):
+                raise ValueError("controller must be the integer 1 or 2")
         if self.variant == "linkal":
             if self.k is None or not math.isfinite(self.k):
                 raise ValueError("linkal requires a finite gain k")
         if self.variant == "sig":
-            if self.s is None or self.s < 1:
-                raise ValueError("sig requires s >= 1")
-            if self.d is None or self.d <= 0:
-                raise ValueError("sig requires d > 0")
+            if not _is_int(self.s) or self.s < 1:
+                raise ValueError("sig requires an integer s >= 1")
+            if self.d is None or not 0 < self.d < math.inf:
+                raise ValueError("sig requires a finite d > 0")
 
     @property
     def label(self) -> str:
@@ -91,9 +91,15 @@ class StrategySpec:
         return out
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def parse_strategy(text: Union[str, dict]) -> StrategySpec:
     """Parse a strategy from a shorthand string ('zero', 'linbb1', 'linbb2')
-    or a JSON object/string like {"type": "sig", "s": 1, "d": 0.5}."""
+    or a JSON object/string like {"type": "sig", "s": 1, "d": 0.5}.  Raises
+    ValueError on a spec that is not an object or has no "type"."""
     if isinstance(text, str):
         t = text.strip()
         if t.startswith("{"):
@@ -105,7 +111,10 @@ def parse_strategy(text: Union[str, dict]) -> StrategySpec:
         else:
             raise ValueError(f"unknown strategy shorthand {text!r}")
     else:
-        obj = dict(text)
+        obj = text
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise ValueError('a strategy spec must be an object with a "type"')
+    obj = dict(obj)
     variant = obj.pop("type")
     return StrategySpec(variant, **obj)
 

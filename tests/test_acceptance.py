@@ -16,9 +16,9 @@ from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, appendix_region_checks,
                                certify_grid, prop1_divergence,
                                strong_grid_params, weak_grid_params)
 from lqgduet.detmodel import DetParams, det_witsen, steady_upper_level
-from lqgduet.lattice import (CombBound, comb_add, gaussian_comb, q_tail,
-                             q_tail_lower, q_tail_upper, quantize,
-                             quantized_mmse_bound, remainder)
+from lqgduet.lattice import (comb_miss_series, comb_outage_series,
+                             gaussian_comb, q_tail, q_tail_lower,
+                             q_tail_upper, quantize)
 from lqgduet.simulator import SimConfig, run
 from lqgduet.strategies import StrategySpec
 
@@ -168,21 +168,23 @@ def test_acceptance_7_lattice_property_suite():
     ident_ok = True
     for step in (0.25, 1.0, 3.5):
         y = rng.uniform(-100, 100, 2000)
-        r = remainder(step, y)
+        r = y - quantize(step, y)
         ident_ok &= bool(np.all(quantize(step, y) + r == y))
         ident_ok &= bool(np.all((-step / 2 <= r) & (r < step / 2)))
 
-    # comb-sum membership: X1 on the comb, X2 bounded-width noise
+    # comb-sum membership: X1 <= (d, w1, 0) on the comb plus Gaussian X2 <=
+    # (inf, w2, o2) lies on (d, w1 + w2, 0 + o2), the sum rule
     d, w1, w2 = 8.0, 1.0, 0.5
-    b = comb_add(CombBound(d, w1, 0.0),
-                 CombBound(math.inf, w2, 2 * q_tail(2.0)))
+    sigma2 = w2 / 4.0  # so the overflow probability is 2 Q(2)
+    noise = gaussian_comb(w2, sigma2)
+    w, o = w1 + noise.w, min(1.0, 0.0 + noise.o)
     x1 = rng.integers(-4, 5, 500_000) * d + rng.uniform(-w1 / 2, w1 / 2,
                                                         500_000)
-    sigma2 = w2 / 4.0  # so the overflow probability is 2 Q(2)
     x2 = rng.normal(0, sigma2, 500_000)
-    dist = np.abs(remainder(d, x1 + x2))
-    emp_out = float(np.mean(dist > b.w / 2))
-    comb_ok = emp_out <= b.o * 1.05
+    y = x1 + x2
+    dist = np.abs(y - quantize(d, y))
+    emp_out = float(np.mean(dist > w / 2))
+    comb_ok = noise.o == 2 * q_tail(2.0) and emp_out <= o * 1.05
 
     # tail brackets on a 200-point grid
     x = np.linspace(0.1, 40.0, 200)
@@ -200,7 +202,8 @@ def test_acceptance_7_lattice_property_suite():
              (3.0, 1.0, 0.0, 0.4), (5.0, 2.0, 0.01, 1.0)]
     for (d, w, o, sigma) in cases:
         residual = (w / 2) ** 2 + o * (d / 2) ** 2
-        bound = quantized_mmse_bound(CombBound(d, w, o), residual, sigma)
+        bound = residual + comb_miss_series(d, w, sigma, 2.0) \
+            + o * 2.0 * comb_outage_series(d, sigma)
         idx = rng.integers(-5, 6, n)
         xs = idx * d + rng.uniform(-w / 2, w / 2, n)
         out = rng.random(n) < o

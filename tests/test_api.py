@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -56,3 +57,43 @@ def test_benchmark_counts_the_normals_drawn():
     from lqgduet.simulator import counter_normals
     count = hooks["simulator", "counter_normals"]
     assert count(counter_normals(0, 3, 5, 9, 1)) == 4 * 3
+
+
+SRC = Path(lqgduet.__file__).resolve().parent
+
+#: top-level names kept in src without a caller there, each for a reason
+NO_CALLER_ALLOWED = {
+    "lqr_gain": "perfbench builds its linkal specs with it",
+    "q_tail_lower": "tail bracket for the planned sound du1 tail",
+    "q_tail_upper": "tail bracket for the planned sound du1 tail",
+    "appendix_region_checks": "acceptance 5's entry point",
+}
+
+
+def _unreferenced_src_names():
+    """Top-level functions and classes of src/lqgduet that no name or
+    attribute in src refers to outside their own definition."""
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for k, stmt in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, k, stmt.name))
+            used.append((path.stem, k, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))}))
+    return [f"{mod}.{name}" for mod, k, name in defined
+            if not any(name in names for m, j, names in used
+                       if (m, j) != (mod, k))]
+
+
+def test_src_defines_nothing_only_tests_use():
+    # a function or class that only tests call belongs in the tests
+    from lqgduet.cli import cli
+    tracer = _load_tracer()
+    exempt = set(lqgduet.__all__) | set(NO_CALLER_ALLOWED) \
+        | {name for _, name, _ in tracer.FUNCTIONS} \
+        | {cls for _, cls, _ in tracer.METHODS} \
+        | {cmd.callback.__name__ for cmd in cli.commands.values()}
+    assert [name for name in _unreferenced_src_names()
+            if name.split(".")[1] not in exempt] == []

@@ -10,7 +10,7 @@ from lqgduet.certifier import (default_weight_grid, strong_grid_params,
 from lqgduet.core import ProblemParams, TradeoffPoint, classify
 from lqgduet.bounds_upper import (D_GRID_HI, D_GRID_LO, D_GRID_POINTS,
                                   W1_REFINE, SigDesign, UpperBoundEvaluator,
-                                  UpperResult, appendix_design, du1,
+                                  UpperResult, du1,
                                   linbb_bound, optimize_upper,
                                   simplified_bracket, simplified_upper,
                                   sweep_labels, upper_envelope_D)
@@ -120,13 +120,16 @@ def test_appendix_design_matches_power():
     p = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=a)
     lo, hi = simplified_bracket(p, 1)
     P = math.sqrt(lo * hi)
-    des = appendix_design(p, 1, P)
+    # the appendix's design pairing behind the simplified envelope:
+    # d = sqrt(320000 P / a^2), so that P1 = a^2 d^2 / 4 = 80000 P, and
+    # w1 = |a|^s d / 6
+    d = math.sqrt(320000.0 * P / (a * a))
+    des = SigDesign(1, d, a * d / 6.0)
     des.check(a)
-    assert des.d == pytest.approx(math.sqrt(320000 * P) / a)
-    assert des.w1 == pytest.approx(a * des.d / 6)
     # the analytic triple of the concrete design is dominated by the
     # closed-form envelope componentwise
     pt = du1(p, des)
+    assert pt.P1 == pytest.approx(80000 * P)
     env = simplified_upper(p, 1, P)
     assert pt.D <= env.D
     assert pt.P1 <= env.P1
@@ -493,9 +496,9 @@ def test_du1_outcomes_match_du1_on_a_non_finite_term(monkeypatch):
     step = abs(p.a) ** target.s * target.d
     real_terms = lattice.comb_outage_terms
 
-    def terms_with_inf(i, d, sigma, scale=1.0):
+    def terms_with_inf(i, d, sigma):
         return np.where(np.asarray(d) == step, np.inf,
-                        real_terms(i, d, sigma, scale))
+                        real_terms(i, d, sigma))
 
     monkeypatch.setattr(lattice, "comb_outage_terms", terms_with_inf)
     monkeypatch.setattr(bounds_upper, "comb_outage_terms", terms_with_inf)

@@ -195,3 +195,20 @@ def test_prop1_ratio_of_ratios_closed_form():
 def test_prop1_rejects_small_a():
     with pytest.raises(ValueError):
         prop1_divergence([100.0])
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_prop1_rejects_non_finite_a(a):
+    # NaN passed the a >= 1e4 check and printed a nan row; inf a NaN ratio
+    with pytest.raises(ValueError, match="finite"):
+        prop1_divergence([1e4, a])
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -5.0])
+def test_certify_point_rejects_caps_outside_the_domain(cap):
+    p = weak_grid_params()[0]
+    with pytest.raises(ValueError, match="cap must be > 0"):
+        certify_point(p, cap)
+    # an infinite cap passes every finite ratio
+    rep = certify_point(p, math.inf)
+    assert rep.passed and rep.cap == math.inf

@@ -10,7 +10,7 @@ import lqgduet
 from lqgduet.bounds_lower import LowerBoundEvaluator, lower_weighted_cost
 from lqgduet.bounds_upper import optimize_upper
 from lqgduet.cli import CERTIFY_COLUMNS, CSV_COLUMNS, SWEEP_COLUMNS, \
-    UPPER_COLUMNS, cli
+    UPPER_COLUMNS, cli, main
 from lqgduet.core import ProblemParams
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -283,3 +283,38 @@ def test_missing_output_directory_is_config_error(tmp_path):
                      str(tmp_path / "missing" / "upper.csv")])
     assert out.returncode == 1, out.stderr
     assert "output directory does not exist" in out.stderr, out.stderr
+
+
+
+def _sim(spec):
+    return ["simulate", "--a", "3", "--horizon", "100", "--trials", "2",
+            "--strategy", spec]
+
+
+@pytest.mark.parametrize("args, message", [
+    (_sim('{"s": 1}'), '"type"'),
+    (_sim('{"type": "sig", "s": 1.5, "d": 1.0}'), "integer s"),
+    (_sim('{"type": "sig", "s": true, "d": 1.0}'), "integer s"),
+    (_sim('{"type": "sig", "s": 1, "d": NaN}'), "finite d"),
+    # |a|^s d overflows: caught where the strategy is built against p
+    (_sim('{"type": "sig", "s": 1000, "d": 1.0}'), "|a|^s d = inf"),
+    (_sim('{"type": "linbb", "controller": true}'), "controller"),
+    (["prop1", "--a", "1e4,nan"], "finite"),
+    (["prop1", "--a", "inf"], "finite"),
+    (["certify", "--regime", "weak", "--cap", "nan"], "cap must be > 0"),
+    (["certify", "--regime", "weak", "--cap", "-5"], "cap must be > 0"),
+    (["detmodel", "--steps", "0"], "--steps"),
+    (["upper", "--a", "4", "--output", os.path.dirname(__file__)],
+     "cannot write"),
+])
+def test_rejected_input_is_one_error_line(monkeypatch, capsys, args,
+                                          message):
+    # main() in this process: a traceback would be an exception other than
+    # SystemExit and fail the test
+    monkeypatch.setattr(sys, "argv", ["lqgduet", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == "", out
+    line, = out.err.splitlines()
+    assert line.startswith("error: ") and message in line, line

@@ -80,6 +80,14 @@ def test_converse_levels_cannot_be_cancelled():
     assert converse_allows(p, 3)
 
 
+def test_optimal_cancels_exactly_what_the_converse_allows(monkeypatch):
+    # det_step's Optimal branch states no rule of its own: with the converse
+    # admitting nothing, nothing is cancelled and the top climbs a' a step
+    from lqgduet import detmodel
+    monkeypatch.setattr(detmodel, "converse_allows", lambda p, lvl: False)
+    assert run_det(DetParams(), "Optimal", 5) == [0, 2, 4, 6, 8]
+
+
 def test_two_stage_cancellation():
     assert det_witsen() == -math.inf
 

@@ -7,11 +7,11 @@ from scipy.special import erfc
 
 from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
                              SERIES_MAX_TERMS, SERIES_REL_TOL, CombBound,
-                             SeriesNonConvergent, comb_add, comb_miss_series,
+                             SeriesNonConvergent, comb_miss_series,
                              comb_miss_terms, comb_outage_series,
-                             comb_outage_terms, comb_scale, gaussian_comb,
-                             q_tail, q_tail_lower, q_tail_upper, quantize,
-                             quantized_mmse_bound, remainder, truncated_sum)
+                             comb_outage_terms, gaussian_comb, q_tail,
+                             q_tail_lower, q_tail_upper, quantize,
+                             truncated_sum)
 
 # y expressed as a bounded multiple of the step, so the identities are not
 # drowned by float64 resolution at extreme y/step ratios
@@ -22,7 +22,7 @@ steps = st.floats(1e-6, 1e6, allow_nan=False)
 @given(steps, ratios)
 def test_remainder_range_and_reconstruction(step, ratio):
     y = ratio * step
-    r = remainder(step, y)
+    r = y - quantize(step, y)
     tol = 1e-9 * step
     assert -step / 2 - tol <= r < step / 2 + tol
     assert quantize(step, y) + r == pytest.approx(y, rel=1e-9, abs=1e-9)
@@ -38,7 +38,7 @@ def test_quantize_is_lattice_point(step, ratio):
 def test_quantize_tie_rounds_up():
     assert quantize(2.0, 1.0) == 2.0
     assert quantize(2.0, -1.0) == 0.0
-    assert remainder(2.0, 1.0) == -1.0
+    assert 1.0 - quantize(2.0, 1.0) == -1.0
 
 
 def test_quantize_rejects_nonpositive_step():
@@ -118,22 +118,6 @@ def test_q_tail_bracket_on_grid():
     assert np.all(q <= hi * (1 + 1e-12))
 
 
-def test_comb_add_and_scale():
-    b = comb_add(CombBound(4.0, 1.0, 0.1), CombBound(math.inf, 0.5, 0.05))
-    assert (b.d, b.w, b.o) == (4.0, 1.5, 0.15000000000000002)
-    b2 = comb_scale(2.0, b)
-    assert (b2.d, b2.w, b2.o) == (8.0, 3.0, b.o)
-    with pytest.raises(ValueError):
-        comb_add(CombBound(4.0, 1.0, 0.0), CombBound(3.0, 0.5, 0.0))
-    with pytest.raises(ValueError):
-        comb_scale(-1.0, b)
-
-
-def test_comb_outage_saturates():
-    b = comb_add(CombBound(4.0, 1.0, 0.9), CombBound(math.inf, 0.5, 0.9))
-    assert b.o == 1.0
-
-
 def test_comb_width_validation():
     with pytest.raises(ValueError):
         CombBound(1.0, 2.0, 0.0)
@@ -144,15 +128,6 @@ def test_gaussian_comb():
     assert math.isinf(b.d)
     assert b.o == pytest.approx(2 * q_tail(1.0))
     assert gaussian_comb(1.0, 0.0).o == 0.0
-
-
-@given(st.floats(0.5, 10), st.floats(0.5, 10))
-def test_comb_add_commutes_in_width_and_outage(w1, w2):
-    d = 100.0
-    b1 = comb_add(CombBound(d, w1, 0.01), CombBound(math.inf, w2, 0.02))
-    b2 = comb_add(CombBound(d, w2, 0.02), CombBound(math.inf, w1, 0.01))
-    assert b1.w == pytest.approx(b2.w)
-    assert b1.o == pytest.approx(b2.o)
 
 
 def test_truncated_sum_geometric():
@@ -197,7 +172,7 @@ def _series_cases():
         cases.append((f"miss-{sigma}", lambda i, d=d, w=w, sigma=sigma,
                       scale=scale: comb_miss_terms(i, d, w, sigma, scale)))
         cases.append((f"outage-{sigma}", lambda i, d=d, sigma=sigma,
-                      scale=scale: comb_outage_terms(i, d, sigma, scale)))
+                      scale=scale: scale * comb_outage_terms(i, d, sigma)))
     cases.append(("inf at 700", lambda i: np.where(i == 700, np.inf,
                                                    1.0 / i ** 1.5)))
     cases.append(("nan at 3", lambda i: np.where(i == 3, np.nan, 0.5 ** i)))
@@ -270,28 +245,29 @@ def test_comb_series_match_extended_precision(d, w, sigma, scale):
                                      [1, mpmath.inf])
     assert comb_miss_series(d, w, sigma, scale) \
         == pytest.approx(float(miss), rel=1e-11)
-    assert comb_outage_series(d, sigma, scale) \
+    assert scale * comb_outage_series(d, sigma) \
         == pytest.approx(float(outage), rel=1e-11)
 
 
 def test_comb_outage_series_noiseless_limit():
-    # only the i = 1 term, scale (3d/2)^2 Q(0), survives
-    assert comb_outage_series(2.0, 1e-3, 3.0) == 3.0 * 3.0 ** 2 * 0.5
+    # only the i = 1 term, (3d/2)^2 Q(0), survives
+    assert comb_outage_series(2.0, 1e-3) == 3.0 ** 2 * 0.5
+
+
+def quantized_mmse_bound(d, w, o, residual_msq, sigma):
+    """Upper bound on E[(X - Q_d(X + V))^2] for X on the (d, w, o) comb and
+    an independent perturbation V of standard deviation <= sigma, from the
+    two tail series; residual_msq must upper-bound E[(X - Q_d(X))^2]."""
+    return residual_msq + comb_miss_series(d, w, sigma, 2.0) \
+        + o * 2.0 * comb_outage_series(d, sigma)
 
 
 def test_quantized_mmse_bound_oracle_values():
     # frozen from an independent extended-precision evaluation
-    assert quantized_mmse_bound(CombBound(4.0, 1.0, 0.01), 2.0, 1.0) \
+    assert quantized_mmse_bound(4.0, 1.0, 0.01, 2.0, 1.0) \
         == pytest.approx(5.0657577378641967, rel=1e-12)
-    assert quantized_mmse_bound(CombBound(2.0, 0.5, 0.0), 0.3, 0.7) \
+    assert quantized_mmse_bound(2.0, 0.5, 0.0, 0.3, 0.7) \
         == pytest.approx(1.7391758836606342, rel=1e-12)
-
-
-def test_quantized_mmse_bound_validation():
-    with pytest.raises(ValueError):
-        quantized_mmse_bound(CombBound(math.inf, 1.0, 0.0), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        quantized_mmse_bound(CombBound(2.0, 0.5, 0.0), 0.1, 0.0)
 
 
 def _mc_quantizer_error(d, w, o, sigma, n, seed):
@@ -311,7 +287,7 @@ def _mc_quantizer_error(d, w, o, sigma, n, seed):
     (4.0, 1.0, 0.0, 0.8), (4.0, 1.0, 0.05, 0.8), (2.0, 0.2, 0.0, 0.5),
 ])
 def test_quantized_mmse_bound_dominates_mc(d, w, o, sigma):
-    bound = quantized_mmse_bound(CombBound(d, w, o), (w / 2) ** 2 + o
-                                 * (d / 2) ** 2, sigma)
+    bound = quantized_mmse_bound(d, w, o, (w / 2) ** 2 + o * (d / 2) ** 2,
+                                 sigma)
     mc = _mc_quantizer_error(d, w, o, sigma, 200_000, 7)
     assert mc <= bound

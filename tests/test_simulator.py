@@ -98,11 +98,11 @@ def test_sim_config_validation():
         SimConfig(horizon=10, burn_in=10)
     with pytest.raises(ValueError):
         SimConfig(trials=0)
-    # the trial index has 20 bits in the noise counter; trial 2^20 would
-    # replay trial 0's stream one step later
-    with pytest.raises(ValueError):
-        SimConfig(trials=2 ** 20)
-    assert SimConfig(trials=2 ** 20 - 1).trials == 2 ** 20 - 1
+    # the trial index has 20 bits in the noise counter: trials 0 ... 2^20 - 1
+    # fit, and trial 2^20 would replay trial 0's stream one step later
+    with pytest.raises(ValueError, match=r"\[1, 1048576\]"):
+        SimConfig(trials=2 ** 20 + 1)
+    assert SimConfig(trials=2 ** 20).trials == simulator.MAX_TRIALS
 
 
 def test_run_reproducible():

@@ -6,7 +6,7 @@ import pytest
 
 from lqgduet import strategies
 from lqgduet.core import ProblemParams
-from lqgduet.lattice import quantize, remainder
+from lqgduet.lattice import quantize
 from lqgduet.strategies import (LinBB, LinKal, Sig, StrategySpec, ZeroInput,
                                 lqr_gain, make_strategy, parse_strategy)
 
@@ -39,6 +39,29 @@ def test_spec_validation():
         StrategySpec("linbb", controller=3)
     with pytest.raises(ValueError):
         StrategySpec("linkal", controller=1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"variant": "sig", "s": 1.5, "d": 1.0},
+    {"variant": "sig", "s": True, "d": 1.0},
+    {"variant": "sig", "s": 1, "d": math.nan},
+    {"variant": "sig", "s": 1, "d": math.inf},
+    {"variant": "linbb", "controller": True},
+    {"variant": "linkal", "controller": 1.0, "k": 1.0},
+])
+def test_spec_rejects_non_integer_counts_and_non_finite_steps(fields):
+    with pytest.raises(ValueError):
+        StrategySpec(**fields)
+
+
+def test_spec_accepts_numpy_integers():
+    assert StrategySpec("sig", s=np.int64(2), d=1.0).label == "sig2"
+
+
+@pytest.mark.parametrize("obj", [{"s": 1}, [1], 3])
+def test_parse_rejects_specs_without_a_type(obj):
+    with pytest.raises(ValueError, match="type"):
+        parse_strategy(obj)
 
 
 def test_labels():
@@ -182,7 +205,7 @@ class _RefLinKal:
 
 class _RefSig:
     """Sig.step before the in-place rewrite, through the validated
-    quantize/remainder on every call."""
+    quantize on every call (remainders as y - quantize(step, y))."""
 
     def __init__(self, a, s, d, n):
         self.a, self.s, self.d = a, s, d
@@ -191,11 +214,11 @@ class _RefSig:
         self.hist, self.pos = np.zeros((s, n)), 0
 
     def step(self, y1, y2):
-        u1 = -self.a * remainder(self.d, y1)
+        u1 = -self.a * (y1 - quantize(self.d, y1))
         acc = np.zeros(self.hist.shape[1])
         for i in range(1, self.s + 1):
             acc += self.weights[i - 1] * self.hist[(self.pos - i) % self.s]
-        m = remainder(self.big_step, acc)
+        m = acc - quantize(self.big_step, acc)
         u2 = -self.a * (quantize(self.big_step, y2 - m) + m)
         self.hist[self.pos % self.s] = u2
         self.pos += 1
