@@ -15,8 +15,8 @@ import numpy as np
 from .bounds_lower import SIG_DECAY_COEF, RegionPartition
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
     check_weights, classify, noise_floor
-from .lattice import SeriesNonConvergent, comb_miss_series, \
-    comb_miss_terms, comb_outage_series, comb_outage_terms, gaussian_comb, \
+from .lattice import SERIES_GUARD_TERMS, SERIES_MAX_TERMS, \
+    SeriesNonConvergent, comb_miss_terms, comb_outage_terms, gaussian_comb, \
     truncated_sum
 from .strategies import StrategySpec
 
@@ -70,61 +70,14 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
 
         (D, a^2 d^2 / 4, 8 a^2 D + (7/2) a^{2(s+1)} d^2 + 4 a^2 sv2^2)
 
-    with D the four-line disturbance bound.  Its tail series are
-    comb_miss_series (each term scaled by 4 a^2) and comb_outage_series on
-    the coarse comb (|a|^s d, B) under noise sv2, and its outage rate is
-    gaussian_comb(w1, spread).
-
-    The one evaluation of a design: raises ValueError on an infeasible
-    design and SeriesNonConvergent when a tail series fails its guard.
-    du1_outcomes gives the same triples for many designs at once.
+    with D the four-line disturbance bound.  Raises ValueError on an
+    infeasible design and SeriesNonConvergent when a tail series fails its
+    guard.  The one-design case of du1_outcomes' batch evaluation.
     """
-    step, B, line1, o1 = _du1_prelude(p, design)
-    sv2 = math.sqrt(p.sigmav2_sq)
-    if sv2 > 0:
-        A = abs(p.a)
-        series1 = comb_miss_series(step, B, sv2, 4.0 * (A * A))
-        series2 = comb_outage_series(step, sv2)
-    else:
-        series1, series2 = _noiseless_series(step)
-    return _du1_point(p, design, line1, o1, series1, series2)
-
-
-def _du1_prelude(p: ProblemParams, design: SigDesign):
-    """du1's parts before its tail series: the coarse comb's spacing and
-    width (step, B), the first line of D, and the outage rate o1."""
-    design.check(p.a)
-    A = abs(p.a)
-    s, d, w1 = design.s, design.d, design.w1
-    A2 = A * A
-    A2s = A ** (2 * s)
-    step = A ** s * d
-    B = A ** (s - 1) * d * A / (A - 1) + w1
-    line1 = 2.0 * A2s * (2.0 * (d / 2) ** 2 * (1.0 / (1.0 - 1.0 / A)) ** 2
-                         + 2.0 / (1.0 - 1.0 / A2) + 2.0 * A2 * p.sigmav1_sq)
-    spread = math.sqrt(A ** (2 * (s - 1)) * A2 / (A2 - 1)
-                       + A2s * p.sigmav1_sq)
-    return step, B, line1, gaussian_comb(w1, spread).o
-
-
-def _noiseless_series(step: float) -> Tuple[float, float]:
-    """du1's tail series at sv2 = 0: only the outage series' i = 1 term
-    survives (Q(0) = 1/2)."""
-    return 0.0, (1.5 * step) ** 2 * 0.5
-
-
-def _du1_point(p: ProblemParams, design: SigDesign, line1: float,
-               o1: float, series1: float, series2: float) -> TradeoffPoint:
-    """du1's triple from its prelude and its two tail series."""
-    A = abs(p.a)
-    s, d = design.s, design.d
-    A2 = A * A
-    D = line1 + series1 + 4.0 * A2 * o1 * series2 \
-        + 2.0 * A2 * (d / 2) ** 2 + 1.0
-    P1 = A2 * d * d / 4.0
-    P2 = 8.0 * A2 * D + 3.5 * A ** (2 * (s + 1)) * d * d \
-        + 4.0 * A2 * p.sigmav2_sq
-    return TradeoffPoint(D, P1, P2)
+    out, = _du1_rows(p, [design])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def linbb_bound(p: ProblemParams, controller: int) -> TradeoffPoint:
@@ -213,59 +166,98 @@ def _sig_candidates(p: ProblemParams, s: int) -> List[SigDesign]:
 _FAILURES = (SeriesNonConvergent, ValueError, OverflowError)
 
 
-def _eval_design(p: ProblemParams, design: SigDesign) -> Outcome:
-    try:
-        return du1(p, design)
-    except _FAILURES as exc:
-        return type(exc).__name__
+def _du1_rows(p: ProblemParams, designs: Sequence[SigDesign]
+              ) -> List[Union[TradeoffPoint, Exception]]:
+    """Each design's du1 triple, or the exception du1 raises for it.
+
+    A design's coarse comb has spacing step = |a|^s d and width
+    B = |a|^{s-1} d |a|/(|a|-1) + w1, and its outage rate o1 is
+    gaussian_comb(w1, spread).  D's two tail series on that comb under
+    noise sv2 are summed for all designs as the rows of one truncated_sum
+    each: the miss series of comb_miss_terms, each term scaled by 4 a^2,
+    then the outage series of comb_outage_terms.  A row's sum does not
+    depend on the rows beside it.
+    """
+    A = abs(p.a)
+    A2 = A * A
+    sv2 = math.sqrt(p.sigmav2_sq)
+    outs: list = [None] * len(designs)
+    parts = []
+    for k, design in enumerate(designs):
+        s, d, w1 = design.s, design.d, design.w1
+        try:
+            design.check(p.a)
+            A2s = A ** (2 * s)
+            step = A ** s * d
+            B = A ** (s - 1) * d * A / (A - 1) + w1
+            line1 = 2.0 * A2s * (2.0 * (d / 2) ** 2
+                                 * (1.0 / (1.0 - 1.0 / A)) ** 2
+                                 + 2.0 / (1.0 - 1.0 / A2)
+                                 + 2.0 * A2 * p.sigmav1_sq)
+            spread = math.sqrt(A ** (2 * (s - 1)) * A2 / (A2 - 1)
+                               + A2s * p.sigmav1_sq)
+            o1 = gaussian_comb(w1, spread).o
+        except _FAILURES as exc:
+            outs[k] = exc
+            continue
+        parts.append((k, step, B, line1, o1))
+    if not parts:
+        return outs
+    rows, steps, Bs, line1s, o1s = zip(*parts)
+    if sv2 > 0:
+        step, B = np.array(steps)[:, None], np.array(Bs)[:, None]
+        series1, failed = truncated_sum(
+            lambda i, live: comb_miss_terms(i, step[live], B[live], sv2,
+                                            4.0 * A2), len(rows))
+        # the outage series only where the miss series settled
+        ok = np.flatnonzero(~failed)
+        series2 = np.full(len(rows), math.nan)
+        if ok.size:
+            series2[ok], failed[ok] = truncated_sum(
+                lambda i, live: comb_outage_terms(i, step[ok[live]], sv2),
+                ok.size)
+    else:
+        # only the outage series' i = 1 term survives (Q(0) = 1/2)
+        series1 = [0.0] * len(rows)
+        series2 = [(1.5 * step) ** 2 * 0.5 for step in steps]
+        failed = [False] * len(rows)
+    for j, k in enumerate(rows):
+        if failed[j]:
+            outs[k] = SeriesNonConvergent(
+                f"series term not decreasing after {SERIES_GUARD_TERMS} "
+                f"terms, or no convergence in {SERIES_MAX_TERMS} terms")
+            continue
+        s, d = designs[k].s, designs[k].d
+        try:
+            D = line1s[j] + float(series1[j]) \
+                + 4.0 * A2 * o1s[j] * float(series2[j]) \
+                + 2.0 * A2 * (d / 2) ** 2 + 1.0
+            outs[k] = TradeoffPoint(
+                D, A2 * d * d / 4.0,
+                8.0 * A2 * D + 3.5 * A ** (2 * (s + 1)) * d * d
+                + 4.0 * A2 * p.sigmav2_sq)
+        except _FAILURES as exc:
+            outs[k] = exc
+    return outs
 
 
 def du1_outcomes(p: ProblemParams,
                  designs: Sequence[SigDesign]) -> List[Outcome]:
     """Each design's du1 outcome, its triple or the name of the exception
-    du1 raises, with the tail series of all designs summed as rows of one
-    array evaluation.  du1's prelude and epilogue run per design on the
-    same floats, so every triple is du1's bit for bit.  A design the
-    batch does not settle (its prelude or epilogue raises, or a series
-    fails its guard) gets du1's own outcome."""
-    A = abs(p.a)
-    sv2 = math.sqrt(p.sigmav2_sq)
-    rows, parts = [], []
-    for k, design in enumerate(designs):
-        try:
-            parts.append(_du1_prelude(p, design))
-        except _FAILURES:
-            continue
-        rows.append(k)
-    outcomes: List[Optional[Outcome]] = [None] * len(designs)
-    if rows:
-        steps, Bs, line1s, o1s = zip(*parts)
-        if sv2 > 0:
-            step, B = np.array(steps)[:, None], np.array(Bs)[:, None]
-            series1, failed = truncated_sum(
-                lambda i, live: comb_miss_terms(i, step[live], B[live], sv2,
-                                                4.0 * (A * A)), len(rows))
-            # the outage series only where the miss series settled, as in
-            # du1, which stops at the first failure
-            ok = np.flatnonzero(~failed)
-            series2 = np.full(len(rows), math.nan)
-            series2[ok], failed[ok] = truncated_sum(
-                lambda i, live: comb_outage_terms(i, step[ok[live]], sv2),
-                ok.size)
-        else:
-            series1, series2 = zip(*map(_noiseless_series, steps))
-            failed = np.zeros(len(rows), dtype=bool)
-        for j, k in enumerate(rows):
-            if failed[j]:
-                continue
+    du1 raises.  One batch evaluation sums the tail series of all designs
+    as rows of one array; du1 is the same evaluation on one row, so every
+    triple is du1's bit for bit."""
+    outcomes: List[Outcome] = []
+    for design, out in zip(designs, _du1_rows(p, designs)):
+        if isinstance(out, Exception):
+            # evaluated once more through du1: perfbench counts failures
+            # as raised du1 spans (test_child_spans_fit_inside_their_parent)
             try:
-                outcomes[k] = _du1_point(p, designs[k], line1s[j], o1s[j],
-                                         float(series1[j]),
-                                         float(series2[j]))
-            except _FAILURES:
-                pass
-    return [_eval_design(p, design) if out is None else out
-            for design, out in zip(designs, outcomes)]
+                out = du1(p, design)
+            except _FAILURES as exc:
+                out = type(exc).__name__
+        outcomes.append(out)
+    return outcomes
 
 
 def sig_candidate_points(p: ProblemParams) -> List[Tuple[SigDesign,

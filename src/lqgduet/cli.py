@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional, Tuple
 
 import click
@@ -54,33 +55,48 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Optional[str], header_meta: dict, rows,
-               trailer: Optional[str] = None,
+@contextmanager
+def _output(path: str):
+    """The stream a command writes its CSV to: stdout for '-', else path.
+    Commands open it after checking their own arguments and before they
+    compute, so that an unwritable path fails at once.  The file is opened
+    for appending, which leaves an existing file as it was until
+    _write_csv truncates it; a file created here is removed again when the
+    command fails (an argument error that the computation finds)."""
+    if path == "-":
+        yield sys.stdout
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise click.UsageError(f"output directory does not exist: {parent}")
+    created = not os.path.exists(path)
+    try:
+        out = open(path, "a")
+    except OSError as e:
+        raise click.UsageError(f"cannot write {path}: {e.strerror}")
+    with out:
+        try:
+            yield out
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
+
+
+def _write_csv(out, header_meta: dict, rows, trailer: Optional[str] = None,
                columns: Tuple[str, ...] = CSV_COLUMNS) -> None:
     """Write '# key=value' metadata lines, the CSV header, one line per row
-    dict and an optional trailer line to path ('-' or None for stdout)."""
-    if path is None or path == "-":
-        out = sys.stdout
-    else:
-        parent = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(parent):
-            raise click.UsageError(
-                f"output directory does not exist: {parent}")
-        try:
-            out = open(path, "w")
-        except OSError as e:
-            raise click.UsageError(f"cannot write {path}: {e.strerror}")
-    try:
-        for key, val in header_meta.items():
-            out.write(f"# {key}={_fmt(val)}\n")
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
-        if trailer is not None:
-            out.write(trailer + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    dict and an optional trailer line to the stream of _output, replacing
+    what a file held before."""
+    if out is not sys.stdout:
+        out.truncate(0)
+    for key, val in header_meta.items():
+        out.write(f"# {key}={_fmt(val)}\n")
+    out.write(",".join(columns) + "\n")
+    for row in rows:
+        out.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+    if trailer is not None:
+        out.write(trailer + "\n")
 
 
 def _param_cells(p: ProblemParams) -> dict:
@@ -157,16 +173,17 @@ def simulate(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, strategy, horizon,
                         seed=_seed(seed))
     except (ValueError, json.JSONDecodeError, TypeError) as e:
         raise click.UsageError(str(e))
-    res = run(p, spec, cfg)
-    _write_csv(output, {"command": "simulate", "horizon": cfg.horizon,
-                        "burn_in": cfg.burn_in, "trials": cfg.trials,
-                        "seed": cfg.seed,
-                        "strategy_json": json.dumps(spec.to_json())},
-               [{**_param_cells(p), "strategy": spec.label, "s": spec.s,
-                 "d": spec.d, "k": spec.k, "D": res.avg_state_cost,
-                 "P1": res.avg_u1_power, "P2": res.avg_u2_power,
-                 "weighted": res.weighted_cost, "se_D": res.se_state,
-                 "se_P1": res.se_u1, "se_P2": res.se_u2}])
+    with _output(output) as out:
+        res = run(p, spec, cfg)
+        _write_csv(out, {"command": "simulate", "horizon": cfg.horizon,
+                         "burn_in": cfg.burn_in, "trials": cfg.trials,
+                         "seed": cfg.seed,
+                         "strategy_json": json.dumps(spec.to_json())},
+                   [{**_param_cells(p), "strategy": spec.label, "s": spec.s,
+                     "d": spec.d, "k": spec.k, "D": res.avg_state_cost,
+                     "P1": res.avg_u1_power, "P2": res.avg_u2_power,
+                     "weighted": res.weighted_cost, "se_D": res.se_state,
+                     "se_P1": res.se_u1, "se_P2": res.se_u2}])
     if res.unstable:
         sys.exit(2)
 
@@ -183,21 +200,23 @@ def sweep(a, l_min, l_max, l_steps, output):
     its cost, and the matching lower bound per l."""
     if l_steps < 2:
         raise click.UsageError("--l-steps must be >= 2")
-    try:
-        # a non-finite, or |a| <= 1, where no regime is defined
-        swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    lower_ev = LowerBoundEvaluator(swept[0]["params"])
-    rows = []
-    for row in swept:
-        p = row["params"]
-        rows.append({**_param_cells(p), "strategy": row["label"],
-                     "D": row["D"], "P1": row["P1"], "P2": row["P2"],
-                     "weighted": row["cost"],
-                     "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
-    _write_csv(output, {"command": "sweep", "l_min": l_min, "l_max": l_max,
-                        "l_steps": l_steps}, rows, columns=SWEEP_COLUMNS)
+    with _output(output) as out:
+        try:
+            # a non-finite, or |a| <= 1, where no regime is defined
+            swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
+        except ValueError as e:
+            raise click.UsageError(str(e))
+        lower_ev = LowerBoundEvaluator(swept[0]["params"])
+        rows = []
+        for row in swept:
+            p = row["params"]
+            rows.append({**_param_cells(p), "strategy": row["label"],
+                         "D": row["D"], "P1": row["P1"], "P2": row["P2"],
+                         "weighted": row["cost"],
+                         "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
+        _write_csv(out, {"command": "sweep", "l_min": l_min,
+                         "l_max": l_max, "l_steps": l_steps}, rows,
+                   columns=SWEEP_COLUMNS)
 
 
 @cli.command()
@@ -206,18 +225,19 @@ def sweep(a, l_min, l_max, l_steps, output):
 def upper(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
     """Best analytic achievable weighted cost and its strategy."""
     p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
-    try:
-        # the regime classification requires |a| > 1
-        res = optimize_upper(p)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    _write_csv(output, {"command": "upper"},
-               [{**_param_cells(p), "strategy": res.spec.label,
-                 "s": res.spec.s, "d": res.spec.d, "k": res.spec.k,
-                 "D": res.point.D, "P1": res.point.P1, "P2": res.point.P2,
-                 "weighted": res.cost,
-                 "w1": None if res.design is None else res.design.w1}],
-               columns=UPPER_COLUMNS)
+    with _output(output) as out:
+        try:
+            # the regime classification requires |a| > 1
+            res = optimize_upper(p)
+        except ValueError as e:
+            raise click.UsageError(str(e))
+        _write_csv(out, {"command": "upper"},
+                   [{**_param_cells(p), "strategy": res.spec.label,
+                     "s": res.spec.s, "d": res.spec.d, "k": res.spec.k,
+                     "D": res.point.D, "P1": res.point.P1,
+                     "P2": res.point.P2, "weighted": res.cost,
+                     "w1": None if res.design is None else res.design.w1}],
+                   columns=UPPER_COLUMNS)
 
 
 @cli.command()
@@ -226,9 +246,9 @@ def upper(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
 def lower(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
     """Converse lower bound on the weighted cost."""
     p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
-    val = lower_weighted_cost(p)
-    _write_csv(output, {"command": "lower"},
-               [{**_param_cells(p), "weighted": val}])
+    with _output(output) as out:
+        _write_csv(out, {"command": "lower"},
+                   [{**_param_cells(p), "weighted": lower_weighted_cost(p)}])
 
 
 @cli.command()
@@ -247,21 +267,23 @@ def certify(regime, cap, output):
         params += weak_grid_params()
     if regime in ("strong", "both"):
         params += strong_grid_params()
-    try:
-        reports = certify_grid(params, cap=cap)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    rows = [{**_param_cells(rep.params), "label": rep.case_label,
-             "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
-             "ratio": rep.ratio, "cap": rep.cap, "passed": int(rep.passed)}
-            for rep in reports]
-    n_pass = sum(r.passed for r in reports)
-    _write_csv(output, {"command": "certify", "regime": regime,
-                        "cap_weak": cap if cap is not None else CAP_WEAK,
-                        "cap_strong": cap if cap is not None else CAP_STRONG},
-               rows, columns=CERTIFY_COLUMNS,
-               trailer=f"# {'PASS' if n_pass == len(reports) else 'FAIL'}: "
-                       f"{n_pass}/{len(reports)} points within cap")
+    with _output(output) as out:
+        try:
+            reports = certify_grid(params, cap=cap)
+        except ValueError as e:
+            raise click.UsageError(str(e))
+        rows = [{**_param_cells(rep.params), "label": rep.case_label,
+                 "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
+                 "ratio": rep.ratio, "cap": rep.cap,
+                 "passed": int(rep.passed)} for rep in reports]
+        n_pass = sum(r.passed for r in reports)
+        _write_csv(out, {"command": "certify", "regime": regime,
+                         "cap_weak": cap if cap is not None else CAP_WEAK,
+                         "cap_strong": cap if cap is not None
+                         else CAP_STRONG},
+                   rows, columns=CERTIFY_COLUMNS,
+                   trailer=f"# {'PASS' if n_pass == len(reports) else 'FAIL'}"
+                           f": {n_pass}/{len(reports)} points within cap")
     if n_pass != len(reports):
         sys.exit(2)
 

@@ -1,6 +1,7 @@
 """Scalar quantizer, Gaussian tail brackets, and the parts of the (d, w, o)
 approximate comb-lattice model that the signaling bound du1 uses: the
-outage rate of a Gaussian (gaussian_comb) and the two tail series.
+outage rate of a Gaussian (gaussian_comb) and the terms of the two tail
+series, which truncated_sum sums as the rows of one array.
 
 A claim ``X <= (d, w, o)`` means: except with probability at most o, X lies
 in one of the width-w boxes centered on the spacing-d lattice points,
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import erfc
@@ -33,13 +33,13 @@ SERIES_REL_TOL = 1e-12
 SERIES_MAX_TERMS = 1_000_000
 SERIES_GUARD_TERMS = 1_000
 SERIES_BLOCK = 512
-#: rows summed together by the row form of truncated_sum, which bounds its
+#: rows summed together by truncated_sum, which bounds its
 #: (rows x SERIES_BLOCK) temporaries
 SERIES_ROWS = 64
 
 
 class SeriesNonConvergent(RuntimeError):
-    """Raised when a tail series fails its convergence guard."""
+    """Raised by du1 when a tail series fails its convergence guard."""
 
 
 def quantize(step, y):
@@ -131,32 +131,19 @@ def gaussian_comb(w: float, sigma: float) -> CombBound:
     return CombBound(math.inf, w, o)
 
 
-def truncated_sum(term_fn, rows: Optional[int] = None):
-    """Sum term_fn's terms for i = 1, 2, ... until the running term falls
-    below SERIES_REL_TOL times the accumulated sum.  A series with a
-    non-finite term sums to +inf.  The terms are summed in blocks of
-    SERIES_BLOCK; a series whose terms are still not decreasing after
-    SERIES_GUARD_TERMS terms, or that reaches the cap SERIES_MAX_TERMS,
-    fails.
+def truncated_sum(term_fn, rows: int):
+    """Sum rows independent series, SERIES_ROWS at a time: each row's terms
+    for i = 1, 2, ... until the running term falls below SERIES_REL_TOL
+    times the accumulated sum.  term_fn(i, live) returns the
+    (len(live), len(i)) terms of the rows whose indices are in live.
 
-    Scalar form (rows None): term_fn(i) maps a 1-D integer array to the
-    matching terms.  Returns the float sum; a failed series raises
-    SeriesNonConvergent.
-
-    Row form: rows independent series, SERIES_ROWS at a time.
-    term_fn(i, live) returns the (len(live), len(i)) terms of the rows
-    whose indices are in live.  Returns (totals, failed): each row's sum,
-    NaN where its series failed, and the mask of the failed rows.  Each
-    row's sum is bit-identical to the scalar form's.
+    The terms are summed in blocks of SERIES_BLOCK, each row like a 1-D
+    array, so a row's sum does not depend on the rows beside it.  A row
+    with a non-finite term sums to +inf.  A row whose terms are still not
+    decreasing after SERIES_GUARD_TERMS terms, or that reaches the cap
+    SERIES_MAX_TERMS, fails.  Returns (totals, failed): each row's sum,
+    NaN where its series failed, and the mask of the failed rows.
     """
-    if rows is None:
-        totals, failed = _sum_rows(
-            lambda i, live: np.reshape(term_fn(i), (1, -1)), np.arange(1))
-        if failed[0]:
-            raise SeriesNonConvergent(
-                f"series term not decreasing after {SERIES_GUARD_TERMS} "
-                f"terms, or no convergence in {SERIES_MAX_TERMS} terms")
-        return float(totals[0])
     totals, failed = np.empty(rows), np.empty(rows, dtype=bool)
     for r0 in range(0, rows, SERIES_ROWS):
         live = np.arange(r0, min(r0 + SERIES_ROWS, rows))
@@ -202,30 +189,17 @@ def _sum_rows(term_fn, live):
 
 
 def comb_miss_terms(i, d, w, sigma, scale):
-    """Terms scale (i d + w/2)^2 Q(((2i-1) d - w) / (2 sigma)) of
-    comb_miss_series; broadcasts, so column arrays of d and w give one row
-    of terms per comb."""
+    """Terms scale (i d + w/2)^2 Q(((2i-1) d - w) / (2 sigma)) of the
+    wrong-cell cost on the (d, w) comb under noise of std sigma;
+    broadcasts, so column arrays of d and w give one row of terms per comb.
+
+    scale multiplies each term, not the sum: the two round differently, and
+    the upper bounds are pinned to the per-term rounding bit for bit."""
     return scale * (i * d + w / 2) ** 2 \
         * q_tail(((2 * i - 1) * d - w) / (2.0 * sigma))
 
 
 def comb_outage_terms(i, d, sigma):
-    """Terms (i d + d/2)^2 Q((i-1) d / sigma) of comb_outage_series;
-    broadcasts like comb_miss_terms."""
+    """Terms (i d + d/2)^2 Q((i-1) d / sigma) of the same cost for an
+    outage point, anywhere in its cell; broadcasts like comb_miss_terms."""
     return (i * d + d / 2) ** 2 * q_tail((i - 1) * d / sigma)
-
-
-def comb_miss_series(d: float, w: float, sigma: float,
-                     scale: float) -> float:
-    """Wrong-cell cost on the (d, w) comb under noise of std sigma:
-    sum_{i>=1} scale (i d + w/2)^2 Q(((2i-1) d - w) / (2 sigma)).
-
-    scale multiplies each term, not the sum: the two round differently, and
-    the upper bounds are pinned to the per-term rounding bit for bit."""
-    return truncated_sum(lambda i: comb_miss_terms(i, d, w, sigma, scale))
-
-
-def comb_outage_series(d: float, sigma: float) -> float:
-    """The same cost for an outage point, anywhere in its cell:
-    sum_{i>=1} (i d + d/2)^2 Q((i-1) d / sigma)."""
-    return truncated_sum(lambda i: comb_outage_terms(i, d, sigma))

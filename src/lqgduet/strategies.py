@@ -45,6 +45,8 @@ class StrategySpec:
       - linbb / linkal carry ``controller`` in {1, 2}
       - linkal carries the feedback gain ``k``
       - sig carries the stage count ``s`` >= 1 and lattice step ``d`` > 0
+    A field the variant does not carry must be None, and neither ``k`` nor
+    ``d`` may be a bool.
     """
 
     variant: str
@@ -56,16 +58,25 @@ class StrategySpec:
     def __post_init__(self):
         if self.variant not in ("zero", "linbb", "linkal", "sig"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        own = {"zero": (), "linbb": ("controller",),
+               "linkal": ("controller", "k"), "sig": ("s", "d")}[self.variant]
+        extra = [name for name in ("controller", "k", "s", "d")
+                 if name not in own and getattr(self, name) is not None]
+        if extra:
+            raise ValueError(f"{self.variant} takes no field "
+                             + ", ".join(extra))
         if self.variant in ("linbb", "linkal"):
             if not _is_int(self.controller) or self.controller not in (1, 2):
                 raise ValueError("controller must be the integer 1 or 2")
         if self.variant == "linkal":
-            if self.k is None or not math.isfinite(self.k):
+            if self.k is None or isinstance(self.k, bool) \
+                    or not math.isfinite(self.k):
                 raise ValueError("linkal requires a finite gain k")
         if self.variant == "sig":
             if not _is_int(self.s) or self.s < 1:
                 raise ValueError("sig requires an integer s >= 1")
-            if self.d is None or not 0 < self.d < math.inf:
+            if self.d is None or isinstance(self.d, bool) \
+                    or not 0 < self.d < math.inf:
                 raise ValueError("sig requires a finite d > 0")
 
     @property

@@ -16,11 +16,12 @@ from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, appendix_region_checks,
                                certify_grid, prop1_divergence,
                                strong_grid_params, weak_grid_params)
 from lqgduet.detmodel import DetParams, det_witsen, steady_upper_level
-from lqgduet.lattice import (comb_miss_series, comb_outage_series,
+from lqgduet.lattice import (comb_miss_terms, comb_outage_terms,
                              gaussian_comb, q_tail, q_tail_lower,
                              q_tail_upper, quantize)
 from lqgduet.simulator import SimConfig, run
 from lqgduet.strategies import StrategySpec
+from test_lattice import one_row_sum
 
 
 def _report(n, ok, detail=""):
@@ -202,8 +203,10 @@ def test_acceptance_7_lattice_property_suite():
              (3.0, 1.0, 0.0, 0.4), (5.0, 2.0, 0.01, 1.0)]
     for (d, w, o, sigma) in cases:
         residual = (w / 2) ** 2 + o * (d / 2) ** 2
-        bound = residual + comb_miss_series(d, w, sigma, 2.0) \
-            + o * 2.0 * comb_outage_series(d, sigma)
+        bound = residual \
+            + one_row_sum(lambda i: comb_miss_terms(i, d, w, sigma, 2.0)) \
+            + o * 2.0 * one_row_sum(lambda i: comb_outage_terms(i, d,
+                                                                sigma))
         idx = rng.integers(-5, 6, n)
         xs = idx * d + rng.uniform(-w / 2, w / 2, n)
         out = rng.random(n) < o

@@ -14,7 +14,6 @@ from lqgduet.bounds_upper import (D_GRID_HI, D_GRID_LO, D_GRID_POINTS,
                                   linbb_bound, optimize_upper,
                                   simplified_bracket, simplified_upper,
                                   sweep_labels, upper_envelope_D)
-from lqgduet import lattice
 from lqgduet.lattice import SERIES_BLOCK, SeriesNonConvergent, q_tail
 from lqgduet.strategies import StrategySpec
 from test_bounds_lower import _BAD_WEIGHTS
@@ -421,7 +420,8 @@ def _outcome_key(out):
     return out if isinstance(out, str) else tuple(x.hex() for x in out)
 
 
-def _scalar_outcomes(p, designs):
+def _one_row_outcomes(p, designs):
+    """Each design's outcome from du1, the batch evaluation on one row."""
     return [_outcome_key(_reference_outcome(p, d)) for d in designs]
 
 
@@ -456,7 +456,8 @@ def _random_strong_bases(n, seed):
 
 def test_du1_outcomes_match_du1_bit_for_bit(monkeypatch):
     # every grid base with its whole grid, and seeded random strong bases
-    # with a sample of theirs: triples to the last bit, failures by type
+    # with a sample of theirs: N rows give each design what one row gives,
+    # triples to the last bit and failures by type
     seen = {"max_term": 0}
     real_terms = bounds_upper.comb_miss_terms
 
@@ -477,7 +478,7 @@ def test_du1_outcomes_match_du1_bit_for_bit(monkeypatch):
     for p, designs in cases:
         got = [_outcome_key(out)
                for out in bounds_upper.du1_outcomes(p, designs)]
-        assert got == _scalar_outcomes(p, designs), p
+        assert got == _one_row_outcomes(p, designs), p
         keys.update(k if isinstance(k, str) else "point" for k in got)
     # rows summed past the guard's block, guard failures, prelude failures
     assert seen["max_term"] > 2 * SERIES_BLOCK
@@ -494,17 +495,16 @@ def test_du1_outcomes_match_du1_on_a_non_finite_term(monkeypatch):
     designs = _batch_designs(p, every=50)
     target = designs[len(designs) // 3]
     step = abs(p.a) ** target.s * target.d
-    real_terms = lattice.comb_outage_terms
+    real_terms = bounds_upper.comb_outage_terms
 
     def terms_with_inf(i, d, sigma):
         return np.where(np.asarray(d) == step, np.inf,
                         real_terms(i, d, sigma))
 
-    monkeypatch.setattr(lattice, "comb_outage_terms", terms_with_inf)
     monkeypatch.setattr(bounds_upper, "comb_outage_terms", terms_with_inf)
     got = [_outcome_key(out)
            for out in bounds_upper.du1_outcomes(p, designs)]
-    assert got == _scalar_outcomes(p, designs)
+    assert got == _one_row_outcomes(p, designs)
     # the target's row and the feasible refinement rows that share its
     # lattice step, and no other
     hit = [d.d == target.d for d in designs]

@@ -15,6 +15,8 @@ from lqgduet.core import ProblemParams
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "simulate_golden.csv")
+SWEEP_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                 "sweep_golden.csv")
 
 
 def _invoke(args, env=None):
@@ -63,6 +65,15 @@ def test_simulate_fixed_seed_golden_file():
                    "--trials", "8", "--seed", "0"])
     assert res.exit_code == 0
     with open(GOLDEN_PATH) as f:
+        assert res.output == f.read()
+
+
+def test_sweep_golden_file():
+    # the analytic outputs bit for bit: the sig1 rows pin du1's D, P1 and
+    # P2, and every row the converse lower bound
+    res = _invoke(["sweep", "--a", "100"])
+    assert res.exit_code == 0
+    with open(SWEEP_GOLDEN_PATH) as f:
         assert res.output == f.read()
 
 
@@ -285,6 +296,80 @@ def test_missing_output_directory_is_config_error(tmp_path):
     assert "output directory does not exist" in out.stderr, out.stderr
 
 
+def _main_error(monkeypatch, capsys, args):
+    """Run main() on args in this process; it must exit 1 with one
+    'error:' line and nothing on stdout.  Returns that line."""
+    monkeypatch.setattr(sys, "argv", ["lqgduet", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == "", out
+    line, = out.err.splitlines()
+    assert line.startswith("error: "), line
+    return line
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--regime", "both"],
+    ["sweep", "--a", "100"],
+    ["upper", "--a", "4", "--sv2sq", "100"],
+    ["lower", "--a", "4", "--sv2sq", "100"],
+    ["simulate", "--a", "2.5", "--horizon", "100", "--burn-in", "10",
+     "--trials", "2"],
+])
+def test_unwritable_output_fails_before_computing(monkeypatch, capsys,
+                                                  tmp_path, command):
+    # before, certify --output <directory> failed only after certifying
+    # the whole grid
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before opening the output")
+
+    for name in ("certify_grid", "sweep_labels", "optimize_upper",
+                 "lower_weighted_cost", "run"):
+        monkeypatch.setattr(lqgduet.cli, name, must_not_run)
+    line = _main_error(monkeypatch, capsys,
+                       command + ["--output", str(tmp_path)])
+    assert "cannot write" in line and "Is a directory" in line
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--regime", "weak", "--cap", "nan"],
+    ["upper", "--a", "1", "--sv2sq", "1"],
+    ["sweep", "--a", "100", "--l-max", "1000"],
+    ["simulate", "--a", "3", "--strategy", '{"type": "zero", "s": 1}'],
+])
+def test_argument_error_leaves_no_output_file(monkeypatch, capsys, tmp_path,
+                                              args):
+    # a new path is not created, and an existing file keeps its content
+    _main_error(monkeypatch, capsys,
+                args + ["--output", str(tmp_path / "new.csv")])
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    _main_error(monkeypatch, capsys, args + ["--output", str(kept)])
+    assert kept.read_text() == "kept\n"
+
+
+def test_output_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "upper.csv"
+    path.write_text("stale line that is longer than nothing\n" * 20)
+    res = _invoke(["upper", "--a", "4", "--sv2sq", "100", "--output",
+                   str(path)])
+    assert res.exit_code == 0
+    assert path.read_text() == _invoke(["upper", "--a", "4", "--sv2sq",
+                                        "100"]).output
+
+
+def test_strategy_field_outside_its_variant_is_config_error():
+    # linbb has no gain; before, simulate printed k = 3 and exited 0
+    out = _run_main(["simulate", "--a", "3", "--sv1sq", "1", "--sv2sq", "9",
+                     "--strategy",
+                     '{"type":"linbb","controller":1,"k":3}'])
+    assert out.returncode == 1, out.stderr
+    line, = out.stderr.splitlines()
+    assert line == "error: linbb takes no field k", out.stderr
+    assert out.stdout == ""
+
 
 def _sim(spec):
     return ["simulate", "--a", "3", "--horizon", "100", "--trials", "2",
@@ -311,10 +396,4 @@ def test_rejected_input_is_one_error_line(monkeypatch, capsys, args,
                                           message):
     # main() in this process: a traceback would be an exception other than
     # SystemExit and fail the test
-    monkeypatch.setattr(sys, "argv", ["lqgduet", *args])
-    with pytest.raises(SystemExit) as exc:
-        main()
-    out = capsys.readouterr()
-    assert exc.value.code == 1 and out.out == "", out
-    line, = out.err.splitlines()
-    assert line.startswith("error: ") and message in line, line
+    assert message in _main_error(monkeypatch, capsys, args)

@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
-                             SERIES_MAX_TERMS, SERIES_REL_TOL, CombBound,
-                             SeriesNonConvergent, comb_miss_series,
-                             comb_miss_terms, comb_outage_series,
-                             comb_outage_terms, gaussian_comb, q_tail,
-                             q_tail_lower, q_tail_upper, quantize,
-                             truncated_sum)
+                             SERIES_MAX_TERMS, SERIES_REL_TOL, SERIES_ROWS,
+                             CombBound, SeriesNonConvergent,
+                             comb_miss_terms, comb_outage_terms,
+                             gaussian_comb, q_tail, q_tail_lower,
+                             q_tail_upper, quantize, truncated_sum)
 
 # y expressed as a bounded multiple of the step, so the identities are not
 # drowned by float64 resolution at extreme y/step ratios
@@ -130,18 +129,33 @@ def test_gaussian_comb():
     assert gaussian_comb(1.0, 0.0).o == 0.0
 
 
+def one_row_sum(term_fn):
+    """The series of term_fn (a function of a 1-D integer array) summed as
+    the one row of truncated_sum; raises SeriesNonConvergent where the row
+    fails."""
+    totals, failed = truncated_sum(
+        lambda i, live: np.reshape(term_fn(i), (1, -1)), 1)
+    if failed[0]:
+        raise SeriesNonConvergent("series failed its guard")
+    return float(totals[0])
+
+
 def test_truncated_sum_geometric():
-    total = truncated_sum(lambda i: 0.5 ** i)
+    total = one_row_sum(lambda i: 0.5 ** i)
     assert total == pytest.approx(1.0, rel=1e-10)
+    assert total == _reference_truncated_sum(lambda i: 0.5 ** i)
 
 
 def test_truncated_sum_rejects_nondecreasing():
+    totals, failed = truncated_sum(
+        lambda i, live: np.ones((live.size, i.size)), 1)
+    assert failed.tolist() == [True] and math.isnan(totals[0])
     with pytest.raises(SeriesNonConvergent):
-        truncated_sum(lambda i: np.ones_like(np.asarray(i, dtype=float)))
+        _reference_truncated_sum(lambda i: np.ones(i.shape))
 
 
 def _reference_truncated_sum(term_fn):
-    """The one-series summation loop truncated_sum's row form replaces."""
+    """The one-series summation loop truncated_sum's rows replace."""
     total = 0.0
     prev_last = math.inf
     i0 = 1
@@ -190,7 +204,7 @@ def _outcome(fn, *args):
 def test_one_row_truncated_sum_matches_the_scalar_loop():
     outcomes = set()
     for name, term in _series_cases():
-        got = _outcome(truncated_sum, term)
+        got = _outcome(one_row_sum, term)
         assert got == _outcome(_reference_truncated_sum, term), name
         outcomes.add(got)
     # the cases reach every rule: a sum, +inf and the guard
@@ -219,10 +233,23 @@ def test_truncated_sum_rows_match_one_row_calls():
 
 
 def test_comb_series_sum_their_term_functions():
-    assert comb_miss_series(1.0, 0.9, 150.0, 64.0) == truncated_sum(
-        lambda i: comb_miss_terms(i, 1.0, 0.9, 150.0, 64.0))
-    assert comb_outage_series(1.0, 150.0) == truncated_sum(
-        lambda i: comb_outage_terms(i, 1.0, 150.0))
+    # column arrays of d and w give one row of terms per comb, and each
+    # row sums to that comb's own series, across SERIES_ROWS chunks
+    rng = np.random.default_rng(3)
+    d = 10.0 ** rng.uniform(-1.0, 1.0, 2 * SERIES_ROWS + 5)
+    w = d * rng.uniform(0.1, 0.9, d.size)
+    sigma, scale = 30.0, 7.0
+    miss, failed = truncated_sum(
+        lambda i, live: comb_miss_terms(i, d[live, None], w[live, None],
+                                        sigma, scale), d.size)
+    outage, failed2 = truncated_sum(
+        lambda i, live: comb_outage_terms(i, d[live, None], sigma), d.size)
+    assert not failed.any() and not failed2.any()
+    for r in range(d.size):
+        assert miss[r] == _reference_truncated_sum(
+            lambda i: comb_miss_terms(i, d[r], w[r], sigma, scale))
+        assert outage[r] == _reference_truncated_sum(
+            lambda i: comb_outage_terms(i, d[r], sigma))
 
 
 @pytest.mark.parametrize("d,w,sigma,scale", [
@@ -243,23 +270,25 @@ def test_comb_series_match_extended_precision(d, w, sigma, scale):
         outage = scale * mpmath.nsum(lambda i: (i * d_ + d_ / 2) ** 2
                                      * q((i - 1) * d_ / s_),
                                      [1, mpmath.inf])
-    assert comb_miss_series(d, w, sigma, scale) \
+    assert one_row_sum(lambda i: comb_miss_terms(i, d, w, sigma, scale)) \
         == pytest.approx(float(miss), rel=1e-11)
-    assert scale * comb_outage_series(d, sigma) \
+    assert scale * one_row_sum(lambda i: comb_outage_terms(i, d, sigma)) \
         == pytest.approx(float(outage), rel=1e-11)
 
 
 def test_comb_outage_series_noiseless_limit():
     # only the i = 1 term, (3d/2)^2 Q(0), survives
-    assert comb_outage_series(2.0, 1e-3) == 3.0 ** 2 * 0.5
+    assert one_row_sum(lambda i: comb_outage_terms(i, 2.0, 1e-3)) \
+        == 3.0 ** 2 * 0.5
 
 
 def quantized_mmse_bound(d, w, o, residual_msq, sigma):
     """Upper bound on E[(X - Q_d(X + V))^2] for X on the (d, w, o) comb and
     an independent perturbation V of standard deviation <= sigma, from the
     two tail series; residual_msq must upper-bound E[(X - Q_d(X))^2]."""
-    return residual_msq + comb_miss_series(d, w, sigma, 2.0) \
-        + o * 2.0 * comb_outage_series(d, sigma)
+    return residual_msq \
+        + one_row_sum(lambda i: comb_miss_terms(i, d, w, sigma, 2.0)) \
+        + o * 2.0 * one_row_sum(lambda i: comb_outage_terms(i, d, sigma))
 
 
 def test_quantized_mmse_bound_oracle_values():

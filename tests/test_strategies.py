@@ -48,9 +48,32 @@ def test_spec_validation():
     {"variant": "sig", "s": 1, "d": math.inf},
     {"variant": "linbb", "controller": True},
     {"variant": "linkal", "controller": 1.0, "k": 1.0},
+    # before, a bool k or d passed as the number 1 and the CSV printed True
+    {"variant": "linkal", "controller": 1, "k": True},
+    {"variant": "sig", "s": 1, "d": True},
 ])
 def test_spec_rejects_non_integer_counts_and_non_finite_steps(fields):
     with pytest.raises(ValueError):
+        StrategySpec(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"variant": "zero", "s": 2, "d": 1.0}, "zero takes no field s, d"),
+    ({"variant": "zero", "controller": 1}, "zero takes no field controller"),
+    ({"variant": "linbb", "controller": 1, "k": 3},
+     "linbb takes no field k"),
+    ({"variant": "linbb", "controller": 1, "s": 1, "d": 1.0},
+     "linbb takes no field s, d"),
+    ({"variant": "linkal", "controller": 1, "k": 1.0, "d": 1.0},
+     "linkal takes no field d"),
+    ({"variant": "sig", "s": 1, "d": 1.0, "controller": 2},
+     "sig takes no field controller"),
+    ({"variant": "sig", "s": 1, "d": 1.0, "k": 0.5}, "sig takes no field k"),
+])
+def test_spec_rejects_fields_outside_its_variant(fields, message):
+    # before, linbb kept k = 3 and zero kept s and d, which the CSV then
+    # printed
+    with pytest.raises(ValueError, match=message):
         StrategySpec(**fields)
 
 
