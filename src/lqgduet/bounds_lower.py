@@ -97,6 +97,16 @@ def _check_certified(p: ProblemParams) -> None:
         raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
 
 
+def _power(x: float, n) -> float:
+    """x ** n, for a power of |a| or of a^2 that the converse needs; raises
+    ValueError, naming the power, where it overflows a float."""
+    try:
+        return x ** n
+    except OverflowError:
+        raise ValueError(f"the converse is defined while the powers of a it "
+                         f"needs are floats; {x:g}^{n:g} overflows") from None
+
+
 def _geo(a: float, k_exp: int, count: int):
     """a^{2 k_exp} (1 - (2.5 a^{-2})^count) / (1 - 2.5 a^{-2});
     zero for count <= 0."""
@@ -104,7 +114,7 @@ def _geo(a: float, k_exp: int, count: int):
         return 0.0
     A2 = a * a
     r = RCONST / A2
-    return A2 ** float(k_exp) * (1 - r ** count) / (1 - r)
+    return _power(A2, float(k_exp)) * (1 - r ** count) / (1 - r)
 
 
 # The families broadcast over a leading candidate axis: each candidate's
@@ -171,15 +181,15 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
         rows.append((
             # I2 = m/2 log2(1 + (i2s + i2p P1/d)/(m sv2^2)), 0 for m = 0
             m > 0, m / 2.0, 1.0 / (m * sv2_sq) if m > 0 else 0.0,
-            2.0 * A ** (2 * (k2 - 2 - k1)) / (1 - A ** -2) * Sig
+            2.0 * _power(A, 2 * (k2 - 2 - k1)) / (1 - A ** -2) * Sig
             if m > 0 else 0.0,
-            2.0 * A ** (2 * (k2 - 3 - k1)) / (1 - A ** -2) * RCONST
+            2.0 * _power(A, 2 * (k2 - 3 - k1)) / (1 - A ** -2) * RCONST
             if m > 0 else 0.0,
             # I1 = I2 + 1/2 log2(1 + (i1s + i1p P1/d)/sv2p^2), inf at
             # sv2p = 0, plus the entropy gap when sv2p != sv2
             sv2p_sq > 0, 1.0 / sv2p_sq if sv2p_sq > 0 else 0.0,
-            2.0 * A ** (2 * (k2 - 1 - k1)) * Sig if sv2p_sq > 0 else 0.0,
-            2.0 * A ** (2 * (k2 - 2 - k1)) if sv2p_sq > 0 else 0.0,
+            2.0 * _power(A, 2 * (k2 - 1 - k1)) * Sig if sv2p_sq > 0 else 0.0,
+            2.0 * _power(A, 2 * (k2 - 2 - k1)) if sv2p_sq > 0 else 0.0,
             same,
             # radicands of branch1 and branch2
             c * Sig, 2 * (k - k1) * log2A, c * _geo(A, k - k1 - 1, k2 - k1),
@@ -303,7 +313,7 @@ def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
     A = abs(p.a)
     sv1_sq, sv2_sq = p.sigmav1_sq, p.sigmav2_sq
     rows = [(Sig, (1 - _BETA) * (Sig + sv1_sq), (1 - _BETA) * (Sig + sv2_sq),
-             A ** (2 * (kc - k1c - 1)),
+             _power(A, 2 * (kc - k1c - 1)),
              _geo(A, kc - k1c - 2, kc - k1c - 1) / ((1 - _BETA) * _BETA))
             for k1c, kc, Sig in cands]
     Sig, den1, den2, grow, gterm = _columns(rows, 5, len(shape))
@@ -349,8 +359,8 @@ def dl4(p: ProblemParams, k, P1t, P2t, out=None):
     _check_certified(p)
     P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
-    rows = [(A ** (kk - 1),
-             A ** (2 * (kk - 2)) / (1 - RCONST / A ** 2) / (1 - _BETA))
+    rows = [(_power(A, kk - 1),
+             _power(A, 2 * (kk - 2)) / (1 - RCONST / A ** 2) / (1 - _BETA))
             for kk in ks]
     head, g = _columns(rows, 2, len(shape))
     if out is None:
@@ -440,15 +450,17 @@ class RegionPartition:
             put("T2", A ** 2 * max(1.0, A ** 2 * sv2) / WEAK_T_DIV)
             put("d_ii", max(WEAK_II_COEF * A ** 2 * sv2 + 1.0,
                             FLOOR_COEF * m))
+            self._check_finite("T1", "T2", "d_ii")
             return
         t1 = sv2 / (STRONG_T1_DIV * A ** (2 * (regime.s - 1)))
-        t1hi = max(A ** 2, A ** 4 * p.sigmav1_sq) / STRONG_T1HI_DIV
+        t1hi = max(A ** 2, _power(A, 4) * p.sigmav1_sq) / STRONG_T1HI_DIV
         put("t1", t1)
         put("t1hi", t1hi)
-        put("t2a", A ** 4 * sv2 / STRONG_T2A_DIV)
+        put("t2a", _power(A, 4) * sv2 / STRONG_T2A_DIV)
         put("v_edge", max(t1, t1hi))
         put("d_ii", max(STRONG_II_COEF * A ** 2 * sv2 + 1.0,
                         FLOOR_COEF * m))
+        self._check_finite("t1hi", "t2a", "d_ii")
         if t1 < t1hi:
             # cell-wise 1-D minimization over the bracket; the unimodal
             # signaling factor attains its cell minimum at an endpoint
@@ -456,8 +468,18 @@ class RegionPartition:
             f = self._sig(edges)
             f_min = np.minimum(f[:-1], f[1:])
             put("iv_p1", edges[:-1])
-            put("iv_floor", self._iv_floor(f_min))
-            put("iv_t2c", self._t2c_of(f_min))
+            with np.errstate(over="ignore"):
+                put("iv_floor", self._iv_floor(f_min))
+                put("iv_t2c", self._t2c_of(f_min))
+            self._check_finite("iv_floor", "iv_t2c")
+
+    def _check_finite(self, *names: str) -> None:
+        """Raise ValueError unless the named thresholds and floors are
+        finite: the partition is defined while they are floats."""
+        for name in names:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"the region partition's {name} overflows "
+                                 f"a float at |a| = {abs(self.p.a):g}")
 
     def _sig(self, P1):
         """Signaling factor P1 e^{-50 a^{2(s-1)} P1 / sv2^2}."""
@@ -466,13 +488,13 @@ class RegionPartition:
         return P1 * np.exp(-decay_c * P1)
 
     def _iv_floor(self, f):
-        A2s = abs(self.p.a) ** (2 * self.regime.s)
+        A2s = _power(abs(self.p.a), 2 * self.regime.s)
         return np.maximum(IV_SIG_COEF * A2s * f + IV_M_COEF * A2s * self.m
                           + 1.0, FLOOR_COEF * self.m)
 
     def _t2c_of(self, f):
         A = abs(self.p.a)
-        A2s = A ** (2 * self.regime.s)
+        A2s = _power(A, 2 * self.regime.s)
         return T2C_SIG_COEF * A ** 2 * A2s * f \
             + T2C_M_COEF * A ** 2 * A2s * self.m
 
@@ -519,8 +541,11 @@ class RegionPartition:
         else:
             options = [(q * self.d_ii + r2 * self.t2a, "strong-ii")]
             if self.iv_p1.size:
-                vals = q * self.iv_floor + r1 * self.iv_p1 \
-                    + r2 * self.iv_t2c
+                # a weight near the float limit overflows a cell's cost to
+                # +inf, its value there
+                with np.errstate(over="ignore"):
+                    vals = q * self.iv_floor + r1 * self.iv_p1 \
+                        + r2 * self.iv_t2c
                 options.append((float(vals.min()), "strong-iv"))
             options.append((q * FLOOR_COEF * self.m + r1 * self.v_edge,
                             "strong-v"))
@@ -602,7 +627,9 @@ def _undominated(D: np.ndarray, tail: np.ndarray) -> np.ndarray:
     kept rows are the undominated ones (a dominated row is kept only when
     its sum ties its dominator's and the stable sort walks it first)."""
     cells = D.reshape(len(D), math.prod(D.shape[1:]))
-    order = np.argsort(-(cells.sum(axis=1) + tail), kind="stable")
+    # a sum that overflows is +inf, which keeps the walk order's premise
+    with np.errstate(over="ignore"):
+        order = np.argsort(-(cells.sum(axis=1) + tail), kind="stable")
     alive = np.ones(len(D), dtype=bool)
     kept = []
     for g in order:

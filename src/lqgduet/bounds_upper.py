@@ -82,11 +82,12 @@ def du1(p: ProblemParams, design: SigDesign) -> TradeoffPoint:
 
 def linbb_bound(p: ProblemParams, controller: int) -> TradeoffPoint:
     """Linear bang-bang triple (a^2 sv^2 + 1, a^4 sv^2 + a^2 sv^2 + a^2, 0)
-    on the active controller's side."""
+    on the active controller's side; a noiseless side's power is a^2 (its
+    a^4 sv^2 term is 0, also where a^4 overflows a float)."""
     a2 = p.a * p.a
     sv = p.sigmav1_sq if controller == 1 else p.sigmav2_sq
     D = a2 * sv + 1.0
-    P = a2 * a2 * sv + a2 * sv + a2
+    P = a2 * a2 * sv + a2 * sv + a2 if sv else a2
     if controller == 1:
         return TradeoffPoint(D, P, 0.0)
     return TradeoffPoint(D, 0.0, P)
@@ -381,9 +382,9 @@ def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
 
 def sweep_labels(a: float, l_values) -> List[dict]:
     """Regularization sweep: for sv1^2 = 0, sv2^2 = a, q = 1, r1 = a^l,
-    r2 = 0, report per l the problem ("params"), and the best candidate's
-    label and cost.  Raises ValueError, before any row is computed, where
-    a^l overflows a float."""
+    r2 = 0, report per l the problem ("params") and its best candidate
+    ("result", an UpperResult).  Raises ValueError, before any row is
+    computed, where a^l overflows a float."""
     base = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=float(a))
     weights = []
     for l in map(float, l_values):
@@ -396,8 +397,5 @@ def sweep_labels(a: float, l_values) -> List[dict]:
     rows = []
     for l, r1 in weights:
         p = replace(base, r1=r1)
-        res = optimize_upper(p, upper)
-        rows.append({"l": l, "params": p, "label": res.spec.label,
-                     "cost": res.cost, "D": res.point.D,
-                     "P1": res.point.P1, "P2": res.point.P2})
+        rows.append({"l": l, "params": p, "result": optimize_upper(p, upper)})
     return rows

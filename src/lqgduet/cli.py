@@ -6,10 +6,15 @@ All flags are long-form.  The environment variable LQGDUET_SEED overrides
 certification.
 
 ``python -m lqgduet`` and the installed ``lqgduet`` script both run
-:func:`main`, with the same exit codes.
+:func:`main`, with the same exit codes.  The commands catch no exception:
+an input outside the library's domain raises ValueError there, and main()
+prints it as one ``error: ...`` line on stderr and exits 1, as it does for
+a usage error.  upper and sweep print an UpperResult row through one
+function; sweep's columns are upper's plus the converse lower bound.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -23,19 +28,20 @@ import numpy as np
 from .core import ProblemParams
 from .strategies import StrategySpec, make_strategy, parse_strategy
 from .simulator import SimConfig, SimResult, run
-from .bounds_upper import optimize_upper, sweep_labels
+from .bounds_upper import UpperResult, optimize_upper, sweep_labels
 from .bounds_lower import LowerBoundEvaluator, lower_weighted_cost
 from .certifier import CAP_STRONG, CAP_WEAK, certify_grid, prop1_divergence, \
     strong_grid_params, weak_grid_params
-from .detmodel import DetParams, det_radner, det_witsen, run_det
+from .detmodel import DetParams, det_radner, det_witsen, run_det, \
+    steady_level
 
 #: stable CSV schema (documented; golden-file tested)
 CSV_COLUMNS = ("a", "q", "r1", "r2", "sv1sq", "sv2sq", "strategy", "s", "d",
                "k", "D", "P1", "P2", "weighted", "se_D", "se_P1", "se_P2")
 #: the upper command's schema: the signaling design's w1 after the rest
 UPPER_COLUMNS = CSV_COLUMNS + ("w1",)
-#: the sweep command's schema: the converse lower bound after the rest
-SWEEP_COLUMNS = CSV_COLUMNS + ("lower",)
+#: the sweep command's schema: upper's, then the converse lower bound
+SWEEP_COLUMNS = UPPER_COLUMNS + ("lower",)
 #: the certify command's schema: the case label, the two bounds, their
 #: ratio, the cap it is checked against and the pass flag (1 or 0)
 CERTIFY_COLUMNS = ("a", "q", "r1", "r2", "sv1sq", "sv2sq", "label", "s",
@@ -104,6 +110,19 @@ def _param_cells(p: ProblemParams) -> dict:
             "sv1sq": p.sigmav1_sq, "sv2sq": p.sigmav2_sq}
 
 
+def _spec_cells(spec: StrategySpec) -> dict:
+    return {"strategy": spec.label, "s": spec.s, "d": spec.d, "k": spec.k}
+
+
+def _upper_cells(res: UpperResult) -> dict:
+    """The cells of an UpperResult row: its strategy and signaling design
+    (w1 empty for a linear one), its triple and its weighted cost."""
+    return {**_spec_cells(res.spec),
+            "w1": None if res.design is None else res.design.w1,
+            "D": res.point.D, "P1": res.point.P1, "P2": res.point.P2,
+            "weighted": res.cost}
+
+
 def _seed(seed: int) -> int:
     env = os.environ.get("LQGDUET_SEED")
     if env is not None:
@@ -112,14 +131,6 @@ def _seed(seed: int) -> int:
         except ValueError:
             raise click.UsageError("LQGDUET_SEED must be an integer")
     return seed
-
-
-def _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq=0.0) -> ProblemParams:
-    try:
-        return ProblemParams(a=a, q=q, r1=r1, r2=r2, sigma0_sq=sigma0sq,
-                             sigmav1_sq=sv1sq, sigmav2_sq=sv2sq)
-    except ValueError as e:
-        raise click.UsageError(str(e))
 
 
 _common_params = [
@@ -140,9 +151,16 @@ _common_params = [
 
 
 def common_params(f):
+    """The problem options, passed to the command f as one ProblemParams
+    p."""
+    @functools.wraps(f)
+    def command(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, **options):
+        return f(ProblemParams(a=a, q=q, r1=r1, r2=r2, sigma0_sq=sigma0sq,
+                               sigmav1_sq=sv1sq, sigmav2_sq=sv2sq),
+                 **options)
     for opt in reversed(_common_params):
-        f = opt(f)
-    return f
+        command = opt(command)
+    return command
 
 
 @click.group()
@@ -161,26 +179,21 @@ def cli():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", default="-", show_default=True,
               help="CSV output path ('-' for stdout)")
-def simulate(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, strategy, horizon,
-             burn_in, trials, seed, output):
+def simulate(p, strategy, horizon, burn_in, trials, seed, output):
     """Monte Carlo simulation of one strategy."""
-    p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
-    try:
-        spec = parse_strategy(strategy)
-        # builds the runtime strategy once to reject specs p cannot run
-        make_strategy(spec, p)
-        cfg = SimConfig(horizon=horizon, burn_in=burn_in, trials=trials,
-                        seed=_seed(seed))
-    except (ValueError, json.JSONDecodeError, TypeError) as e:
-        raise click.UsageError(str(e))
+    spec = parse_strategy(strategy)
+    # builds the runtime strategy once to reject specs p cannot run
+    make_strategy(spec, p)
+    cfg = SimConfig(horizon=horizon, burn_in=burn_in, trials=trials,
+                    seed=_seed(seed))
     with _output(output) as out:
         res = run(p, spec, cfg)
         _write_csv(out, {"command": "simulate", "horizon": cfg.horizon,
                          "burn_in": cfg.burn_in, "trials": cfg.trials,
                          "seed": cfg.seed,
                          "strategy_json": json.dumps(spec.to_json())},
-                   [{**_param_cells(p), "strategy": spec.label, "s": spec.s,
-                     "d": spec.d, "k": spec.k, "D": res.avg_state_cost,
+                   [{**_param_cells(p), **_spec_cells(spec),
+                     "D": res.avg_state_cost,
                      "P1": res.avg_u1_power, "P2": res.avg_u2_power,
                      "weighted": res.weighted_cost, "se_D": res.se_state,
                      "se_P1": res.se_u1, "se_P2": res.se_u2}])
@@ -192,27 +205,20 @@ def simulate(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, strategy, horizon,
 @click.option("--a", type=float, default=100.0, show_default=True)
 @click.option("--l-min", type=float, default=-1.0, show_default=True)
 @click.option("--l-max", type=float, default=3.0, show_default=True)
-@click.option("--l-steps", type=int, default=17, show_default=True)
+@click.option("--l-steps", type=click.IntRange(min=2), default=17,
+              show_default=True)
 @click.option("--output", default="-", show_default=True)
 def sweep(a, l_min, l_max, l_steps, output):
     """Sweep the first-controller power weight r1 = a^l for
     sv1^2 = 0, sv2^2 = a, r2 = 0, reporting the best analytic strategy,
     its cost, and the matching lower bound per l."""
-    if l_steps < 2:
-        raise click.UsageError("--l-steps must be >= 2")
     with _output(output) as out:
-        try:
-            # a non-finite, or |a| <= 1, where no regime is defined
-            swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
-        except ValueError as e:
-            raise click.UsageError(str(e))
+        swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
         lower_ev = LowerBoundEvaluator(swept[0]["params"])
         rows = []
         for row in swept:
             p = row["params"]
-            rows.append({**_param_cells(p), "strategy": row["label"],
-                         "D": row["D"], "P1": row["P1"], "P2": row["P2"],
-                         "weighted": row["cost"],
+            rows.append({**_param_cells(p), **_upper_cells(row["result"]),
                          "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
         _write_csv(out, {"command": "sweep", "l_min": l_min,
                          "l_max": l_max, "l_steps": l_steps}, rows,
@@ -222,30 +228,19 @@ def sweep(a, l_min, l_max, l_steps, output):
 @cli.command()
 @common_params
 @click.option("--output", default="-", show_default=True)
-def upper(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
+def upper(p, output):
     """Best analytic achievable weighted cost and its strategy."""
-    p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
     with _output(output) as out:
-        try:
-            # the regime classification requires |a| > 1
-            res = optimize_upper(p)
-        except ValueError as e:
-            raise click.UsageError(str(e))
         _write_csv(out, {"command": "upper"},
-                   [{**_param_cells(p), "strategy": res.spec.label,
-                     "s": res.spec.s, "d": res.spec.d, "k": res.spec.k,
-                     "D": res.point.D, "P1": res.point.P1,
-                     "P2": res.point.P2, "weighted": res.cost,
-                     "w1": None if res.design is None else res.design.w1}],
+                   [{**_param_cells(p), **_upper_cells(optimize_upper(p))}],
                    columns=UPPER_COLUMNS)
 
 
 @cli.command()
 @common_params
 @click.option("--output", default="-", show_default=True)
-def lower(a, q, r1, r2, sv1sq, sv2sq, sigma0sq, output):
+def lower(p, output):
     """Converse lower bound on the weighted cost."""
-    p = _problem(a, q, r1, r2, sv1sq, sv2sq, sigma0sq)
     with _output(output) as out:
         _write_csv(out, {"command": "lower"},
                    [{**_param_cells(p), "weighted": lower_weighted_cost(p)}])
@@ -268,10 +263,7 @@ def certify(regime, cap, output):
     if regime in ("strong", "both"):
         params += strong_grid_params()
     with _output(output) as out:
-        try:
-            reports = certify_grid(params, cap=cap)
-        except ValueError as e:
-            raise click.UsageError(str(e))
+        reports = certify_grid(params, cap=cap)
         rows = [{**_param_cells(rep.params), "label": rep.case_label,
                  "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
                  "ratio": rep.ratio, "cap": rep.cap,
@@ -302,7 +294,7 @@ def certify(regime, cap, output):
               help="machine-readable output")
 def detmodel(aprime, sv2_level, p1_level, strategy, steps, as_json):
     """Binary deterministic model runs (per-step levels and the steady
-    upper level)."""
+    upper level, 'not reached' unless the last two levels are equal)."""
     if strategy in ("witsen", "radner"):
         level = det_witsen() if strategy == "witsen" else det_radner()
         if as_json:
@@ -311,21 +303,21 @@ def detmodel(aprime, sv2_level, p1_level, strategy, steps, as_json):
         else:
             click.echo(f"final upper level: {level}")
         return
-    try:
-        p = DetParams(a_prime=aprime, sigma_v2_level=sv2_level,
-                      p1_level=p1_level)
-        name = "Optimal" if strategy == "optimal" else "LinearShift"
-        levels = run_det(p, name, steps)
-    except (ValueError, RuntimeError) as e:
-        raise click.UsageError(str(e))
+    p = DetParams(a_prime=aprime, sigma_v2_level=sv2_level,
+                  p1_level=p1_level)
+    name = "Optimal" if strategy == "optimal" else "LinearShift"
+    levels = run_det(p, name, steps)
+    steady = steady_level(levels)
     if as_json:
         click.echo(json.dumps({"strategy": name,
                                "levels": [_fmt(float(v)) for v in levels],
-                               "steady": _fmt(float(levels[-1]))}))
+                               "steady": None if steady is None
+                               else _fmt(float(steady))}))
     else:
         for n, v in enumerate(levels):
             click.echo(f"step {n:3d}  upper level {v}")
-        click.echo(f"steady upper level: {levels[-1]}")
+        click.echo("steady upper level: "
+                   + ("not reached" if steady is None else str(steady)))
 
 
 @cli.command()
@@ -333,11 +325,7 @@ def detmodel(aprime, sv2_level, p1_level, strategy, steps, as_json):
               help="comma-separated list of gains")
 def prop1(a):
     """Linear-vs-nonlinear cost ratio table (diverges with a)."""
-    try:
-        a_values = [float(x) for x in a.split(",") if x.strip()]
-        rows = prop1_divergence(a_values)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    rows = prop1_divergence([float(x) for x in a.split(",") if x.strip()])
     click.echo("a,linear_lb,nonlinear_ub,ratio")
     for row in rows:
         click.echo(f"{row['a']:g},{row['linear_lb']:.6e},"
@@ -345,12 +333,18 @@ def prop1(a):
 
 
 def main():
+    """Run the command line; a usage error or a ValueError from the
+    library (an input outside its domain) is one 'error:' line on stderr
+    and exit code 1."""
     try:
         cli.main(standalone_mode=False)
     except click.exceptions.Exit as e:
         sys.exit(e.exit_code)
-    except (click.UsageError, click.BadParameter) as e:
+    except click.UsageError as e:
         click.echo(f"error: {e.format_message()}", err=True)
+        sys.exit(1)
+    except ValueError as e:
+        click.echo(f"error: {e}", err=True)
         sys.exit(1)
     except click.Abort:
         sys.exit(1)

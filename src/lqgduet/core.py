@@ -162,9 +162,23 @@ def normalize(raw: RawParams) -> ProblemParams:
                          sigmav1_sq=sv1, sigmav2_sq=sv2)
 
 
+def _power_or_inf(a: float, n: int) -> float:
+    """a ** n, read as +inf where it overflows a float."""
+    try:
+        return a ** n
+    except OverflowError:
+        return math.inf
+
+
 def noise_floor(p: ProblemParams) -> float:
-    """max(1, a^2 sv1^2): the better observer's effective noise scale."""
-    return max(1.0, p.a ** 2 * p.sigmav1_sq)
+    """max(1, a^2 sv1^2): the better observer's effective noise scale.
+    Raises ValueError where a^2 or a^2 sv1^2 is not a finite float, outside
+    the domain every regime and bound is defined on."""
+    a2sv1 = _power_or_inf(p.a, 2) * p.sigmav1_sq
+    if not a2sv1 < math.inf:
+        raise ValueError(f"a^2 and a^2 sigmav1_sq must be finite floats "
+                         f"(a = {p.a:g}, sigmav1_sq = {p.sigmav1_sq:g})")
+    return max(1.0, a2sv1)
 
 
 def classify(p: ProblemParams) -> Regime:
@@ -182,9 +196,10 @@ def classify(p: ProblemParams) -> Regime:
         return Regime("weak")
     s = math.ceil((math.log(sv2) - math.log(m)) / (2 * math.log(a)))
     # Guard against floating-point edge effects on the bracketing
-    #   a^{2(s-1)} m < sv2 <= a^{2s} m.
-    while s > 1 and sv2 <= a ** (2 * (s - 1)) * m:
+    #   a^{2(s-1)} m < sv2 <= a^{2s} m,
+    # where a power of a that overflows a float is +inf.
+    while s > 1 and sv2 <= _power_or_inf(a, 2 * (s - 1)) * m:
         s -= 1
-    while sv2 > a ** (2 * s) * m:
+    while sv2 > _power_or_inf(a, 2 * s) * m:
         s += 1
     return Regime("strong", s=max(s, 1))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 Atom = Tuple
 Provenance = FrozenSet[Atom]
@@ -145,13 +145,25 @@ def run_det(p: DetParams, strategy: str, steps: int) -> list:
     return out
 
 
+def steady_level(levels: list) -> Optional[float]:
+    """The last of a run's levels when the last two are equal (the run has
+    settled), else None."""
+    if len(levels) >= 2 and levels[-1] == levels[-2]:
+        return levels[-1]
+    return None
+
+
 def steady_upper_level(p: DetParams, strategy: str, steps: int = 12) -> float:
     """Steady-state upper level (the level reached and held at the end of a
-    ``steps``-step run)."""
-    levels = run_det(p, strategy, steps)
-    if levels[-1] != levels[-2]:
+    ``steps``-step run).  Raises ValueError for steps < 2, and
+    RuntimeError where the run has not settled."""
+    if steps < 2:
+        raise ValueError("steps must be >= 2: the steady level is the last "
+                         "of two equal levels")
+    level = steady_level(run_det(p, strategy, steps))
+    if level is None:
         raise RuntimeError("no steady state reached")
-    return levels[-1]
+    return level
 
 
 def converse_allows(p: DetParams, level: int) -> bool:

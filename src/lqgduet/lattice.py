@@ -145,9 +145,11 @@ def truncated_sum(term_fn, rows: int):
     NaN where its series failed, and the mask of the failed rows.
     """
     totals, failed = np.empty(rows), np.empty(rows, dtype=bool)
-    for r0 in range(0, rows, SERIES_ROWS):
-        live = np.arange(r0, min(r0 + SERIES_ROWS, rows))
-        totals[live], failed[live] = _sum_rows(term_fn, live)
+    # a term that overflows is such a non-finite term, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, rows, SERIES_ROWS):
+            live = np.arange(r0, min(r0 + SERIES_ROWS, rows))
+            totals[live], failed[live] = _sum_rows(term_fn, live)
     return totals, failed
 
 

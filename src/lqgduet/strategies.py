@@ -45,8 +45,8 @@ class StrategySpec:
       - linbb / linkal carry ``controller`` in {1, 2}
       - linkal carries the feedback gain ``k``
       - sig carries the stage count ``s`` >= 1 and lattice step ``d`` > 0
-    A field the variant does not carry must be None, and neither ``k`` nor
-    ``d`` may be a bool.
+    A field the variant does not carry must be None, and ``k`` and ``d``
+    must be real numbers, not bools.
     """
 
     variant: str
@@ -69,14 +69,12 @@ class StrategySpec:
             if not _is_int(self.controller) or self.controller not in (1, 2):
                 raise ValueError("controller must be the integer 1 or 2")
         if self.variant == "linkal":
-            if self.k is None or isinstance(self.k, bool) \
-                    or not math.isfinite(self.k):
+            if not _is_real(self.k) or not math.isfinite(self.k):
                 raise ValueError("linkal requires a finite gain k")
         if self.variant == "sig":
             if not _is_int(self.s) or self.s < 1:
                 raise ValueError("sig requires an integer s >= 1")
-            if self.d is None or isinstance(self.d, bool) \
-                    or not 0 < self.d < math.inf:
+            if not _is_real(self.d) or not 0 < self.d < math.inf:
                 raise ValueError("sig requires a finite d > 0")
 
     @property
@@ -107,10 +105,17 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number and not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) \
+        and not isinstance(x, bool)
+
+
 def parse_strategy(text: Union[str, dict]) -> StrategySpec:
     """Parse a strategy from a shorthand string ('zero', 'linbb1', 'linbb2')
     or a JSON object/string like {"type": "sig", "s": 1, "d": 0.5}.  Raises
-    ValueError on a spec that is not an object or has no "type"."""
+    ValueError on a spec that is not an object, has no "type" or has a key
+    that is no field of a strategy."""
     if isinstance(text, str):
         t = text.strip()
         if t.startswith("{"):
@@ -127,6 +132,10 @@ def parse_strategy(text: Union[str, dict]) -> StrategySpec:
         raise ValueError('a strategy spec must be an object with a "type"')
     obj = dict(obj)
     variant = obj.pop("type")
+    extra = [str(key) for key in obj
+             if key not in ("controller", "k", "s", "d")]
+    if extra:
+        raise ValueError(f"{variant} takes no field " + ", ".join(extra))
     return StrategySpec(variant, **obj)
 
 

@@ -225,7 +225,7 @@ def test_acceptance_7_lattice_property_suite():
 def test_acceptance_8_sweep_regime_structure():
     t0 = time.time()
     rows = sweep_labels(100.0, np.linspace(-1.0, 3.0, 17))
-    labels = [r["label"] for r in rows]
+    labels = [r["result"].spec.label for r in rows]
     changes = sum(1 for x, y in zip(labels, labels[1:]) if x != y)
     dt = time.time() - t0
     ok = changes == 2 and dt < 300.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,42 @@ def test_info_mmse_overflow_names_its_domain():
     with pytest.raises(ValueError, match="info_mmse is defined where"):
         info_mmse(1.5e4, 1.0, 2.0, 38, 39)
     assert info_mmse(1.5e4, 1.0, 2.0, 36, 37) > 0
+
+
+@pytest.mark.parametrize("p, power", [
+    # dl1's slices at stage s = 75 need (a^2)^78
+    (ProblemParams(a=100.0, sigmav2_sq=1e300), "10000^78"),
+    # dl2's longest horizon needs a^6, dl4's race a^12
+    (ProblemParams(a=1e77), "1e+77^6"),
+    (ProblemParams(a=1e26), "1e+26^12"),
+])
+def test_evaluator_names_the_power_that_overflows(p, power):
+    # before, a raw OverflowError from the family's coefficients
+    with pytest.raises(ValueError, match=r"powers of a .* floats; "
+                       + re.escape(power) + " overflows"):
+        LowerBoundEvaluator(p)
+
+
+@pytest.mark.parametrize("p, name", [
+    (ProblemParams(a=1e100, sigmav1_sq=1.0, sigmav2_sq=1.0), "T1"),
+    (ProblemParams(a=2.5, sigmav1_sq=1e10, sigmav2_sq=1.7e308), "t2a"),
+])
+def test_partition_rejects_a_threshold_that_overflows(p, name):
+    # before, an infinite t2a read r2 t2a = 0 inf = nan at r2 = 0, which
+    # dropped the region corollary from the bound
+    with pytest.raises(ValueError, match=f"partition's {name} overflows"):
+        RegionPartition(p)
+
+
+def test_evaluator_is_quiet_where_a_sum_or_a_cost_overflows():
+    # the pruning pass's row sums overflow at sv2 = 1e300, and r1 = 1e300
+    # overflows the strong-iv cells' costs; each is +inf, as intended
+    ev = LowerBoundEvaluator(ProblemParams(a=10.0, sigmav1_sq=1e10,
+                                           sigmav2_sq=1e300))
+    assert 1.0 <= ev.weighted(1.0, 0.0, 0.0) < math.inf
+    p = ProblemParams(a=100.0, q=1.0, r1=1e300, r2=1.0, sigmav1_sq=1e100,
+                      sigmav2_sq=1e300)
+    assert not math.isnan(lower_weighted_cost(p))
 
 
 def test_mmse_floor_base_case_and_cap():

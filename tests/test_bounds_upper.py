@@ -87,6 +87,17 @@ def test_linbb_bound_values():
     assert pt2.P2 == pytest.approx(6.25 ** 2 * 4 + 6.25 * 4 + 6.25)
 
 
+def test_linbb_bound_noiseless_side_pays_a_squared():
+    # a^4 overflows at a = 1e100: before, its inf * 0 made P nan
+    p = ProblemParams(a=1e100, sigmav1_sq=0.0, sigmav2_sq=1.0)
+    assert linbb_bound(p, 1) == (1.0, 1e200, 0.0)
+    # where a^4 is a float, the formula's own bits
+    for a in (2.5, 1e3, 1e77):
+        a2 = a * a
+        assert linbb_bound(ProblemParams(a=a, sigmav2_sq=1.0), 1) \
+            == (a2 * 0.0 + 1.0, a2 * a2 * 0.0 + a2 * 0.0 + a2, 0.0)
+
+
 def test_simplified_upper_validity():
     p = ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=8.0)  # stage 1
     lo, hi = simplified_bracket(p, 1)
@@ -178,12 +189,15 @@ def test_sweep_label_sequence_has_two_changes():
     assert [r["params"] for r in rows] == [
         ProblemParams(a=100.0, q=1.0, r1=100.0 ** float(l), r2=0.0,
                       sigmav1_sq=0.0, sigmav2_sq=100.0) for l in ls]
-    labels = [r["label"] for r in rows]
+    labels = [r["result"].spec.label for r in rows]
     changes = sum(1 for x, y in zip(labels, labels[1:]) if x != y)
     assert changes == 2
     assert labels[0] == "linbb1"
     assert labels[-1] == "linbb2"
     assert "sig1" in labels
+    # and the UpperResult optimize_upper gives for it, design included
+    for r in rows[::4] + [rows[labels.index("sig1")]]:
+        assert r["result"] == optimize_upper(r["params"])
 
 
 # -- the weight-independent evaluator against the per-weight loop ----------
@@ -488,9 +502,8 @@ def test_du1_outcomes_match_du1_bit_for_bit(monkeypatch):
 
 def test_du1_outcomes_match_du1_on_a_non_finite_term(monkeypatch):
     # a real design reaches a non-finite series term only through a float
-    # overflow, whose RuntimeWarning this test configuration makes an
-    # error, so inject one into a middle row's outage series: that series
-    # sums to +inf in the batch as in du1
+    # overflow (sv2 near the float limit), so inject one into a middle
+    # row's outage series: that series sums to +inf in the batch as in du1
     p = strong_grid_params()[4]
     designs = _batch_designs(p, every=50)
     target = designs[len(designs) // 3]

@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -218,9 +220,9 @@ def test_sweep_weight_near_float_limit_is_quiet():
     assert rows == [
         ",".join(SWEEP_COLUMNS),
         "100.0,1.0,1e+300,0.0,0.0,100.0,linbb2,,,,1000001.0,0.0,"
-        "10001010000.0,1000001.0,,,,8001.0",
+        "10001010000.0,1000001.0,,,,,8001.0",
         "100.0,1.0,1e+308,0.0,0.0,100.0,linbb2,,,,1000001.0,0.0,"
-        "10001010000.0,1000001.0,,,,8001.0",
+        "10001010000.0,1000001.0,,,,,8001.0",
     ]
 
 
@@ -233,6 +235,20 @@ def test_detmodel_text_and_json():
     assert data["steady"] == "3.0"
     res = _invoke(["detmodel", "--strategy", "witsen"])
     assert "-inf" in res.output
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_detmodel_unsettled_run_has_no_steady_level(steps):
+    # before, a 2-step linearshift run reported its last level, 2, as
+    # steady; the run settles at 3
+    args = ["detmodel", "--strategy", "linearshift", "--steps", steps]
+    res = _invoke(args)
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == "steady upper level: not reached"
+    res = _invoke(args + ["--json"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert len(data["levels"]) == int(steps) and data["steady"] is None
 
 
 def test_prop1_table():
@@ -391,9 +407,55 @@ def _sim(spec):
     (["detmodel", "--steps", "0"], "--steps"),
     (["upper", "--a", "4", "--output", os.path.dirname(__file__)],
      "cannot write"),
+    (["sweep", "--l-steps", "1"], "--l-steps"),
+    # a key or a value that is no strategy field: before, Python's own
+    # TypeError text
+    (_sim('{"type":"linbb","controller":1,"gain":3}'),
+     "linbb takes no field gain"),
+    (_sim('{"type":"linkal","controller":1,"k":"3"}'), "finite gain k"),
+    (_sim('{"type":"sig","s":1,"d":[1]}'), "finite d > 0"),
+    (_sim('{"type":"sig","s":1,'), "Expecting"),
+    # large a: before, a traceback (an OverflowError from a power of a, or
+    # the ValueError lower did not catch)
+    (["lower", "--a", "1e100", "--sv1sq", "1", "--sv2sq", "1"],
+     "overflows a float"),
+    (["upper", "--a", "1e160", "--r1", "1"], "must be finite floats"),
+    (["lower", "--a", "1e6", "--sv1sq", "1e300", "--sv2sq", "1e300"],
+     "must be finite floats"),
+    (["lower", "--a", "100", "--sv2sq", "1e300"], "10000^78 overflows"),
+    (["sweep", "--a", "1e160", "--l-max", "1"], "must be finite floats"),
+    (["prop1", "--a", "1e4,x"], "could not convert"),
 ])
 def test_rejected_input_is_one_error_line(monkeypatch, capsys, args,
                                           message):
     # main() in this process: a traceback would be an exception other than
-    # SystemExit and fail the test
+    # SystemExit and fail the test, and so would a RuntimeWarning (the
+    # test configuration makes it an error)
     assert message in _main_error(monkeypatch, capsys, args)
+
+
+@pytest.mark.parametrize("sv2sq", ["1", "1e300"])
+def test_upper_at_large_a_is_one_finite_row(sv2sq):
+    # controller 1 is noiseless: linbb1 pays P1 = a^2 = 1e200 at D = 1.
+    # Before, a^4 sv1^2 read inf * 0 = nan (sv2sq = 1), and the regime's
+    # bracket guard raised OverflowError on a^4 (sv2sq = 1e300)
+    out = _run_main(["upper", "--a", "1e100", "--sv2sq", sv2sq, "--r1",
+                     "1"])
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    row, = _assert_numeric_cells(out.stdout, UPPER_COLUMNS)
+    assert (row["strategy"], row["D"], row["P1"], row["weighted"]) \
+        == ("linbb1", "1.0", "1e+200", "1e+200")
+
+
+def test_no_command_catches_an_exception():
+    # main() is the one place that maps errors to the 'error:' line; the
+    # commands are the functions a @cli.command() decorator registers
+    tree = ast.parse(Path(lqgduet.cli.__file__).read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(dec, ast.Call)
+                        and ast.unparse(dec.func) == "cli.command"
+                        for dec in node.decorator_list)]
+    assert sorted(f.name for f in commands) == sorted(cli.commands)
+    assert [f.name for f in commands
+            if any(isinstance(node, ast.Try) for node in ast.walk(f))] == []

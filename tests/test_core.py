@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lqgduet.core import (ProblemParams, RawParams, TradeoffPoint,
+from lqgduet.core import (ProblemParams, RawParams, Regime, TradeoffPoint,
                           check_weights, classify, noise_floor, normalize)
 
 
@@ -103,6 +103,25 @@ def test_noise_floor():
                                      sigmav2_sq=0.0)) == 1.0
     assert noise_floor(ProblemParams(a=2.0, sigmav1_sq=3.0,
                                      sigmav2_sq=3.0)) == 12.0
+
+
+@pytest.mark.parametrize("a, sv1", [(1e160, 0.0), (1e6, 1e300)])
+def test_noise_floor_rejects_a_scale_that_is_no_float(a, sv1):
+    # before, OverflowError from a^2 at a = 1e160, and at a = 1e6 an
+    # infinite m that the converse's k1 recipe turned into int(inf)
+    p = ProblemParams(a=a, sigmav1_sq=sv1, sigmav2_sq=max(sv1, 1.0))
+    for f in (noise_floor, classify):
+        with pytest.raises(ValueError, match="must be finite floats"):
+            f(p)
+
+
+@pytest.mark.parametrize("a, sv2, s", [(1e100, 1e300, 2),
+                                       (2.5, 1.7e308, 388)])
+def test_classify_reads_a_bracket_power_that_overflows_as_inf(a, sv2, s):
+    # before, the bracket guard raised OverflowError on a^{2s}
+    p = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=sv2)
+    assert classify(p) == Regime("strong", s=s)
+    assert a ** (2 * (s - 1)) < sv2
 
 
 def test_classify_weak_and_boundary():

@@ -154,6 +154,17 @@ def test_truncated_sum_rejects_nondecreasing():
         _reference_truncated_sum(lambda i: np.ones(i.shape))
 
 
+def test_truncated_sum_reads_an_overflowing_term_as_inf():
+    # the second row's terms overflow a float: that row sums to +inf, with
+    # no RuntimeWarning, and the first row is summed as alone
+    scale = np.array([1.0, 1e300])
+    totals, failed = truncated_sum(
+        lambda i, live: scale[live, None] * 1e10 * 0.5 ** i, 2)
+    assert failed.tolist() == [False, False]
+    assert totals[0] == one_row_sum(lambda i: 1e10 * 0.5 ** i)
+    assert totals[1] == math.inf
+
+
 def _reference_truncated_sum(term_fn):
     """The one-series summation loop truncated_sum's rows replace."""
     total = 0.0

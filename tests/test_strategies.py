@@ -51,10 +51,28 @@ def test_spec_validation():
     # before, a bool k or d passed as the number 1 and the CSV printed True
     {"variant": "linkal", "controller": 1, "k": True},
     {"variant": "sig", "s": 1, "d": True},
+    # before, a k or d that is no number raised TypeError
+    {"variant": "linkal", "controller": 1, "k": "3"},
+    {"variant": "sig", "s": 1, "d": [1]},
+    {"variant": "sig", "s": 1, "d": "1"},
 ])
 def test_spec_rejects_non_integer_counts_and_non_finite_steps(fields):
     with pytest.raises(ValueError):
         StrategySpec(**fields)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "linbb", "controller": 1, "gain": 3},
+     "linbb takes no field gain"),
+    ({"type": "sig", "s": 1, "d": 1.0, "w1": 2.0, "x": 0},
+     "sig takes no field w1, x"),
+])
+def test_parse_rejects_keys_that_are_no_field(obj, message):
+    # before, StrategySpec.__init__'s TypeError for the unexpected keyword
+    with pytest.raises(ValueError, match=message):
+        parse_strategy(obj)
+    with pytest.raises(ValueError, match=message):
+        parse_strategy(json.dumps(obj))
 
 
 @pytest.mark.parametrize("fields, message", [
