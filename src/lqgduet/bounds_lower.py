@@ -97,14 +97,20 @@ def _check_certified(p: ProblemParams) -> None:
         raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
 
 
+class _PowerOverflow(ValueError):
+    """A power of a that the converse needs overflows a float."""
+
+
 def _power(x: float, n) -> float:
     """x ** n, for a power of |a| or of a^2 that the converse needs; raises
-    ValueError, naming the power, where it overflows a float."""
+    _PowerOverflow, a ValueError naming the power, where it overflows a
+    float."""
     try:
         return x ** n
     except OverflowError:
-        raise ValueError(f"the converse is defined while the powers of a it "
-                         f"needs are floats; {x:g}^{n:g} overflows") from None
+        raise _PowerOverflow(f"the converse is defined while the powers of a "
+                             f"it needs are floats; {x:g}^{n:g} overflows") \
+            from None
 
 
 def _geo(a: float, k_exp: int, count: int):
@@ -402,6 +408,14 @@ T2C_M_COEF = 0.0113
 _UNSTABLE = ("weak-i", "strong-i", "strong-iii")
 
 
+def _or_divided_first(value: float, divided_first: float) -> float:
+    """value, a threshold computed as a product over its divisor, or, where
+    that product overflows a float, divided_first: the same threshold with
+    the division done before the product.  A threshold whose product is a
+    float keeps its bits."""
+    return value if value < math.inf else divided_first
+
+
 @dataclass(frozen=True, eq=False)
 class RegionPartition:
     """Regime-wise partition of the power plane (P1, P2) with the
@@ -446,17 +460,25 @@ class RegionPartition:
         put("regime", regime)
         put("m", m)
         if regime.kind == "weak":
-            put("T1", A ** 2 * m / WEAK_T_DIV)
-            put("T2", A ** 2 * max(1.0, A ** 2 * sv2) / WEAK_T_DIV)
+            put("T1", _or_divided_first(A ** 2 * m / WEAK_T_DIV,
+                                        A ** 2 * (m / WEAK_T_DIV)))
+            put("T2", _or_divided_first(
+                A ** 2 * max(1.0, A ** 2 * sv2) / WEAK_T_DIV,
+                A ** 2 * max(1.0 / WEAK_T_DIV, A ** 2 * (sv2 / WEAK_T_DIV))))
             put("d_ii", max(WEAK_II_COEF * A ** 2 * sv2 + 1.0,
                             FLOOR_COEF * m))
             self._check_finite("T1", "T2", "d_ii")
             return
         t1 = sv2 / (STRONG_T1_DIV * A ** (2 * (regime.s - 1)))
-        t1hi = max(A ** 2, _power(A, 4) * p.sigmav1_sq) / STRONG_T1HI_DIV
+        A4 = _power(A, 4)
+        sv1 = p.sigmav1_sq
+        t1hi = _or_divided_first(
+            max(A ** 2, A4 * sv1) / STRONG_T1HI_DIV,
+            max(A ** 2 / STRONG_T1HI_DIV, A4 * (sv1 / STRONG_T1HI_DIV)))
         put("t1", t1)
         put("t1hi", t1hi)
-        put("t2a", _power(A, 4) * sv2 / STRONG_T2A_DIV)
+        put("t2a", _or_divided_first(A4 * sv2 / STRONG_T2A_DIV,
+                                     A4 * (sv2 / STRONG_T2A_DIV)))
         put("v_edge", max(t1, t1hi))
         put("d_ii", max(STRONG_II_COEF * A ** 2 * sv2 + 1.0,
                         FLOOR_COEF * m))
@@ -650,7 +672,10 @@ class LowerBoundEvaluator:
     one stacked call over all of its recipe's candidates, in candidate
     order; the recipe builds them inside their family's domain, so a
     candidate that fails the family's checks is a recipe bug and raises
-    ValueError.
+    ValueError.  A candidate whose coefficients need a power of a that
+    overflows a float is left out instead: its D_hi row is NaN, which
+    slicing_bound skips, and left_out keeps its message.  The max over the
+    remaining candidates is still a lower bound.
 
     D_hi and tail keep every candidate row.  The constructor also keeps a
     private copy of the undominated rows only (a few percent of them on
@@ -667,6 +692,8 @@ class LowerBoundEvaluator:
         self.D_hi = np.empty((0, n, n))
         self.tail = np.empty(0)
         self.dl3_best = 1.0
+        #: why each left-out candidate was left out, in candidate order
+        self.left_out: List[str] = []
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
         if self.certified:
@@ -679,8 +706,6 @@ class LowerBoundEvaluator:
                     self.dl3_best = max(self.dl3_best, dl3(p, k1))
                 except ValueError:
                     break
-            hi1 = self.grid[1:, None]
-            hi2 = self.grid[None, 1:]
             dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
             n1 = len(dl1_cands)
             n2 = n1 + len(dl2_cands)
@@ -691,12 +716,32 @@ class LowerBoundEvaluator:
             # one stacked call per family; no dl1 candidates when
             # sigmav2_sq = 0, which dl1 rejects
             if dl1_cands:
-                dl1(p, dl1_cands, hi1, hi2, out=self.D_hi[:n1])
-            dl2(p, *zip(*dl2_cands), hi1, hi2, out=self.D_hi[n1:n2])
-            dl4(p, _DL4_KS, hi1, hi2, out=self.D_hi[n2:])
+                self._fill(partial(dl1, p), dl1_cands, self.D_hi[:n1])
+            self._fill(lambda c, P1, P2, out: dl2(p, *zip(*c), P1, P2,
+                                                  out=out),
+                       dl2_cands, self.D_hi[n1:n2])
+            self._fill(partial(dl4, p), _DL4_KS, self.D_hi[n2:])
         # the rows slicing_bound reduces
         keep = _undominated(self.D_hi, self.tail)
         self._D, self._tail = self.D_hi[keep], self.tail[keep]
+
+    def _fill(self, family, cands, out: np.ndarray) -> None:
+        """Write the rows of cands at the grid's upper corners into out
+        by one stacked call family(cands, P1, P2, out=out).  Where a
+        candidate's power of a overflows, one call per candidate instead:
+        each candidate that overflows gets a NaN row and a left_out
+        message, and every other row is the stacked call's."""
+        hi1 = self.grid[1:, None]
+        hi2 = self.grid[None, 1:]
+        try:
+            family(cands, hi1, hi2, out=out)
+        except _PowerOverflow:
+            for f in range(len(cands)):
+                try:
+                    family(cands[f:f + 1], hi1, hi2, out=out[f:f + 1])
+                except _PowerOverflow as err:
+                    out[f] = np.nan
+                    self.left_out.append(str(err))
 
     def slicing_bound(self, q: float, r1: float, r2: float) -> float:
         """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at

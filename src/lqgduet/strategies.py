@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import linalg as la
 
 from .core import ProblemParams
 # quantize is the validated public form of the kernel; it stays importable
@@ -154,6 +153,9 @@ def _vector(values: list) -> np.ndarray:
 def lqr_gain(a: float, q: float, r: float) -> float:
     """LQR-optimal scalar feedback gain k for x[n+1] = a x + u, unit input
     gain, stage cost q x^2 + r u^2 (helper for the Kalman-based strategy)."""
+    # imported here: only perfbench's linkal specs and the tests call
+    # lqr_gain, so importing lqgduet need not load scipy.linalg
+    from scipy import linalg as la
     A = np.array([[a]])
     B = np.array([[1.0]])
     X = la.solve_discrete_are(A, B, np.array([[q]]), np.array([[r]]))

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lqgduet
@@ -19,6 +22,22 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from lqgduet import *", namespace)
     assert set(lqgduet.__all__) <= set(namespace)
+
+
+def test_importing_the_package_leaves_scipy_linalg_unloaded():
+    # only lqr_gain needs scipy.linalg, and it imports it when called; in a
+    # fresh interpreter, since this one has loaded it already
+    code = ("import sys, lqgduet, lqgduet.cli; "
+            "assert 'scipy.linalg' not in sys.modules; "
+            "from lqgduet.strategies import lqr_gain; "
+            "print(lqr_gain(3.0, 1.0, 2.0).hex())")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0x1.57d3750b16877p+1\n"
 
 
 def _load_tracer():

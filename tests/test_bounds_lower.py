@@ -54,21 +54,84 @@ def test_info_mmse_overflow_names_its_domain():
     (ProblemParams(a=1e26), "1e+26^12"),
 ])
 def test_evaluator_names_the_power_that_overflows(p, power):
-    # before, a raw OverflowError from the family's coefficients
-    with pytest.raises(ValueError, match=r"powers of a .* floats; "
-                       + re.escape(power) + " overflows"):
-        LowerBoundEvaluator(p)
+    # such a candidate is left out with its message, one NaN row each;
+    # before, it raised out of the constructor and took the whole bound
+    # with it (and before that, as a raw OverflowError)
+    ev = LowerBoundEvaluator(p)
+    message = re.compile(r"powers of a .* floats; " + re.escape(power)
+                         + " overflows")
+    assert any(message.search(m) for m in ev.left_out), ev.left_out
+    assert np.isnan(ev.D_hi).all(axis=(1, 2)).sum() == len(ev.left_out)
+    assert 1.0 <= ev.weighted(1.0, 1.0, 1.0) < math.inf
+
+
+def test_evaluator_leaves_out_only_the_candidates_that_overflow():
+    # dl4's k = 8 race needs a^12, a float at a = 4e25 but not at 6e25;
+    # its family is absent, and every dl1 and dl2 row is the one a direct
+    # call gives
+    p = ProblemParams(a=6e25, q=1.0, r1=1.0, r2=1.0, sigmav2_sq=1.0)
+    with pytest.raises(ValueError, match=re.escape("6e+25^12 overflows")):
+        dl4(p, _DL4_KS, 1.0, 1.0)
+    ev = LowerBoundEvaluator(p)
+    assert len(ev.left_out) == 1 and "6e+25^12" in ev.left_out[0]
+    dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
+    n1, n2 = len(dl1_cands), len(dl1_cands) + len(dl2_cands)
+    assert ev.D_hi.shape[0] == n2 + 1 and np.isnan(ev.D_hi[n2]).all()
+    hi1, hi2 = ev.grid[1:, None], ev.grid[None, 1:]
+    assert np.array_equal(_bits(ev.D_hi[:n1]),
+                          _bits(dl1(p, dl1_cands, hi1, hi2)))
+    assert np.array_equal(_bits(ev.D_hi[n1:n2]),
+                          _bits(dl2(p, *zip(*dl2_cands), hi1, hi2)))
+    # the bound is the max over the remaining families, the floor and the
+    # region corollary
+    rows = list(zip(ev.D_hi[:n2], ev.tail[:n2]))
+    slicing = _family_max(ev, rows, 1.0, 1.0, 1.0)
+    corollary, _ = ev.partition.corollary(1.0, 1.0, 1.0)
+    bound = lower_weighted_cost(p)
+    assert math.isfinite(bound)
+    assert bound == max(1.0, corollary, slicing) >= corollary > 1.0
+    assert ev.slicing_bound(1.0, 1.0, 1.0) == slicing
 
 
 @pytest.mark.parametrize("p, name", [
     (ProblemParams(a=1e100, sigmav1_sq=1.0, sigmav2_sq=1.0), "T1"),
-    (ProblemParams(a=2.5, sigmav1_sq=1e10, sigmav2_sq=1.7e308), "t2a"),
+    # a^4 sv2^2 / 28000 ~ 3.6e308, past the float range
+    (ProblemParams(a=1e3, sigmav1_sq=1e10, sigmav2_sq=1e301), "t2a"),
 ])
 def test_partition_rejects_a_threshold_that_overflows(p, name):
     # before, an infinite t2a read r2 t2a = 0 inf = nan at r2 = 0, which
     # dropped the region corollary from the bound
     with pytest.raises(ValueError, match=f"partition's {name} overflows"):
         RegionPartition(p)
+
+
+def test_partition_divides_first_where_a_product_overflows():
+    # each threshold fits a float, though the product before its division
+    # overflows: before, both bases were rejected
+    part = RegionPartition(ProblemParams(a=2.5, sigmav1_sq=1e10,
+                                         sigmav2_sq=1.7e308))
+    assert part.t2a == 2.5 ** 4 * (1.7e308 / 28000) == \
+        pytest.approx(2.37e305, rel=1e-3)
+    # weak: a^2 m and a^2 sv2^2 both overflow
+    part = RegionPartition(ProblemParams(a=2.5, sigmav1_sq=2.8e307,
+                                         sigmav2_sq=8e307))
+    assert part.regime.kind == "weak"
+    assert part.T1 == 6.25 * (part.m / 400)
+    assert part.T2 == 6.25 * (6.25 * (8e307 / 400))
+
+
+def test_partition_thresholds_keep_their_bits_where_the_product_is_a_float():
+    # the thresholds as the paper writes them, product first
+    for p in weak_grid_params() + strong_grid_params() \
+            + _random_bases(300, 5, a_decade=8.0, sv2_decade=20.0):
+        part = RegionPartition(p)
+        A, sv1, sv2, m = abs(p.a), p.sigmav1_sq, p.sigmav2_sq, part.m
+        if part.regime.kind == "weak":
+            assert part.T1 == A ** 2 * m / 400, p
+            assert part.T2 == A ** 2 * max(1.0, A ** 2 * sv2) / 400, p
+        else:
+            assert part.t1hi == max(A ** 2, A ** 4 * sv1) / 20000, p
+            assert part.t2a == A ** 4 * sv2 / 28000, p
 
 
 def test_evaluator_is_quiet_where_a_sum_or_a_cost_overflows():

@@ -422,7 +422,9 @@ def _sim(spec):
     (["upper", "--a", "1e160", "--r1", "1"], "must be finite floats"),
     (["lower", "--a", "1e6", "--sv1sq", "1e300", "--sv2sq", "1e300"],
      "must be finite floats"),
-    (["lower", "--a", "100", "--sv2sq", "1e300"], "10000^78 overflows"),
+    # a^4 sv2^2 / 28000 ~ 3.6e308
+    (["lower", "--a", "1000", "--sv1sq", "1e10", "--sv2sq", "1e301"],
+     "t2a overflows"),
     (["sweep", "--a", "1e160", "--l-max", "1"], "must be finite floats"),
     (["prop1", "--a", "1e4,x"], "could not convert"),
 ])
@@ -445,6 +447,26 @@ def test_upper_at_large_a_is_one_finite_row(sv2sq):
     row, = _assert_numeric_cells(out.stdout, UPPER_COLUMNS)
     assert (row["strategy"], row["D"], row["P1"], row["weighted"]) \
         == ("linbb1", "1.0", "1e+200", "1e+200")
+
+
+@pytest.mark.parametrize("args", [
+    # the region partition's t2a ~ 2.4e305, though a^4 sv2^2 overflows
+    ["--a", "2.5", "--sv1sq", "1e10", "--sv2sq", "1.7e308"],
+    # dl4's race needs a^12 and dl1's slices (a^2)^78: each such candidate
+    # is left out, and the floor, the corollary and the others stay
+    ["--a", "6e25", "--sv2sq", "1", "--r1", "1", "--r2", "1"],
+    ["--a", "100", "--sv2sq", "1e300", "--r1", "1", "--r2", "1"],
+])
+def test_lower_where_a_product_or_a_power_overflows_is_one_finite_row(args):
+    # before, each exited with "error: ... overflows"
+    out = _run_main(["lower", *args])
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    row, = _assert_numeric_cells(out.stdout)
+    p = ProblemParams(a=float(row["a"]), q=float(row["q"]),
+                      r1=float(row["r1"]), r2=float(row["r2"]),
+                      sigmav1_sq=float(row["sv1sq"]),
+                      sigmav2_sq=float(row["sv2sq"]))
+    assert float(row["weighted"]) == lower_weighted_cost(p) >= 1.0
 
 
 def test_no_command_catches_an_exception():
