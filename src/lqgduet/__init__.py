@@ -13,8 +13,7 @@ from .bounds_lower import (SliceParams, dl1, dl2, dl3, dl4, info_mmse,
                            lower_weighted_cost)
 from .certifier import (CertReport, certify_grid, certify_point,
                         prop1_divergence, ratio_transfer_check)
-from .detmodel import (DetParams, det_radner, det_witsen, run_det,
-                       steady_upper_level)
+from .detmodel import DetParams, det_radner, det_witsen, run_det
 
 __version__ = "0.1.0"
 
@@ -30,6 +29,5 @@ __all__ = [
     "CertReport", "certify_grid", "certify_point", "prop1_divergence",
     "ratio_transfer_check",
     "DetParams", "det_radner", "det_witsen", "run_det",
-    "steady_upper_level",
     "__version__",
 ]

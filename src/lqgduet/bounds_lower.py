@@ -11,18 +11,42 @@ the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, Regime, check_weights, \
-    classify, noise_floor
+from .core import A_MIN_CERTIFIED, ProblemParams, check_weights, classify, \
+    noise_floor
 
 #: geometric slicing ratio used by the converse bounds
 RCONST = 2.5
 _BETA = 1.0 / RCONST
+
+
+class _PowerOverflow(ValueError):
+    """A power of a that the converse needs overflows a float."""
+
+
+def _power(x: float, n) -> float:
+    """x ** n, for a power of |a| or of a^2 that the converse needs; raises
+    _PowerOverflow, a ValueError naming the power, where it overflows a
+    float."""
+    try:
+        return x ** n
+    except OverflowError:
+        raise _PowerOverflow(f"the converse is defined while the powers of a "
+                             f"it needs are floats; {x:g}^{n:g} overflows") \
+            from None
+
+
+def _or_divided_first(value: float, divided_first: float) -> float:
+    """value, a quantity computed as a product over its divisor, or, where
+    that product overflows a float, divided_first: the same quantity with
+    the division done before the product.  A value whose product is a
+    float keeps its bits."""
+    return value if value < math.inf else divided_first
 
 
 def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
@@ -33,8 +57,9 @@ def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
         a^{2(k-1)} sv1^2 /
         ((1 + sv1^2/sv2^2) a^{2(k1-1)} (1 - a^{-2k1})/(1 - a^{-2}) + sv1^2)
 
-    Defined while the powers of a it needs are floats; raises ValueError
-    where one of them overflows.
+    Defined while the powers of a it needs are floats; raises
+    _PowerOverflow where one of them overflows.  Where a^{2(k-1)} sv1^2
+    overflows, sv1^2 is divided by the denominator first.
     """
     if k1 < 1 or k < 1:
         raise ValueError("k1, k must be >= 1")
@@ -42,16 +67,13 @@ def info_mmse(a: float, sigmav1_sq: float, sigmav2_sq: float,
         return 0.0
     A = abs(a)
     ratio = sigmav1_sq / sigmav2_sq
-    try:
-        geo = A ** (2 * (k1 - 1)) * (1 - A ** (-2 * k1)) / (1 - A ** -2)
-        denom = (1 + ratio) * geo + sigmav1_sq
-        if not math.isfinite(denom):
-            return 0.0
-        return A ** (2 * (k - 1)) * sigmav1_sq / denom
-    except OverflowError:
-        raise ValueError(f"info_mmse is defined where a^(2(k1-1)) and "
-                         f"a^(2(k-1)) are floats; |a| = {A:g}, k1 = {k1}, "
-                         f"k = {k} overflows") from None
+    geo = _power(A, 2 * (k1 - 1)) * (1 - A ** (-2 * k1)) / (1 - A ** -2)
+    denom = (1 + ratio) * geo + sigmav1_sq
+    if not math.isfinite(denom):
+        return 0.0
+    grow = _power(A, 2 * (k - 1))
+    return _or_divided_first(grow * sigmav1_sq / denom,
+                             grow * (sigmav1_sq / denom))
 
 
 def mmse_floor(a: float, sigmav1_sq: float, sigmav2_sq: float,
@@ -95,22 +117,6 @@ def _check_sigma(p: ProblemParams, k1: int, Sigma: float) -> None:
 def _check_certified(p: ProblemParams) -> None:
     if abs(p.a) < A_MIN_CERTIFIED:
         raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
-
-
-class _PowerOverflow(ValueError):
-    """A power of a that the converse needs overflows a float."""
-
-
-def _power(x: float, n) -> float:
-    """x ** n, for a power of |a| or of a^2 that the converse needs; raises
-    _PowerOverflow, a ValueError naming the power, where it overflows a
-    float."""
-    try:
-        return x ** n
-    except OverflowError:
-        raise _PowerOverflow(f"the converse is defined while the powers of a "
-                             f"it needs are floats; {x:g}^{n:g} overflows") \
-            from None
 
 
 def _geo(a: float, k_exp: int, count: int):
@@ -269,6 +275,10 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
 #: float evaluation can land 1-3 ULP above the exact minimum, and a lower
 #: bound must not be rounded up (8 eps leaves a margin over that)
 _DL2_ROUND_DOWN = 1.0 - 8.0 * np.finfo(float).eps
+#: below the normal range float rounding is absolute and the round-down
+#: above does not reach it: a subnormal inner minimum steps down by 8
+#: subnormal steps (its evaluation lands at most 5 above the exact one)
+_DL2_SUBNORMAL_DOWN = 8 * 2.0 ** -1074
 
 
 def _dl2_inner(A: float, Sigma, sv1_sq: float, sv2_sq: float, C1, C2):
@@ -278,6 +288,7 @@ def _dl2_inner(A: float, Sigma, sv1_sq: float, sv2_sq: float, C1, C2):
     box, else the best clamped 1-D minimum on the four edges.  Broadcasts
     over Sigma, C1 and C2."""
     Sigma = np.asarray(Sigma, dtype=float)
+    tiny = np.finfo(float).tiny
     best = np.full(np.broadcast_shapes(np.shape(Sigma), np.shape(C1),
                                        np.shape(C2)), np.inf)
 
@@ -295,9 +306,23 @@ def _dl2_inner(A: float, Sigma, sv1_sq: float, sv2_sq: float, C1, C2):
         den = sv1_sq * sv2_sq + Sigma * (sv1_sq + sv2_sq)
         inside = (den > 0) & (A * Sigma * sv2_sq / den <= C1) \
             & (A * Sigma * sv1_sq / den <= C2)
-        np.fmin(best, A * A * Sigma * sv1_sq * sv2_sq / den, out=best,
-                where=inside)
+        # the interior minimum A^2 Sigma sv1^2 sv2^2 / den; where a partial
+        # product or den is subnormal it drops bits, and the same value is
+        # A^2 lo / (1 + lo/mid + lo/hi) over the sorted Sigma, sv1^2, sv2^2
+        AAS = A * A * Sigma
+        num = AAS * sv1_sq * sv2_sq
+        interior = num / den
+        lossy = (AAS < tiny) | (AAS * sv1_sq < tiny) | (num < tiny) \
+            | (den < tiny)
+        if lossy.any():
+            lo, mid, hi = np.sort(np.broadcast_arrays(Sigma, sv1_sq, sv2_sq),
+                                  axis=0)
+            interior = np.where(lossy, A * A * lo / (1 + lo / mid + lo / hi),
+                                interior)
+        np.fmin(best, interior, out=best, where=inside)
     np.multiply(best, _DL2_ROUND_DOWN, out=best)
+    np.copyto(best, np.fmax(best - _DL2_SUBNORMAL_DOWN, 0.0),
+              where=best < tiny)
     np.copyto(best, 0.0, where=np.equal(Sigma, 0))
     return best
 
@@ -387,6 +412,7 @@ def dl4(p: ProblemParams, k, P1t, P2t, out=None):
 #: every region's disturbance floor is at least FLOOR_COEF max(1, a^2 sv1^2)
 FLOOR_COEF = 0.295
 #: weak-regime thresholds T1 = a^2 m / 400, T2 = a^2 max(1, a^2 sv2^2) / 400
+#: (RegionPartition stores them as t1 and t2a)
 WEAK_T_DIV = 400.0
 #: strong-regime thresholds t1 = sv2^2 / (70 a^{2(s-1)}),
 #: t1hi = max(a^2, a^4 sv1^2) / 20000 and t2a = a^4 sv2^2 / 28000
@@ -404,95 +430,67 @@ IV_M_COEF = 0.066
 T2C_SIG_COEF = 0.0457
 T2C_M_COEF = 0.0113
 
-#: regions where no strategy stabilizes the loop (disturbance floor +inf)
-_UNSTABLE = ("weak-i", "strong-i", "strong-iii")
 
-
-def _or_divided_first(value: float, divided_first: float) -> float:
-    """value, a threshold computed as a product over its divisor, or, where
-    that product overflows a float, divided_first: the same threshold with
-    the division done before the product.  A threshold whose product is a
-    float keeps its bits."""
-    return value if value < math.inf else divided_first
-
-
-@dataclass(frozen=True, eq=False)
 class RegionPartition:
-    """Regime-wise partition of the power plane (P1, P2) with the
-    closed-form disturbance floor of each region.  Weight-independent; built
-    once per parameter set (requires |a| > 1).
+    """Partition of the power plane (P1, P2) into the regime's regions,
+    with the closed-form disturbance floor of each region.
+    Weight-independent; built once per parameter set (requires |a| > 1).
 
-    Weak regime: weak-i (P1 <= T1, P2 <= T2), weak-ii (P1 <= T1, P2 > T2),
-    weak-iii (P1 > T1).  Strong regime at stage s: for P1 <= t1, strong-i
-    (P2 <= t2a) or strong-ii; inside the signaling bracket t1 < P1 <= t1hi,
-    strong-iii (P2 <= t2c(P1)) or strong-iv; strong-v for
-    P1 > v_edge = max(t1, t1hi).  The other regime's thresholds are None.
+    Both regimes share one shape, written with the strong regime's
+    thresholds: for P1 <= t1, region i (P2 <= t2a) or ii; inside the
+    signaling bracket t1 < P1 <= t1hi, region iii (P2 <= t2c(P1)) or iv;
+    region v for P1 > v_edge = max(t1, t1hi).  labels names the five
+    regions.  The weak regime's thresholds T1 = a^2 m / 400 and
+    T2 = a^2 max(1, a^2 sv2^2) / 400 are stored as t1 and t2a, and its
+    signaling bracket is empty (t1hi = t1): weak-i, weak-ii and weak-iii
+    are regions i, ii and v, and iii and iv have no label.
     """
 
-    p: ProblemParams
-    regime: Regime = field(init=False)
-    m: float = field(init=False)
-    #: disturbance floor of region ii
-    d_ii: float = field(init=False)
-    T1: Optional[float] = field(init=False, default=None)
-    T2: Optional[float] = field(init=False, default=None)
-    t1: Optional[float] = field(init=False, default=None)
-    t1hi: Optional[float] = field(init=False, default=None)
-    t2a: Optional[float] = field(init=False, default=None)
-    v_edge: Optional[float] = field(init=False, default=None)
-    #: strong-iv bracket cells (empty when the bracket is): lower P1 edge,
-    #: and the disturbance floor and stabilization threshold at the cell's
-    #: smallest signaling factor
-    iv_p1: np.ndarray = field(init=False, repr=False,
-                                default_factory=partial(np.empty, 0))
-    iv_floor: np.ndarray = field(init=False, repr=False,
-                                   default_factory=partial(np.empty, 0))
-    iv_t2c: np.ndarray = field(init=False, repr=False,
-                                 default_factory=partial(np.empty, 0))
-
-    def __post_init__(self):
-        put = partial(object.__setattr__, self)
-        p = self.p
+    def __init__(self, p: ProblemParams):
+        self.p = p
         A = abs(p.a)
         sv2 = p.sigmav2_sq
-        regime = classify(p)
-        m = noise_floor(p)
-        put("regime", regime)
-        put("m", m)
+        self.regime = regime = classify(p)
+        self.m = m = noise_floor(p)
         if regime.kind == "weak":
-            put("T1", _or_divided_first(A ** 2 * m / WEAK_T_DIV,
-                                        A ** 2 * (m / WEAK_T_DIV)))
-            put("T2", _or_divided_first(
+            self.labels = ("weak-i", "weak-ii", None, None, "weak-iii")
+            t1 = t1hi = _or_divided_first(A ** 2 * m / WEAK_T_DIV,
+                                          A ** 2 * (m / WEAK_T_DIV))
+            t2a = _or_divided_first(
                 A ** 2 * max(1.0, A ** 2 * sv2) / WEAK_T_DIV,
-                A ** 2 * max(1.0 / WEAK_T_DIV, A ** 2 * (sv2 / WEAK_T_DIV))))
-            put("d_ii", max(WEAK_II_COEF * A ** 2 * sv2 + 1.0,
-                            FLOOR_COEF * m))
-            self._check_finite("T1", "T2", "d_ii")
-            return
-        t1 = sv2 / (STRONG_T1_DIV * A ** (2 * (regime.s - 1)))
-        A4 = _power(A, 4)
-        sv1 = p.sigmav1_sq
-        t1hi = _or_divided_first(
-            max(A ** 2, A4 * sv1) / STRONG_T1HI_DIV,
-            max(A ** 2 / STRONG_T1HI_DIV, A4 * (sv1 / STRONG_T1HI_DIV)))
-        put("t1", t1)
-        put("t1hi", t1hi)
-        put("t2a", _or_divided_first(A4 * sv2 / STRONG_T2A_DIV,
-                                     A4 * (sv2 / STRONG_T2A_DIV)))
-        put("v_edge", max(t1, t1hi))
-        put("d_ii", max(STRONG_II_COEF * A ** 2 * sv2 + 1.0,
-                        FLOOR_COEF * m))
-        self._check_finite("t1hi", "t2a", "d_ii")
+                A ** 2 * max(1.0 / WEAK_T_DIV, A ** 2 * (sv2 / WEAK_T_DIV)))
+            ii_coef = WEAK_II_COEF
+        else:
+            self.labels = ("strong-i", "strong-ii", "strong-iii",
+                           "strong-iv", "strong-v")
+            t1 = sv2 / (STRONG_T1_DIV * A ** (2 * (regime.s - 1)))
+            A4 = _power(A, 4)
+            sv1 = p.sigmav1_sq
+            t1hi = _or_divided_first(
+                max(A ** 2, A4 * sv1) / STRONG_T1HI_DIV,
+                max(A ** 2 / STRONG_T1HI_DIV, A4 * (sv1 / STRONG_T1HI_DIV)))
+            t2a = _or_divided_first(A4 * sv2 / STRONG_T2A_DIV,
+                                    A4 * (sv2 / STRONG_T2A_DIV))
+            ii_coef = STRONG_II_COEF
+        self.t1, self.t1hi, self.t2a = t1, t1hi, t2a
+        self.v_edge = max(t1, t1hi)
+        #: disturbance floor of region ii
+        self.d_ii = max(ii_coef * A ** 2 * sv2 + 1.0, FLOOR_COEF * m)
+        self._check_finite("t1", "t1hi", "t2a", "d_ii")
+        #: strong-iv bracket cells (empty when the bracket is): lower P1
+        #: edge, and the disturbance floor and stabilization threshold at
+        #: the cell's smallest signaling factor
+        self.iv_p1 = self.iv_floor = self.iv_t2c = np.empty(0)
         if t1 < t1hi:
             # cell-wise 1-D minimization over the bracket; the unimodal
             # signaling factor attains its cell minimum at an endpoint
             edges = np.geomspace(t1, t1hi, 201)
             f = self._sig(edges)
             f_min = np.minimum(f[:-1], f[1:])
-            put("iv_p1", edges[:-1])
+            self.iv_p1 = edges[:-1]
             with np.errstate(over="ignore"):
-                put("iv_floor", self._iv_floor(f_min))
-                put("iv_t2c", self._t2c_of(f_min))
+                self.iv_floor = self._iv_floor(f_min)
+                self.iv_t2c = self._t2c_of(f_min)
             self._check_finite("iv_floor", "iv_t2c")
 
     def _check_finite(self, *names: str) -> None:
@@ -526,27 +524,27 @@ class RegionPartition:
         + 0.0113 a^{2(s+1)} m.  Broadcasts over P1."""
         return self._t2c_of(self._sig(P1))
 
+    def _region(self, P1: float, P2: float) -> int:
+        """Index in labels of the region the point (P1, P2) falls in."""
+        if P1 <= self.t1:
+            return 0 if P2 <= self.t2a else 1
+        if P1 <= self.t1hi:
+            return 2 if P2 <= self.t2c(P1) else 3
+        return 4
+
     def label(self, P1: float, P2: float) -> str:
         """The region the point (P1, P2) falls in."""
-        if self.regime.kind == "weak":
-            if P1 <= self.T1:
-                return "weak-i" if P2 <= self.T2 else "weak-ii"
-            return "weak-iii"
-        if P1 <= self.t1:
-            return "strong-i" if P2 <= self.t2a else "strong-ii"
-        if P1 <= self.t1hi:
-            return "strong-iii" if P2 <= self.t2c(P1) else "strong-iv"
-        return "strong-v"
+        return self.labels[self._region(P1, P2)]
 
     def floor(self, P1: float, P2: float) -> float:
-        """Closed-form disturbance floor at (P1, P2); +inf on the regions
-        where no strategy stabilizes the loop."""
-        label = self.label(P1, P2)
-        if label in _UNSTABLE:
+        """Closed-form disturbance floor at (P1, P2); +inf on regions i and
+        iii, where no strategy stabilizes the loop."""
+        region = self._region(P1, P2)
+        if region in (0, 2):
             return math.inf
-        if label.endswith("-ii"):
+        if region == 1:
             return self.d_ii
-        if label == "strong-iv":
+        if region == 3:
             return float(self._iv_floor(self._sig(P1)))
         return FLOOR_COEF * self.m
 
@@ -554,23 +552,17 @@ class RegionPartition:
                   r2: float) -> Tuple[float, str]:
         """Lower bound on min q D + r1 P1 + r2 P2 from the region floors,
         with the label of the region where the minimum lands."""
-        weak = self.regime.kind == "weak"
         if q == 0:
-            return 0.0, "weak-i" if weak else "strong-i"
-        if weak:
-            options = [(q * self.d_ii + r2 * self.T2, "weak-ii"),
-                       (q * FLOOR_COEF * self.m + r1 * self.T1, "weak-iii")]
-        else:
-            options = [(q * self.d_ii + r2 * self.t2a, "strong-ii")]
-            if self.iv_p1.size:
-                # a weight near the float limit overflows a cell's cost to
-                # +inf, its value there
-                with np.errstate(over="ignore"):
-                    vals = q * self.iv_floor + r1 * self.iv_p1 \
-                        + r2 * self.iv_t2c
-                options.append((float(vals.min()), "strong-iv"))
-            options.append((q * FLOOR_COEF * self.m + r1 * self.v_edge,
-                            "strong-v"))
+            return 0.0, self.labels[0]
+        options = [(q * self.d_ii + r2 * self.t2a, self.labels[1])]
+        if self.iv_p1.size:
+            # a weight near the float limit overflows a cell's cost to
+            # +inf, its value there
+            with np.errstate(over="ignore"):
+                vals = q * self.iv_floor + r1 * self.iv_p1 + r2 * self.iv_t2c
+            options.append((float(vals.min()), self.labels[3]))
+        options.append((q * FLOOR_COEF * self.m + r1 * self.v_edge,
+                        self.labels[4]))
         return min(options, key=lambda x: x[0])
 
 
@@ -580,8 +572,10 @@ class RegionPartition:
 
 def _slicing_candidates(p: ProblemParams, part: RegionPartition
                         ) -> Tuple[List[SliceParams],
-                                   List[Tuple[int, int, float]]]:
-    """Parameter recipes (with perturbations) for the dl1 and dl2 families.
+                                   List[Tuple[int, int, float]], List[str]]:
+    """Parameter recipes (with perturbations) for the dl1 and dl2 families,
+    and why each k1 left out of them was left out: a k1 whose Sigma cap
+    needs a power of a that overflows a float offers no candidate.
 
     Two slices of the recipe are left out because they never bind:
 
@@ -611,6 +605,7 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
 
     dl1_cands: List[SliceParams] = []
     dl2_cands: List[Tuple[int, int, float]] = []
+    left_out: List[str] = []
     sv2p_options = []
     if p.sigmav2_sq > 0:
         # large-deviation variance inflation near the signaling power scale
@@ -618,14 +613,18 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
         sv2p_options = [p.sigmav2_sq,
                         100.0 * A ** (2 * (s - 1)) * base_P * 16.0]
     for k1 in sorted({max(1, k1_base + off) for off in (-1, 0, 1)}):
-        cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
+        try:
+            cap = mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1)
+        except _PowerOverflow as err:
+            left_out.append(str(err))
+            continue
         for Sigma in sorted({min(cap, FLOOR_COEF * m), cap * 0.5, cap}):
             for k2 in (k1 + s + 1, k1 + s + 2):
                 for k in (k2, k2 + 2):
                     dl1_cands += [SliceParams(k1, k2, k, sv2p_sq, 1.0, Sigma)
                                   for sv2p_sq in sv2p_options]
         dl2_cands += [(k1, k1 + k_off, cap) for k_off in (1, 2, 4)]
-    return dl1_cands, dl2_cands
+    return dl1_cands, dl2_cands, left_out
 
 
 #: race lengths k of the dl4 candidates: dl4(k) = a^{2(k-2)} (a - sqrt(c P1)
@@ -674,8 +673,9 @@ class LowerBoundEvaluator:
     candidate that fails the family's checks is a recipe bug and raises
     ValueError.  A candidate whose coefficients need a power of a that
     overflows a float is left out instead: its D_hi row is NaN, which
-    slicing_bound skips, and left_out keeps its message.  The max over the
-    remaining candidates is still a lower bound.
+    slicing_bound skips, and left_out keeps its message; so does a k1 of
+    the recipe whose Sigma cap overflows, which offers no candidate.  The
+    max over the remaining candidates is still a lower bound.
 
     D_hi and tail keep every candidate row.  The constructor also keeps a
     private copy of the undominated rows only (a few percent of them on
@@ -692,31 +692,30 @@ class LowerBoundEvaluator:
         self.D_hi = np.empty((0, n, n))
         self.tail = np.empty(0)
         self.dl3_best = 1.0
-        #: why each left-out candidate was left out, in candidate order
+        #: why each left-out recipe k1 and candidate was left out, in
+        #: recipe order
         self.left_out: List[str] = []
         self.certified = abs(p.a) >= A_MIN_CERTIFIED
         self.partition: Optional[RegionPartition] = None
         if self.certified:
             self.partition = RegionPartition(p)
-            # the k1 scan ends where info_mmse leaves its domain
-            # (a^{2(k1-1)} overflows); mmse_floor has reached its limit
-            # long before
+            # the k1 scan ends at 39, or before where mmse_floor needs a
+            # power of a that overflows
             for k1 in range(1, 40):
                 try:
                     self.dl3_best = max(self.dl3_best, dl3(p, k1))
-                except ValueError:
+                except _PowerOverflow:
                     break
-            dl1_cands, dl2_cands = _slicing_candidates(p, self.partition)
+            dl1_cands, dl2_cands, self.left_out = _slicing_candidates(
+                p, self.partition)
             n1 = len(dl1_cands)
             n2 = n1 + len(dl2_cands)
             self.D_hi = np.empty((n2 + len(_DL4_KS), n, n))
             # beyond the grid dl1 and dl2 are at least 1, dl4 at least 0
             self.tail = np.repeat([1.0, 1.0, 0.0],
                                   [n1, n2 - n1, len(_DL4_KS)])
-            # one stacked call per family; no dl1 candidates when
-            # sigmav2_sq = 0, which dl1 rejects
-            if dl1_cands:
-                self._fill(partial(dl1, p), dl1_cands, self.D_hi[:n1])
+            # one stacked call per family
+            self._fill(partial(dl1, p), dl1_cands, self.D_hi[:n1])
             self._fill(lambda c, P1, P2, out: dl2(p, *zip(*c), P1, P2,
                                                   out=out),
                        dl2_cands, self.D_hi[n1:n2])
@@ -730,7 +729,11 @@ class LowerBoundEvaluator:
         by one stacked call family(cands, P1, P2, out=out).  Where a
         candidate's power of a overflows, one call per candidate instead:
         each candidate that overflows gets a NaN row and a left_out
-        message, and every other row is the stacked call's."""
+        message, and every other row is the stacked call's.  No cands
+        (dl1 offers none when sigmav2_sq = 0, which it rejects) writes
+        nothing."""
+        if not cands:
+            return
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
         try:

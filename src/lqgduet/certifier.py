@@ -93,20 +93,18 @@ def region_constants(p: ProblemParams) -> dict:
 def _region_grid(part: RegionPartition, label: str,
                  n: int = 8) -> List[Tuple[float, float]]:
     """Sample points inside one region of the partition (none for the
-    unstable regions and an empty signaling bracket)."""
+    unstable regions i and iii and an empty signaling bracket)."""
     mults_hi = np.geomspace(1.01, 1e4, n)
     mults_lo = np.geomspace(1e-6, 0.99, n)
     mults_all = np.geomspace(1e-6, 1e4, n)
-    weak = part.regime.kind == "weak"
-    p1_lo, p2_lo = (part.T1, part.T2) if weak else (part.t1, part.t2a)
-    if label in ("weak-ii", "strong-ii"):
-        return [(p1_lo * f1, p2_lo * f2)
+    region = part.labels.index(label)
+    if region == 1:
+        return [(part.t1 * f1, part.t2a * f2)
                 for f1 in mults_lo for f2 in mults_hi]
-    if label in ("weak-iii", "strong-v"):
-        p1_hi = part.T1 if weak else part.v_edge
-        return [(p1_hi * f1, p2_lo * f2)
+    if region == 4:
+        return [(part.v_edge * f1, part.t2a * f2)
                 for f1 in mults_hi for f2 in mults_all]
-    if label == "strong-iv" and part.t1 < part.t1hi:
+    if region == 3 and part.iv_p1.size:
         return [(float(P1), float(part.t2c(P1)) * f2)
                 for P1 in np.geomspace(part.t1 * 1.001, part.t1hi * 0.999, n)
                 for f2 in mults_hi]

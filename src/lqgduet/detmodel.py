@@ -153,19 +153,6 @@ def steady_level(levels: list) -> Optional[float]:
     return None
 
 
-def steady_upper_level(p: DetParams, strategy: str, steps: int = 12) -> float:
-    """Steady-state upper level (the level reached and held at the end of a
-    ``steps``-step run).  Raises ValueError for steps < 2, and
-    RuntimeError where the run has not settled."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2: the steady level is the last "
-                         "of two equal levels")
-    level = steady_level(run_det(p, strategy, steps))
-    if level is None:
-        raise RuntimeError("no steady state reached")
-    return level
-
-
 def converse_allows(p: DetParams, level: int) -> bool:
     """Whether any admissible one-step action can empty the given level of
     x[n+1] when the pre-shift state occupies all levels below its top.

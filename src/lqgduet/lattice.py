@@ -90,13 +90,6 @@ def q_tail(x):
     return out
 
 
-def q_tail_lower(x):
-    """Lower bracket (1/sqrt(2 pi))(1/x - 1/x^3) exp(-x^2/2), valid x > 0."""
-    x = np.asarray(x, dtype=float)
-    out = _INV_SQRT_2PI * (1.0 / x - 1.0 / x ** 3) * np.exp(-0.5 * x * x)
-    return float(out) if out.ndim == 0 else out
-
-
 def q_tail_upper(x):
     """Upper bracket (1/(sqrt(2 pi) x)) exp(-x^2/2), valid x > 0."""
     x = np.asarray(x, dtype=float)

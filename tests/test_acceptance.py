@@ -15,10 +15,9 @@ from lqgduet.bounds_upper import SigDesign, du1, sweep_labels
 from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, appendix_region_checks,
                                certify_grid, prop1_divergence,
                                strong_grid_params, weak_grid_params)
-from lqgduet.detmodel import DetParams, det_witsen, steady_upper_level
+from lqgduet.detmodel import DetParams, det_witsen, run_det, steady_level
 from lqgduet.lattice import (comb_miss_terms, comb_outage_terms,
-                             gaussian_comb, q_tail, q_tail_lower,
-                             q_tail_upper, quantize)
+                             gaussian_comb, q_tail, q_tail_upper, quantize)
 from lqgduet.simulator import SimConfig, run
 from lqgduet.strategies import StrategySpec
 from test_lattice import one_row_sum
@@ -33,8 +32,8 @@ def _report(n, ok, detail=""):
 def test_acceptance_1_deterministic_model_exactness():
     t0 = time.time()
     p = DetParams(a_prime=2, sigma_v2_level=1, p1_level=1)
-    opt = steady_upper_level(p, "Optimal")
-    lin = steady_upper_level(p, "LinearShift")
+    opt = steady_level(run_det(p, "Optimal", 12))
+    lin = steady_level(run_det(p, "LinearShift", 12))
     wit = det_witsen()
     dt = time.time() - t0
     ok = opt == 2 and lin == 3 and wit == -math.inf and dt < 1.0
@@ -190,7 +189,9 @@ def test_acceptance_7_lattice_property_suite():
     # tail brackets on a 200-point grid
     x = np.linspace(0.1, 40.0, 200)
     q = np.array([q_tail(float(t)) for t in x])
-    bracket_ok = bool(np.all(q_tail_lower(x) <= q * (1 + 1e-12))
+    lo = (1.0 / x - 1.0 / x ** 3) * np.exp(-0.5 * x * x) \
+        / math.sqrt(2 * math.pi)
+    bracket_ok = bool(np.all(lo <= q * (1 + 1e-12))
                       and np.all(q <= q_tail_upper(x) * (1 + 1e-12)))
 
     # estimation-error bound dominates Monte Carlo on 10 instances

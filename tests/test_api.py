@@ -83,7 +83,6 @@ SRC = Path(lqgduet.__file__).resolve().parent
 #: top-level names kept in src without a caller there, each for a reason
 NO_CALLER_ALLOWED = {
     "lqr_gain": "perfbench builds its linkal specs with it",
-    "q_tail_lower": "tail bracket for the planned sound du1 tail",
     "q_tail_upper": "tail bracket for the planned sound du1 tail",
     "appendix_region_checks": "acceptance 5's entry point",
 }

@@ -3,15 +3,17 @@ import math
 import re
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from lqgduet import bounds_lower
+from lqgduet.bounds_upper import UpperBoundEvaluator, optimize_upper
 from lqgduet.certifier import (certify_grid, default_weight_grid,
                                strong_grid_params, weak_grid_params)
-from lqgduet.core import ProblemParams
+from lqgduet.core import ProblemParams, classify, noise_floor
 from lqgduet.bounds_lower import (_DL4_KS, LowerBoundEvaluator,
                                   RegionPartition, SliceParams, _dl2_inner,
                                   _geo, _slicing_candidates, dl1, dl2, dl3,
@@ -40,11 +42,59 @@ def test_info_mmse_perfect_observation():
 
 
 def test_info_mmse_overflow_names_its_domain():
-    # a^{2(k-1)} leaves the float range at |a| = 1.5e4, k = 39
-    with pytest.raises(ValueError, match="info_mmse is defined where"):
+    # a^{2(k1-1)} leaves the float range at |a| = 1.5e4, k1 = 38: the same
+    # ValueError the families raise, naming the power
+    with pytest.raises(bounds_lower._PowerOverflow,
+                       match=re.escape("15000^74 overflows")):
         info_mmse(1.5e4, 1.0, 2.0, 38, 39)
     assert info_mmse(1.5e4, 1.0, 2.0, 36, 37) > 0
 
+
+
+def test_info_mmse_divides_first_where_its_product_overflows():
+    # a^{2(k-1)} sv1^2 = 1e157 1e5 overflows, though the quotient is about
+    # 1e13; before, mmse_floor(k1 = 39) was inf, and so was the bound
+    v = mmse_floor(1e4, 1e5, 1e12, 39)
+    assert v == pytest.approx(1e13, rel=1e-6)
+    assert dl3(ProblemParams(a=1e4, sigmav1_sq=1e5, sigmav2_sq=1e12), 39) \
+        == v
+
+
+def test_lower_stays_below_upper_where_info_mmse_products_overflow():
+    # seeded bases up to a = 1e12 and sv1^2 = 1e300, with a^4 sv2^2 a float
+    # (the partition's domain): most of these points reported lower = inf
+    # above a finite upper bound before info_mmse divided first
+    rng = np.random.default_rng(606)
+    weights = [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (1.0, 1e-2, 1e2),
+               (1e-2, 1e2, 1.0)]
+    for _ in range(100):
+        log_a = rng.uniform(math.log10(2.5), 12.0)
+        top = min(300.0, 306.0 - 4 * log_a)
+        log_sv1 = rng.uniform(-3.0, top)
+        base = ProblemParams(a=float(10 ** log_a),
+                             sigmav1_sq=float(10 ** log_sv1),
+                             sigmav2_sq=float(10 ** rng.uniform(
+                                 log_sv1, min(log_sv1 + 12.0, top))))
+        ev, up = LowerBoundEvaluator(base), UpperBoundEvaluator(base)
+        for q, r1, r2 in weights:
+            p = dataclasses.replace(base, q=q, r1=r1, r2=r2)
+            assert ev.weighted(q, r1, r2) <= optimize_upper(p, up).cost, p
+
+
+def test_recipe_leaves_out_a_k1_whose_cap_overflows():
+    # the recipe's k1 = 390 needs 2.5^776 for its Sigma cap: that k1 offers
+    # no candidate and is named in left_out, where before its error
+    # rejected the whole converse
+    p = ProblemParams(a=2.5, sigmav1_sq=2.8e307, sigmav2_sq=8e307)
+    dl1_cands, dl2_cands, left_out = _slicing_candidates(
+        p, RegionPartition(p))
+    assert left_out == ["the converse is defined while the powers of a it "
+                        "needs are floats; 2.5^776 overflows"]
+    assert {k1 for k1, _, _ in dl2_cands} == {388, 389}
+    assert {sp.k1 for sp in dl1_cands} == {388, 389}
+    ev = LowerBoundEvaluator(p)
+    assert ev.left_out == left_out
+    assert 1.0 <= ev.weighted(1.0, 0.0, 0.0) < math.inf
 
 @pytest.mark.parametrize("p, power", [
     # dl1's slices at stage s = 75 need (a^2)^78
@@ -74,7 +124,7 @@ def test_evaluator_leaves_out_only_the_candidates_that_overflow():
         dl4(p, _DL4_KS, 1.0, 1.0)
     ev = LowerBoundEvaluator(p)
     assert len(ev.left_out) == 1 and "6e+25^12" in ev.left_out[0]
-    dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
+    dl1_cands, dl2_cands, _ = _slicing_candidates(p, ev.partition)
     n1, n2 = len(dl1_cands), len(dl1_cands) + len(dl2_cands)
     assert ev.D_hi.shape[0] == n2 + 1 and np.isnan(ev.D_hi[n2]).all()
     hi1, hi2 = ev.grid[1:, None], ev.grid[None, 1:]
@@ -94,7 +144,7 @@ def test_evaluator_leaves_out_only_the_candidates_that_overflow():
 
 
 @pytest.mark.parametrize("p, name", [
-    (ProblemParams(a=1e100, sigmav1_sq=1.0, sigmav2_sq=1.0), "T1"),
+    (ProblemParams(a=1e100, sigmav1_sq=1.0, sigmav2_sq=1.0), "t1"),
     # a^4 sv2^2 / 28000 ~ 3.6e308, past the float range
     (ProblemParams(a=1e3, sigmav1_sq=1e10, sigmav2_sq=1e301), "t2a"),
 ])
@@ -116,8 +166,8 @@ def test_partition_divides_first_where_a_product_overflows():
     part = RegionPartition(ProblemParams(a=2.5, sigmav1_sq=2.8e307,
                                          sigmav2_sq=8e307))
     assert part.regime.kind == "weak"
-    assert part.T1 == 6.25 * (part.m / 400)
-    assert part.T2 == 6.25 * (6.25 * (8e307 / 400))
+    assert part.t1 == 6.25 * (part.m / 400)
+    assert part.t2a == 6.25 * (6.25 * (8e307 / 400))
 
 
 def test_partition_thresholds_keep_their_bits_where_the_product_is_a_float():
@@ -127,8 +177,8 @@ def test_partition_thresholds_keep_their_bits_where_the_product_is_a_float():
         part = RegionPartition(p)
         A, sv1, sv2, m = abs(p.a), p.sigmav1_sq, p.sigmav2_sq, part.m
         if part.regime.kind == "weak":
-            assert part.T1 == A ** 2 * m / 400, p
-            assert part.T2 == A ** 2 * max(1.0, A ** 2 * sv2) / 400, p
+            assert part.t1 == A ** 2 * m / 400, p
+            assert part.t2a == A ** 2 * max(1.0, A ** 2 * sv2) / 400, p
         else:
             assert part.t1hi == max(A ** 2, A ** 4 * sv1) / 20000, p
             assert part.t2a == A ** 4 * sv2 / 28000, p
@@ -187,6 +237,11 @@ def test_dl2_inner_matches_brute_force():
 @given(st.floats(2.5, 100.0), st.floats(1e-3, 1e4), st.floats(0.0, 1e4),
        st.floats(0.0, 1e4), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
 @example(9.125, 1.0, 2.0, 5e-324, 1.0, 9.125)  # subnormal interior minimum
+# A^2 Sigma sv1^2 sv2^2 passes through a subnormal: in floats it lands
+# 7e-12 above the exact minimum at the first, and 6e-10 below it at the
+# second, where the inner minimum took that low value
+@example(3.0, 86.0, 2.4985907295913983e-306, 2.4071201567018105e-11, 3.0, 1.0)
+@example(3.0, 86.0, 5.99e-307, 5.06e-12, 3.0, 1.0)
 def test_dl2_inner_is_the_box_minimum(A, Sigma, sv1, sv2, C1, C2):
     got = float(_dl2_inner(A, Sigma, sv1, sv2, C1, C2))
     tol = 1e-12 * A * A * Sigma
@@ -200,11 +255,14 @@ def test_dl2_inner_is_the_box_minimum(A, Sigma, sv1, sv2, C1, C2):
     den = sv1 * sv2 + Sigma * (sv1 + sv2)
     if den > 0 and A * Sigma * sv2 / den <= C1 \
             and A * Sigma * sv1 / den <= C2:
-        exact = A * A * Sigma * sv1 * sv2 / den
-        assert got <= exact
-        # a subnormal minimum carries too few bits for a relative match
-        if exact >= np.finfo(float).tiny:
-            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # the interior minimum, exactly enough at 50 digits
+        with mpmath.workdps(50):
+            Am, Sm, s1, s2 = (mpmath.mpf(x) for x in (A, Sigma, sv1, sv2))
+            exact = Am * Am * Sm * s1 * s2 / (s1 * s2 + Sm * (s1 + s2))
+            assert got <= exact
+            # a subnormal minimum carries too few bits for a relative match
+            if exact >= np.finfo(float).tiny:
+                assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 def test_dl4_zero_power_and_direct_value():
@@ -273,6 +331,150 @@ def test_region_floors():
     assert math.isinf(pw.floor(0.0, 0.0))
     assert pw.floor(0.0, 1e9) == pytest.approx(0.176 * 16.0 + 1.0)
     assert pw.floor(1e9, 0.0) == pytest.approx(0.295)
+
+
+class _PerRegimePartition:
+    """Reference for RegionPartition: the partition written regime by
+    regime, as the paper states it.  Weak regime: weak-i (P1 <= T1,
+    P2 <= T2), weak-ii (P1 <= T1, P2 > T2), weak-iii (P1 > T1).  Strong
+    regime: strong-i or ii at P1 <= t1 (split at t2a), strong-iii or iv in
+    the bracket t1 < P1 <= t1hi (split at t2c(P1)), strong-v beyond it.  A
+    threshold whose product overflows is divided first."""
+
+    def __init__(self, p):
+        A, sv1, sv2 = abs(p.a), p.sigmav1_sq, p.sigmav2_sq
+        self.A, self.regime, self.m = A, classify(p), noise_floor(p)
+        m = self.m
+        self.weak = self.regime.kind == "weak"
+        first = lambda x, y: x if x < math.inf else y  # noqa: E731
+        if self.weak:
+            self.T1 = first(A ** 2 * m / 400, A ** 2 * (m / 400))
+            self.T2 = first(A ** 2 * max(1.0, A ** 2 * sv2) / 400,
+                            A ** 2 * max(1 / 400, A ** 2 * (sv2 / 400)))
+            self.d_ii = max(0.176 * A ** 2 * sv2 + 1.0, 0.295 * m)
+            return
+        s = self.regime.s
+        self.t1 = sv2 / (70.0 * A ** (2 * (s - 1)))
+        self.t1hi = first(max(A ** 2, A ** 4 * sv1) / 20000,
+                          max(A ** 2 / 20000, A ** 4 * (sv1 / 20000)))
+        self.t2a = first(A ** 4 * sv2 / 28000, A ** 4 * (sv2 / 28000))
+        self.d_ii = max(0.008 * A ** 2 * sv2 + 1.0, 0.295 * m)
+        self.A2s = A ** (2 * s)
+        self.decay = 50.0 * A ** (2 * (s - 1)) / sv2
+        self.cells = None
+        if self.t1 < self.t1hi:
+            # the signaling factor's smallest value on each bracket cell
+            edges = np.geomspace(self.t1, self.t1hi, 201)
+            f = self._sig(edges)
+            f_min = np.minimum(f[:-1], f[1:])
+            self.cells = (edges[:-1], self._iv_floor(f_min),
+                          self._t2c(f_min))
+
+    def _sig(self, P1):
+        return P1 * np.exp(-self.decay * P1)
+
+    def _iv_floor(self, f):
+        return np.maximum(0.2541 * self.A2s * f + 0.066 * self.A2s * self.m
+                          + 1.0, 0.295 * self.m)
+
+    def _t2c(self, f):
+        return 0.0457 * self.A ** 2 * self.A2s * f \
+            + 0.0113 * self.A ** 2 * self.A2s * self.m
+
+    def label(self, P1, P2):
+        if self.weak:
+            if P1 <= self.T1:
+                return "weak-i" if P2 <= self.T2 else "weak-ii"
+            return "weak-iii"
+        if P1 <= self.t1:
+            return "strong-i" if P2 <= self.t2a else "strong-ii"
+        if P1 <= self.t1hi:
+            return "strong-iii" if P2 <= self._t2c(self._sig(P1)) \
+                else "strong-iv"
+        return "strong-v"
+
+    def floor(self, P1, P2):
+        label = self.label(P1, P2)
+        if label in ("weak-i", "strong-i", "strong-iii"):
+            return math.inf
+        if label in ("weak-ii", "strong-ii"):
+            return self.d_ii
+        if label == "strong-iv":
+            return float(self._iv_floor(self._sig(P1)))
+        return 0.295 * self.m
+
+    def corollary(self, q, r1, r2):
+        if q == 0:
+            return 0.0, "weak-i" if self.weak else "strong-i"
+        if self.weak:
+            return min([(q * self.d_ii + r2 * self.T2, "weak-ii"),
+                        (q * 0.295 * self.m + r1 * self.T1, "weak-iii")],
+                       key=lambda x: x[0])
+        options = [(q * self.d_ii + r2 * self.t2a, "strong-ii")]
+        if self.cells is not None:
+            p1, floor, t2c = self.cells
+            with np.errstate(over="ignore"):
+                vals = q * floor + r1 * p1 + r2 * t2c
+            options.append((float(vals.min()), "strong-iv"))
+        options.append((q * 0.295 * self.m + r1 * max(self.t1, self.t1hi),
+                        "strong-v"))
+        return min(options, key=lambda x: x[0])
+
+    def probes(self):
+        """Power points on, just inside and just outside every threshold,
+        inside the bracket, and far from all of them."""
+        if self.weak:
+            p1s, p2s = [self.T1], [self.T2]
+        else:
+            p1s, p2s = [self.t1, self.t1hi], [self.t2a]
+            if self.cells is not None:
+                inner = np.geomspace(self.t1, self.t1hi, 5)[1:-1]
+                p1s += list(inner)
+                p2s += list(self._t2c(self._sig(inner)))
+        near = (1 - 1e-12, 1.0, 1 + 1e-12)
+        P1s = [0.0, 1e300] + [x * f for x in p1s for f in near]
+        P2s = [0.0, 1e300] + [x * f for x in p2s for f in near]
+        return [(float(P1), float(P2)) for P1 in P1s for P2 in P2s]
+
+
+def _bracket_bases(count, seed):
+    """Seeded strongly degraded bases (stage 1 to 3, a third with
+    sv1^2 = 0) whose signaling bracket t1 < t1hi is non-empty, which
+    needs a above about 17."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    while len(bases) < count:
+        a = float(10 ** rng.uniform(math.log10(17.0), 4.0))
+        sv1 = 0.0 if len(bases) % 3 == 0 else float(10 ** rng.uniform(-6, 2))
+        m = max(1.0, a * a * sv1)
+        s_frac = int(rng.integers(0, 3)) + float(rng.uniform(0.01, 1.0))
+        p = ProblemParams(a=a, sigmav1_sq=sv1,
+                          sigmav2_sq=m * a ** (2 * s_frac))
+        if _PerRegimePartition(p).cells is not None:
+            bases.append(p)
+    return bases
+
+
+def test_one_partition_shape_matches_the_per_regime_partition():
+    # labels, floors and corollaries bit for bit against the partition
+    # written regime by regime, on the certification grid and on seeded
+    # bases with a non-empty signaling bracket
+    weights = default_weight_grid() + [(0.0, 1.0, 1.0), (1.0, 0.0, 0.0),
+                                       (1.0, 1e300, 1.0), (1e-300, 1.0, 1.0)]
+    bases = weak_grid_params() + strong_grid_params() \
+        + _bracket_bases(400, 2222)
+    for p in bases:
+        part, ref = RegionPartition(p), _PerRegimePartition(p)
+        assert part.iv_p1.size == (0 if ref.weak or ref.cells is None
+                                   else 200), p
+        for P1, P2 in ref.probes():
+            assert part.label(P1, P2) == ref.label(P1, P2), (p, P1, P2)
+            assert _bits(part.floor(P1, P2)) == _bits(ref.floor(P1, P2)), \
+                (p, P1, P2)
+        for q, r1, r2 in weights:
+            got, want = part.corollary(q, r1, r2), ref.corollary(q, r1, r2)
+            assert got[1] == want[1] and _bits(got[0]) == _bits(want[0]), \
+                (p, q, r1, r2)
 
 
 def test_lower_bound_basics():
@@ -414,7 +616,7 @@ def test_pruned_queries_keep_a_binding_nan_row(monkeypatch):
     vals = q * plain.D_hi + r1 * lo[:, None] + r2 * lo[None, :]
     top = int(np.argmax(vals.min(axis=(1, 2))))
     cell = np.unravel_index(np.argmin(vals[top]), vals[top].shape)
-    dl1_cands, dl2_cands = _slicing_candidates(p, plain.partition)
+    dl1_cands, dl2_cands, _ = _slicing_candidates(p, plain.partition)
     n1, n2 = len(dl1_cands), len(dl1_cands) + len(dl2_cands)
     # the binding row is a dl2 row: copy it over the smallest other one
     assert n1 <= top < n2
@@ -510,7 +712,7 @@ def _cut_rows(p, part):
     dominates it: dl1's (100/70) sv2^2 option beside sv2p^2 = sv2^2, and
     dl2's Sigma < cap slices beside Sigma = cap."""
     full1, full2 = _full_recipe(p, part)
-    kept1, kept2 = _slicing_candidates(p, part)
+    kept1, kept2, _ = _slicing_candidates(p, part)
     assert set(kept1) <= set(full1) and set(kept2) <= set(full2)
     cut1 = [sp for sp in full1 if sp not in kept1]
     cut2 = [c for c in full2 if c not in kept2]
@@ -569,7 +771,7 @@ def test_evaluator_rows_are_nonincreasing_along_both_power_axes():
         + _random_bases(500, 4242, a_decade=8.0, sv2_decade=20.0)
     for p in bases:
         ev = LowerBoundEvaluator(p)
-        dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
+        dl1_cands, dl2_cands, _ = _slicing_candidates(p, ev.partition)
         n1, n2 = len(dl1_cands), len(dl1_cands) + len(dl2_cands)
         for D in (ev.D_hi, ev.D_hi.transpose(0, 2, 1)):
             prev, nxt = D[:, :-1], D[:, 1:]
@@ -681,7 +883,7 @@ def _one_candidate_rows(ev):
     reference formulas."""
     p, n = ev.p, ev.grid.size - 1
     hi1, hi2 = ev.grid[1:, None], ev.grid[None, 1:]
-    dl1_cands, dl2_cands = _slicing_candidates(p, ev.partition)
+    dl1_cands, dl2_cands, _ = _slicing_candidates(p, ev.partition)
     calls = [(dl1, _ref_dl1, (sp,), 1.0) for sp in dl1_cands] \
         + [(dl2, _ref_dl2, c, 1.0) for c in dl2_cands] \
         + [(dl4, _ref_dl4, (k,), 0.0) for k in _DL4_KS]
@@ -771,7 +973,7 @@ def test_every_recipe_candidate_passes_its_family_checks():
     bases = weak_grid_params() + strong_grid_params() \
         + _random_bases(2000, 31, a_decade=8.0, sv2_decade=20.0)
     for p in bases:
-        dl1_cands, dl2_cands = _slicing_candidates(p, RegionPartition(p))
+        dl1_cands, dl2_cands, _ = _slicing_candidates(p, RegionPartition(p))
         assert bool(dl1_cands) == (p.sigmav2_sq > 0), p
         if dl1_cands:
             dl1(p, dl1_cands, 1.0, 1.0)
@@ -783,7 +985,7 @@ def test_failing_candidate_raises_out_of_the_evaluator(monkeypatch):
     # a candidate outside its family's domain is a recipe bug: the kernel's
     # check raises through the constructor instead of being dropped
     p = strong_grid_params()[10]
-    dl1_cands, _ = _slicing_candidates(p, RegionPartition(p))
+    dl1_cands, _, _ = _slicing_candidates(p, RegionPartition(p))
     victim = dl1_cands[5]
     check = SliceParams.check
 

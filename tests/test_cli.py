@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "simulate_golden.csv")
 SWEEP_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                                  "sweep_golden.csv")
+CERTIFY_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                   "certify_golden.csv")
 
 
 def _invoke(args, env=None):
@@ -76,6 +79,14 @@ def test_sweep_golden_file():
     res = _invoke(["sweep", "--a", "100"])
     assert res.exit_code == 0
     with open(SWEEP_GOLDEN_PATH) as f:
+        assert res.output == f.read()
+
+
+def test_certify_golden_file():
+    # every base's region labels, both bounds and the ratios bit for bit
+    res = _invoke(["certify", "--regime", "both"])
+    assert res.exit_code == 0
+    with open(CERTIFY_GOLDEN_PATH) as f:
         assert res.output == f.read()
 
 
@@ -138,6 +149,23 @@ def test_upper_and_lower_consistent():
     u = float(up.output.strip().splitlines()[-1].split(",")[13])
     l = float(lo.output.strip().splitlines()[-1].split(",")[13])
     assert l <= u
+
+
+@pytest.mark.parametrize("args", [
+    # a^{2(k-1)} sv1^2 in info_mmse overflowed, though its quotient is a
+    # float: lower printed inf above upper's 1.0000000200000999e+21
+    ["--a", "1e4", "--sv1sq", "1e5", "--sv2sq", "1e12", "--r1", "1",
+     "--r2", "1"],
+    # one k1 of the recipe has a Sigma cap that overflows: lower ended in
+    # "error: info_mmse is defined where ..."
+    ["--a", "2.5", "--sv1sq", "2.8e307", "--sv2sq", "8e307"],
+])
+def test_lower_is_finite_below_upper_where_a_power_overflows(args):
+    up, lo = _invoke(["upper", *args]), _invoke(["lower", *args])
+    assert up.exit_code == 0 and lo.exit_code == 0
+    u = float(up.output.strip().splitlines()[-1].split(",")[13])
+    l = float(lo.output.strip().splitlines()[-1].split(",")[13])
+    assert 1.0 <= l <= u < math.inf
 
 
 @pytest.mark.parametrize("args", [

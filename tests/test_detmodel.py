@@ -4,7 +4,7 @@ import pytest
 
 from lqgduet.detmodel import (BitWord, DetParams, converse_allows,
                               det_radner, det_step, det_witsen, run_det,
-                              steady_level, steady_upper_level)
+                              steady_level)
 
 
 def test_params_validation():
@@ -43,24 +43,22 @@ def test_first_step_level_zero():
 
 def test_optimal_steady_level_two():
     assert run_det(DetParams(), "Optimal", 8) == [0, 2, 2, 2, 2, 2, 2, 2]
-    assert steady_upper_level(DetParams(), "Optimal") == 2
+    assert steady_level(run_det(DetParams(), "Optimal", 12)) == 2
 
 
 def test_linear_shift_steady_level_three():
     assert run_det(DetParams(), "LinearShift", 8) \
         == [0, 2, 3, 3, 3, 3, 3, 3]
-    assert steady_upper_level(DetParams(), "LinearShift") == 3
+    assert steady_level(run_det(DetParams(), "LinearShift", 12)) == 3
 
 
 def test_steady_level_needs_two_equal_last_levels():
     assert steady_level([0, 2, 3, 3]) == 3
     assert steady_level([0, 2]) is None
     assert steady_level([0]) is None
-    with pytest.raises(RuntimeError, match="no steady state"):
-        steady_upper_level(DetParams(), "LinearShift", steps=2)
-    # before, IndexError from the one-level run
-    with pytest.raises(ValueError, match="steps must be >= 2"):
-        steady_upper_level(DetParams(), "Optimal", steps=1)
+    # runs too short to settle
+    assert steady_level(run_det(DetParams(), "LinearShift", 2)) is None
+    assert steady_level(run_det(DetParams(), "Optimal", 1)) is None
 
 
 def test_optimal_steady_state_is_periodic_word():

@@ -9,8 +9,8 @@ from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
                              SERIES_MAX_TERMS, SERIES_REL_TOL, SERIES_ROWS,
                              CombBound, SeriesNonConvergent,
                              comb_miss_terms, comb_outage_terms,
-                             gaussian_comb, q_tail, q_tail_lower,
-                             q_tail_upper, quantize, truncated_sum)
+                             gaussian_comb, q_tail, q_tail_upper,
+                             quantize, truncated_sum)
 
 # y expressed as a bounded multiple of the step, so the identities are not
 # drowned by float64 resolution at extreme y/step ratios
@@ -111,7 +111,9 @@ def test_q_tail_bracket_on_grid():
     # 200-point grid: lower <= Q <= upper, both strict where defined
     x = np.linspace(0.1, 40.0, 200)
     q = np.array([q_tail(float(t)) for t in x])
-    lo = q_tail_lower(x)
+    # the lower bracket (1/sqrt(2 pi))(1/x - 1/x^3) exp(-x^2/2), x > 0
+    lo = (1.0 / x - 1.0 / x ** 3) * np.exp(-0.5 * x * x) \
+        / math.sqrt(2 * math.pi)
     hi = q_tail_upper(x)
     assert np.all(lo <= q * (1 + 1e-12))
     assert np.all(q <= hi * (1 + 1e-12))
