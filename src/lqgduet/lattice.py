@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -46,10 +45,11 @@ def quantize(step, y):
     """Nearest lattice point: step * floor(y/step + 1/2).
 
     Ties round upward (half-open convention), so the matching remainder lies
-    in [-step/2, step/2).  Works elementwise on arrays.
+    in [-step/2, step/2).  Works elementwise on arrays; a step that is not
+    finite and positive is a ValueError.
     """
-    if np.any(np.asarray(step) <= 0):
-        raise ValueError("step must be > 0")
+    if not np.all(np.isfinite(step) & np.greater(step, 0)):
+        raise ValueError("step must be finite and > 0")
     return _quantize_unchecked(step, y)
 
 
@@ -60,6 +60,15 @@ def _quantize_unchecked(step, y, out=None):
     q = np.add(q, 0.5, out)
     q = np.floor(q, out)
     return np.multiply(q, step, out)
+
+
+def _erfc(x):
+    """scipy.special.erfc, imported at the first call, which rebinds _erfc
+    to the ufunc: importing lqgduet loads no SciPy, and later calls run
+    no import statement."""
+    global _erfc
+    from scipy.special import erfc as _erfc
+    return _erfc(x)
 
 
 def _q_tail_upper_pos(x):
@@ -79,11 +88,11 @@ def q_tail(x):
     if x.ndim == 0:
         if x > _Q_TAIL_SWITCH:
             return float(_q_tail_upper_pos(x)) if x < _Q_TAIL_ZERO else 0.0
-        return float(0.5 * erfc(x / _SQRT2))
+        return float(0.5 * _erfc(x / _SQRT2))
     big = x > _Q_TAIL_SWITCH
     body = ~big  # NaN and -inf included
     out = np.zeros(x.shape)
-    out[body] = 0.5 * erfc(x[body] / _SQRT2)
+    out[body] = 0.5 * _erfc(x[body] / _SQRT2)
     mid = big & (x < _Q_TAIL_ZERO)
     if mid.any():
         out[mid] = _q_tail_upper_pos(x[mid])

@@ -24,20 +24,51 @@ def test_star_import_binds_every_exported_name():
     assert set(lqgduet.__all__) <= set(namespace)
 
 
-def test_importing_the_package_leaves_scipy_linalg_unloaded():
-    # only lqr_gain needs scipy.linalg, and it imports it when called; in a
-    # fresh interpreter, since this one has loaded it already
-    code = ("import sys, lqgduet, lqgduet.cli; "
-            "assert 'scipy.linalg' not in sys.modules; "
-            "from lqgduet.strategies import lqr_gain; "
-            "print(lqr_gain(3.0, 1.0, 2.0).hex())")
+#: run in a fresh interpreter: the package, the converse, the simulator and
+#: the deterministic model load no SciPy; the first Gaussian tail loads
+#: scipy.special alone, and lqr_gain scipy.linalg
+_SCIPY_LOADS = """
+import sys
+import lqgduet.cli
+from lqgduet import (DetParams, ProblemParams, SimConfig, StrategySpec,
+                     lower_weighted_cost, run, run_det)
+from lqgduet.lattice import q_tail
+from lqgduet.strategies import lqr_gain
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+assert scipy_loaded() == [], scipy_loaded()
+p = ProblemParams(a=3.0, q=1.0, r1=0.1, r2=0.01, sigmav1_sq=0.5,
+                  sigmav2_sq=40.0)
+lower_weighted_cost(p)
+cfg = SimConfig(horizon=50, burn_in=10, trials=2, seed=0)
+run(p, StrategySpec("linbb", controller=1), cfg)
+run(p, StrategySpec("sig", s=2, d=1.0), cfg)
+run_det(DetParams(), "Optimal", 8)
+assert scipy_loaded() == [], scipy_loaded()
+q_tail(1.0)
+assert 'scipy.special' in sys.modules and 'scipy.linalg' not in sys.modules
+print(lqr_gain(3.0, 1.0, 2.0).hex())
+"""
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports lqgduet from src; its
+    stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "0x1.57d3750b16877p+1\n"
+    return out.stdout
+
+
+def test_importing_the_package_leaves_scipy_linalg_unloaded():
+    # no SciPy until the first Gaussian tail or lqr_gain; in a fresh
+    # interpreter, since this one has loaded both already
+    assert _fresh_python(_SCIPY_LOADS) == "0x1.57d3750b16877p+1\n"
 
 
 def _load_tracer():

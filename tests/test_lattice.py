@@ -11,6 +11,7 @@ from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
                              comb_miss_terms, comb_outage_terms,
                              gaussian_comb, q_tail, q_tail_upper,
                              quantize, truncated_sum)
+from test_api import _fresh_python
 
 # y expressed as a bounded multiple of the step, so the identities are not
 # drowned by float64 resolution at extreme y/step ratios
@@ -45,9 +46,46 @@ def test_quantize_rejects_nonpositive_step():
         quantize(0.0, 1.0)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf,
+                                  np.array([1.0, math.nan])])
+def test_quantize_rejects_a_step_that_is_not_finite(step):
+    # such a step gave NaN, not a lattice point
+    with pytest.raises(ValueError, match="finite"):
+        quantize(step, 1.0)
+
+
+#: x <= 37, where q_tail is erfc's value; the first, which a first call
+#: evaluates, is one where libm's erfc has other bits than scipy's
+_ERFC_X = np.concatenate([[3.0, -0.0, 1e-300, 37.0, np.nextafter(37.0, 0.0)],
+                          np.linspace(-40.0, 37.0, 2_001)])
+
+
+def _erfc_half(x):
+    return 0.5 * erfc(x / math.sqrt(2))
+
+
 def test_q_tail_matches_erfc():
-    x = np.linspace(-5, 8, 40)
-    assert np.allclose(q_tail(x), 0.5 * erfc(x / math.sqrt(2)), rtol=1e-13)
+    # the same ufunc's bits, in the array path and the scalar path alike
+    want = _erfc_half(_ERFC_X)
+    assert np.array_equal(q_tail(_ERFC_X).view(np.int64),
+                          want.view(np.int64))
+    assert [q_tail(t).hex() for t in _ERFC_X.tolist()] \
+        == [w.hex() for w in want.tolist()]
+
+
+@pytest.mark.parametrize("path", ["scalar", "array"])
+def test_q_tail_first_call_matches_erfc(path):
+    # the first call imports scipy.special, so it runs in a fresh
+    # interpreter: this one has loaded it already
+    call = {"scalar": "[q_tail(t) for t in x]",
+            "array": "q_tail(np.array(x)).tolist()"}[path]
+    code = ("import sys, numpy as np\n"
+            "from lqgduet.lattice import q_tail\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"x = {_ERFC_X.tolist()}\n"
+            f"print(' '.join(v.hex() for v in {call}))\n")
+    assert _fresh_python(code).split() \
+        == [w.hex() for w in _erfc_half(_ERFC_X).tolist()]
 
 
 def test_q_tail_positive_and_monotone_far_out():
