@@ -381,17 +381,18 @@ def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
 
 
 def sweep_labels(a: float, l_values) -> List[dict]:
-    """Regularization sweep: for sv1^2 = 0, sv2^2 = a, q = 1, r1 = a^l,
-    r2 = 0, report per l the problem ("params") and its best candidate
-    ("result", an UpperResult).  Raises ValueError, before any row is
-    computed, where a^l overflows a float."""
-    base = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=float(a))
+    """Regularization sweep: for sv1^2 = 0, sv2^2 = |a|, q = 1,
+    r1 = |a|^l, r2 = 0, report per l the problem ("params") and its best
+    candidate ("result", an UpperResult).  Every bound depends on |a| only,
+    so a negative a sweeps the same family.  Raises ValueError, before any
+    row is computed, where |a|^l overflows a float."""
+    base = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=abs(float(a)))
     weights = []
     for l in map(float, l_values):
         try:
-            weights.append((l, float(a) ** l))
+            weights.append((l, abs(float(a)) ** l))
         except OverflowError:
-            raise ValueError(f"r1 = a^l overflows a float at a = {a:g}, "
+            raise ValueError(f"r1 = |a|^l overflows a float at a = {a:g}, "
                              f"l = {l:g}") from None
     upper = UpperBoundEvaluator(base)
     rows = []

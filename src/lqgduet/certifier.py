@@ -124,6 +124,11 @@ def appendix_region_checks(p: ProblemParams) -> dict:
     return out
 
 
+def _check_cap(cap: Optional[float]) -> None:
+    if cap is not None and not cap > 0:
+        raise ValueError(f"cap must be > 0, got {cap!r}")
+
+
 def certify_point(p: ProblemParams,
                   cap: Optional[float] = None,
                   evaluator: Optional[LowerBoundEvaluator] = None,
@@ -136,8 +141,7 @@ def certify_point(p: ProblemParams,
     > 0 (+inf allowed)."""
     if abs(p.a) < A_MIN_CERTIFIED:
         raise ValueError(f"certification requires |a| >= {A_MIN_CERTIFIED}")
-    if cap is not None and not cap > 0:
-        raise ValueError(f"cap must be > 0, got {cap!r}")
+    _check_cap(cap)
     if evaluator is None:
         evaluator = LowerBoundEvaluator(p)
     else:
@@ -175,7 +179,10 @@ def certify_grid(param_list: Sequence[ProblemParams],
                  weights: Optional[Sequence[Tuple[float, float, float]]]
                  = None,
                  cap: Optional[float] = None) -> List[CertReport]:
-    """Certify every (params, weights) combination; deterministic order."""
+    """Certify every (params, weights) combination; deterministic order.
+    A cap outside certify_point's domain is rejected before any evaluator
+    is built."""
+    _check_cap(cap)
     if weights is None:
         weights = default_weight_grid()
     reports = []

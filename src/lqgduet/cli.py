@@ -10,16 +10,17 @@ certification.
 an input outside the library's domain raises ValueError there, and main()
 prints it as one ``error: ...`` line on stderr and exits 1, as it does for
 a usage error.  upper and sweep print an UpperResult row through one
-function; sweep's columns are upper's plus the converse lower bound.
+function; sweep's columns are upper's plus the converse lower bound.  A CSV
+command checks its arguments and --output, computes, then writes once.
 """
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from typing import Optional, Tuple
 
 import click
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import ProblemParams
 from .strategies import StrategySpec, make_strategy, parse_strategy
-from .simulator import SimConfig, SimResult, run
+from .simulator import SimConfig, run
 from .bounds_upper import UpperResult, optimize_upper, sweep_labels
 from .bounds_lower import LowerBoundEvaluator, lower_weighted_cost
 from .certifier import CAP_STRONG, CAP_WEAK, certify_grid, prop1_divergence, \
@@ -61,48 +62,40 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@contextmanager
-def _output(path: str):
-    """The stream a command writes its CSV to: stdout for '-', else path.
-    Commands open it after checking their own arguments and before they
-    compute, so that an unwritable path fails at once.  The file is opened
-    for appending, which leaves an existing file as it was until
-    _write_csv truncates it; a file created here is removed again when the
-    command fails (an argument error that the computation finds)."""
+def _check_output(path: str) -> None:
+    """Reject an --output path that cannot be written, before the command
+    computes.  Opens nothing: a probe open would give a named pipe's reader
+    an early end of file."""
     if path == "-":
-        yield sys.stdout
         return
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise click.UsageError(f"output directory does not exist: {parent}")
-    created = not os.path.exists(path)
-    try:
-        out = open(path, "a")
-    except OSError as e:
-        raise click.UsageError(f"cannot write {path}: {e.strerror}")
-    with out:
-        try:
-            yield out
-        except BaseException:
-            if created:
-                os.remove(path)
-            raise
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        code = errno.EISDIR if os.path.isdir(path) else errno.EACCES
+        raise click.UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _write_csv(out, header_meta: dict, rows, trailer: Optional[str] = None,
+def _write_csv(path, header_meta: dict, rows, trailer: Optional[str] = None,
                columns: Tuple[str, ...] = CSV_COLUMNS) -> None:
     """Write '# key=value' metadata lines, the CSV header, one line per row
-    dict and an optional trailer line to the stream of _output, replacing
-    what a file held before."""
-    if out is not sys.stdout:
-        out.truncate(0)
-    for key, val in header_meta.items():
-        out.write(f"# {key}={_fmt(val)}\n")
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+    dict and an optional trailer line to path (stdout for '-'): the one
+    open of a command's output, after it has computed."""
+    lines = [f"# {key}={_fmt(val)}" for key, val in header_meta.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
     if trailer is not None:
-        out.write(trailer + "\n")
+        lines.append(trailer)
+    text = "\n".join(lines) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as out:
+            out.write(text)
+    except OSError as e:
+        raise click.UsageError(f"cannot write {path}: {e.strerror}")
 
 
 def _param_cells(p: ProblemParams) -> dict:
@@ -150,6 +143,11 @@ _common_params = [
 ]
 
 
+#: the CSV commands' output path, checked before and written after computing
+output_option = click.option("--output", default="-", show_default=True,
+                             help="CSV output path ('-' for stdout)")
+
+
 def common_params(f):
     """The problem options, passed to the command f as one ProblemParams
     p."""
@@ -177,8 +175,7 @@ def cli():
 @click.option("--burn-in", type=int, default=1_000, show_default=True)
 @click.option("--trials", type=int, default=32, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", default="-", show_default=True,
-              help="CSV output path ('-' for stdout)")
+@output_option
 def simulate(p, strategy, horizon, burn_in, trials, seed, output):
     """Monte Carlo simulation of one strategy."""
     spec = parse_strategy(strategy)
@@ -186,17 +183,17 @@ def simulate(p, strategy, horizon, burn_in, trials, seed, output):
     make_strategy(spec, p)
     cfg = SimConfig(horizon=horizon, burn_in=burn_in, trials=trials,
                     seed=_seed(seed))
-    with _output(output) as out:
-        res = run(p, spec, cfg)
-        _write_csv(out, {"command": "simulate", "horizon": cfg.horizon,
-                         "burn_in": cfg.burn_in, "trials": cfg.trials,
-                         "seed": cfg.seed,
-                         "strategy_json": json.dumps(spec.to_json())},
-                   [{**_param_cells(p), **_spec_cells(spec),
-                     "D": res.avg_state_cost,
-                     "P1": res.avg_u1_power, "P2": res.avg_u2_power,
-                     "weighted": res.weighted_cost, "se_D": res.se_state,
-                     "se_P1": res.se_u1, "se_P2": res.se_u2}])
+    _check_output(output)
+    res = run(p, spec, cfg)
+    _write_csv(output, {"command": "simulate", "horizon": cfg.horizon,
+                        "burn_in": cfg.burn_in, "trials": cfg.trials,
+                        "seed": cfg.seed,
+                        "strategy_json": json.dumps(spec.to_json())},
+               [{**_param_cells(p), **_spec_cells(spec),
+                 "D": res.avg_state_cost,
+                 "P1": res.avg_u1_power, "P2": res.avg_u2_power,
+                 "weighted": res.weighted_cost, "se_D": res.se_state,
+                 "se_P1": res.se_u1, "se_P2": res.se_u2}])
     if res.unstable:
         sys.exit(2)
 
@@ -207,43 +204,43 @@ def simulate(p, strategy, horizon, burn_in, trials, seed, output):
 @click.option("--l-max", type=float, default=3.0, show_default=True)
 @click.option("--l-steps", type=click.IntRange(min=2), default=17,
               show_default=True)
-@click.option("--output", default="-", show_default=True)
+@output_option
 def sweep(a, l_min, l_max, l_steps, output):
-    """Sweep the first-controller power weight r1 = a^l for
-    sv1^2 = 0, sv2^2 = a, r2 = 0, reporting the best analytic strategy,
+    """Sweep the first-controller power weight r1 = |a|^l for
+    sv1^2 = 0, sv2^2 = |a|, r2 = 0, reporting the best analytic strategy,
     its cost, and the matching lower bound per l."""
-    with _output(output) as out:
-        swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
-        lower_ev = LowerBoundEvaluator(swept[0]["params"])
-        rows = []
-        for row in swept:
-            p = row["params"]
-            rows.append({**_param_cells(p), **_upper_cells(row["result"]),
-                         "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
-        _write_csv(out, {"command": "sweep", "l_min": l_min,
-                         "l_max": l_max, "l_steps": l_steps}, rows,
-                   columns=SWEEP_COLUMNS)
+    _check_output(output)
+    swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
+    lower_ev = LowerBoundEvaluator(swept[0]["params"])
+    rows = []
+    for row in swept:
+        p = row["params"]
+        rows.append({**_param_cells(p), **_upper_cells(row["result"]),
+                     "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
+    _write_csv(output, {"command": "sweep", "l_min": l_min,
+                        "l_max": l_max, "l_steps": l_steps}, rows,
+               columns=SWEEP_COLUMNS)
 
 
 @cli.command()
 @common_params
-@click.option("--output", default="-", show_default=True)
+@output_option
 def upper(p, output):
     """Best analytic achievable weighted cost and its strategy."""
-    with _output(output) as out:
-        _write_csv(out, {"command": "upper"},
-                   [{**_param_cells(p), **_upper_cells(optimize_upper(p))}],
-                   columns=UPPER_COLUMNS)
+    _check_output(output)
+    _write_csv(output, {"command": "upper"},
+               [{**_param_cells(p), **_upper_cells(optimize_upper(p))}],
+               columns=UPPER_COLUMNS)
 
 
 @cli.command()
 @common_params
-@click.option("--output", default="-", show_default=True)
+@output_option
 def lower(p, output):
     """Converse lower bound on the weighted cost."""
-    with _output(output) as out:
-        _write_csv(out, {"command": "lower"},
-                   [{**_param_cells(p), "weighted": lower_weighted_cost(p)}])
+    _check_output(output)
+    _write_csv(output, {"command": "lower"},
+               [{**_param_cells(p), "weighted": lower_weighted_cost(p)}])
 
 
 @cli.command()
@@ -251,7 +248,7 @@ def lower(p, output):
               default="both", show_default=True)
 @click.option("--cap", type=float, default=None,
               help="override the per-regime cap")
-@click.option("--output", default="-", show_default=True)
+@output_option
 def certify(regime, cap, output):
     """Grid certification of the upper/lower weighted-cost ratio.
 
@@ -262,20 +259,20 @@ def certify(regime, cap, output):
         params += weak_grid_params()
     if regime in ("strong", "both"):
         params += strong_grid_params()
-    with _output(output) as out:
-        reports = certify_grid(params, cap=cap)
-        rows = [{**_param_cells(rep.params), "label": rep.case_label,
-                 "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
-                 "ratio": rep.ratio, "cap": rep.cap,
-                 "passed": int(rep.passed)} for rep in reports]
-        n_pass = sum(r.passed for r in reports)
-        _write_csv(out, {"command": "certify", "regime": regime,
-                         "cap_weak": cap if cap is not None else CAP_WEAK,
-                         "cap_strong": cap if cap is not None
-                         else CAP_STRONG},
-                   rows, columns=CERTIFY_COLUMNS,
-                   trailer=f"# {'PASS' if n_pass == len(reports) else 'FAIL'}"
-                           f": {n_pass}/{len(reports)} points within cap")
+    _check_output(output)
+    reports = certify_grid(params, cap=cap)
+    rows = [{**_param_cells(rep.params), "label": rep.case_label,
+             "s": rep.regime.s, "upper": rep.upper, "lower": rep.lower,
+             "ratio": rep.ratio, "cap": rep.cap,
+             "passed": int(rep.passed)} for rep in reports]
+    n_pass = sum(r.passed for r in reports)
+    _write_csv(output, {"command": "certify", "regime": regime,
+                        "cap_weak": cap if cap is not None else CAP_WEAK,
+                        "cap_strong": cap if cap is not None
+                        else CAP_STRONG},
+               rows, columns=CERTIFY_COLUMNS,
+               trailer=f"# {'PASS' if n_pass == len(reports) else 'FAIL'}"
+                       f": {n_pass}/{len(reports)} points within cap")
     if n_pass != len(reports):
         sys.exit(2)
 

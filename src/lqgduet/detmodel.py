@@ -47,20 +47,16 @@ class DetParams:
 
     a_prime: upward shift per step; sigma_v2_level: levels below this of the
     second observation are noisy; p1_level: first controller may act only on
-    levels below this; window_lo: lowest tracked level.
+    levels below this.
     """
 
     a_prime: int = 2
     sigma_v2_level: int = 1
     p1_level: int = 1
-    window_lo: int = -8
 
     def __post_init__(self):
         if self.a_prime < 1:
             raise ValueError("a_prime must be >= 1")
-        if self.window_lo > -self.a_prime - 2:
-            raise ValueError("window_lo must be <= -a_prime - 2 so that "
-                             "dropped bits are masked before they matter")
 
 
 def _pull(state: BitWord, level: int, window_lo: int, n: int,
@@ -93,11 +89,14 @@ def det_step(p: DetParams, strategy: str, state: BitWord, n: int) -> BitWord:
     if strategy not in ("Optimal", "LinearShift"):
         raise ValueError(f"unknown strategy {strategy!r}")
     a = p.a_prime
+    # the lowest tracked level: deep enough that dropped bits are masked
+    # before they matter (the upper levels are the same for any deeper one)
+    window_lo = -a - 2
     deep: Dict[int, Provenance] = {}
     out = BitWord()
     hi = (state.top() if state else -1) + a
-    for i in range(p.window_lo, int(max(hi, 0)) + 1):
-        prov = _pull(state, i - a, p.window_lo, n, deep)
+    for i in range(window_lo, int(max(hi, 0)) + 1):
+        prov = _pull(state, i - a, window_lo, n, deep)
         if prov:
             out.xor(i, prov)
 
@@ -109,27 +108,27 @@ def det_step(p: DetParams, strategy: str, state: BitWord, n: int) -> BitWord:
         if state:
             # u1: one shifted copy of y1 = x[n], top bit at p1_level - 1
             t1 = (p.p1_level - 1) - int(state.top())
-            lo_src = min(min(state), p.window_lo)
+            lo_src = min(min(state), window_lo)
             for j in range(lo_src, int(state.top()) + 1):
                 i = j + t1
-                if i < p.window_lo:
+                if i < window_lo:
                     continue
-                prov = _pull(state, j, p.window_lo, n, deep)
+                prov = _pull(state, j, window_lo, n, deep)
                 if prov:
                     out.xor(i, prov)
         if state and state.top() >= p.sigma_v2_level:
             # u2: full shifted copy of y2; the state part cancels the shift,
             # the noisy levels contribute v-provenance
-            for i in range(p.window_lo, int(max(hi, 0)) + 1):
+            for i in range(window_lo, int(max(hi, 0)) + 1):
                 j = i - a
-                prov = _pull(state, j, p.window_lo, n, deep)
+                prov = _pull(state, j, window_lo, n, deep)
                 if prov:
                     out.xor(i, prov)
                 if j < p.sigma_v2_level:
                     out.xor(i, frozenset({("v", n, j)}))
 
     # fresh disturbance, not cancellable at this step
-    for i in range(p.window_lo, 0):
+    for i in range(window_lo, 0):
         out.xor(i, frozenset({("w", n, i)}))
     return out
 

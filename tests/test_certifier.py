@@ -212,3 +212,19 @@ def test_certify_point_rejects_caps_outside_the_domain(cap):
     # an infinite cap passes every finite ratio
     rep = certify_point(p, math.inf)
     assert rep.passed and rep.cap == math.inf
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -5.0])
+def test_certify_grid_rejects_a_cap_before_building_an_evaluator(
+        monkeypatch, cap):
+    # before, the first base's two evaluators were built, then
+    # certify_point rejected the cap
+    from lqgduet import certifier
+
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("built an evaluator before checking the cap")
+
+    monkeypatch.setattr(certifier, "LowerBoundEvaluator", must_not_build)
+    monkeypatch.setattr(certifier, "UpperBoundEvaluator", must_not_build)
+    with pytest.raises(ValueError, match="cap must be > 0"):
+        certify_grid(weak_grid_params()[:1], cap=cap)

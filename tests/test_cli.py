@@ -1,9 +1,12 @@
 import ast
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -205,6 +208,18 @@ def test_sweep_row_count():
     assert len(rows) == 1 + 3  # header + grid size
 
 
+def test_sweep_of_a_negative_gain_is_the_positive_gains_sweep():
+    # every bound depends on |a| only; before, sv2^2 = a = -100 was
+    # rejected as "sigmav2_sq must be >= 0"
+    args = ["sweep", "--l-steps", "5", "--a"]
+    neg = _invoke(args + ["-100"])
+    assert neg.exit_code == 0
+    rows = neg.output.splitlines()
+    assert sum(ln.startswith("-100.0,") for ln in rows) == 5
+    assert [ln.replace("-100.0,", "100.0,", 1) for ln in rows] \
+        == _invoke(args + ["100"]).output.splitlines()
+
+
 def test_sweep_builds_one_lower_evaluator(monkeypatch):
     built = []
     init = LowerBoundEvaluator.__init__
@@ -402,6 +417,77 @@ def test_output_replaces_an_existing_file(tmp_path):
     assert res.exit_code == 0
     assert path.read_text() == _invoke(["upper", "--a", "4", "--sv2sq",
                                         "100"]).output
+
+
+#: one quick run of each CSV command and the library function it computes
+#: with (the name cli imports it under)
+_CSV_COMMANDS = [
+    (["simulate", "--a", "2.5", "--horizon", "100", "--burn-in", "10",
+      "--trials", "2"], "run"),
+    (["sweep", "--a", "100", "--l-steps", "3"], "sweep_labels"),
+    (["upper", "--a", "4", "--sv2sq", "100"], "optimize_upper"),
+    (["lower", "--a", "4", "--sv2sq", "100"], "lower_weighted_cost"),
+    (["certify", "--regime", "weak"], "certify_grid"),
+]
+
+
+@pytest.mark.parametrize("command", [c for c, _ in _CSV_COMMANDS])
+def test_output_to_a_target_that_cannot_be_truncated(monkeypatch, capsys,
+                                                     command):
+    # before, truncating /dev/null raised OSError after the command had
+    # computed, and main() printed a traceback
+    monkeypatch.setattr(sys, "argv",
+                        ["lqgduet", *command, "--output", os.devnull])
+    main()
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_output_to_a_named_pipe(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(
+        fifo.read_bytes()), daemon=True)
+    reader.start()
+    args = ["upper", "--a", "4", "--sv2sq", "100"]
+    assert _invoke(args + ["--output", str(fifo)]).exit_code == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [_invoke(args).stdout_bytes]
+
+
+def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(lqgduet.cli, "open", lambda path, mode: FullDisk(),
+                        raising=False)
+    path = tmp_path / "upper.csv"
+    line = _main_error(monkeypatch, capsys, ["upper", "--a", "4", "--sv2sq",
+                                             "100", "--output", str(path)])
+    assert line == f"error: cannot write {path}: No space left on device"
+
+
+@pytest.mark.parametrize("command, compute", _CSV_COMMANDS)
+def test_output_is_written_only_after_computing(monkeypatch, tmp_path,
+                                               command, compute):
+    # a new path does not exist, and an existing file keeps its content,
+    # while the command computes
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    real, seen = getattr(lqgduet.cli, compute), []
+
+    def checked(*args, **kwargs):
+        seen.append(path.read_text() if path.exists() else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lqgduet.cli, compute, checked)
+    for path in (new, kept):
+        assert _invoke(command + ["--output", str(path)]).exit_code == 0
+    assert seen == [None, "kept\n"]
+    assert kept.read_text() == new.read_text() != "kept\n"
 
 
 def test_strategy_field_outside_its_variant_is_config_error():
