@@ -1,4 +1,6 @@
+import csv
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -543,3 +545,62 @@ def test_best_rejects_weights_outside_the_domain():
     for weights, name in _BAD_WEIGHTS:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             upper.best(*weights)
+
+
+#: du1's outcome on every design of _recorded_du1_cases, recorded from the
+#: one-design-at-a-time evaluation before du1's outage rate was batched;
+#: rewrite it with `PYTHONPATH=src python tests/test_bounds_upper.py`
+DU1_RECORDING = os.path.join(os.path.dirname(__file__), "data",
+                             "du1_outcomes.csv")
+
+
+def _recorded_du1_cases():
+    """(base, designs) pairs: each strong grid base with every grid design
+    of its stage, the REFINE neighbours of every 50th grid design of every
+    9th base, and the sv2 = 0 designs of the batch test."""
+    cases = []
+    for k, p in enumerate(strong_grid_params()):
+        s = classify(p).s
+        grid = bounds_upper._sig_candidates(p, s)
+        designs = list(grid)
+        if k % 9 == 0:
+            designs += [SigDesign(s, base.d * fd, base.w1 * fd * fw)
+                        for base in grid[::50]
+                        for fd, fw in bounds_upper.REFINE]
+        cases.append((p, designs))
+    cases.append((ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=0.0),
+                  [SigDesign(1, 1.0, 0.1), SigDesign(2, 0.3, 0.5),
+                   SigDesign(1, 1.0, 5.0)]))
+    return cases
+
+
+def _du1_recording_rows():
+    """One row (base, design index, D, P1, P2) per recorded design, by
+    float.hex; a failure's D is the exception name, P1 and P2 empty."""
+    rows = []
+    for base, (p, designs) in enumerate(_recorded_du1_cases()):
+        for k, out in enumerate(bounds_upper.du1_outcomes(p, designs)):
+            key = _outcome_key(out)
+            key = (key, "", "") if isinstance(key, str) else key
+            rows.append((str(base), str(k)) + key)
+    return rows
+
+
+def test_du1_outcomes_match_the_recording():
+    with open(DU1_RECORDING, newline="") as f:
+        want = [tuple(row) for row in csv.reader(f)]
+    assert want[0] == ("base", "design", "D", "P1", "P2")
+    got = _du1_recording_rows()
+    assert len(got) == len(want) - 1
+    for row, ref in zip(got, want[1:]):
+        assert row == ref
+    # the recording holds triples and each kind of failure
+    kinds = Counter(row[2] for row in got if not row[2].startswith("0x"))
+    assert set(kinds) == {"SeriesNonConvergent", "ValueError"}
+
+
+if __name__ == "__main__":
+    with open(DU1_RECORDING, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(("base", "design", "D", "P1", "P2"))
+        writer.writerows(_du1_recording_rows())
