@@ -173,11 +173,12 @@ def _du1_rows(p: ProblemParams, designs: Sequence[SigDesign]
 
     A design's coarse comb has spacing step = |a|^s d and width
     B = |a|^{s-1} d |a|/(|a|-1) + w1, and its outage rate o1 is
-    gaussian_comb(w1, spread).  D's two tail series on that comb under
-    noise sv2 are summed for all designs as the rows of one truncated_sum
-    each: the miss series of comb_miss_terms, each term scaled by 4 a^2,
-    then the outage series of comb_outage_terms.  A row's sum does not
-    depend on the rows beside it.
+    gaussian_comb(w1, spread), one call for all designs.  D's two tail
+    series on that comb under noise sv2 are summed for all designs as the
+    rows of one truncated_sum each: the miss series of comb_miss_terms,
+    each term scaled by 4 a^2, then the outage series of
+    comb_outage_terms.  A row's sum does not depend on the rows beside
+    it.
     """
     A = abs(p.a)
     A2 = A * A
@@ -197,14 +198,15 @@ def _du1_rows(p: ProblemParams, designs: Sequence[SigDesign]
                                  + 2.0 * A2 * p.sigmav1_sq)
             spread = math.sqrt(A ** (2 * (s - 1)) * A2 / (A2 - 1)
                                + A2s * p.sigmav1_sq)
-            o1 = gaussian_comb(w1, spread).o
         except _FAILURES as exc:
             outs[k] = exc
             continue
-        parts.append((k, step, B, line1, o1))
+        parts.append((k, step, B, line1, w1, spread))
     if not parts:
         return outs
-    rows, steps, Bs, line1s, o1s = zip(*parts)
+    rows, steps, Bs, line1s, w1s, spreads = zip(*parts)
+    # Python floats: D's sum below stays in float arithmetic
+    o1s = gaussian_comb(np.array(w1s), np.array(spreads)).tolist()
     if sv2 > 0:
         step, B = np.array(steps)[:, None], np.array(Bs)[:, None]
         series1, failed = truncated_sum(

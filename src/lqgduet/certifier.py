@@ -232,7 +232,8 @@ def strong_grid_params() -> List[ProblemParams]:
 def prop1_divergence(a_values: Iterable[float]) -> List[dict]:
     """Linear-strategy lower bound a^3/66 vs nonlinear upper bound
     3297 a^2 ln a; their ratio (computed in log space) diverges, and is
-    strictly increasing along any increasing sequence of a."""
+    strictly increasing along any increasing sequence of a.  No a is a
+    ValueError."""
     rows = []
     for a in a_values:
         if not PROP1_A_MIN <= a < math.inf:
@@ -246,4 +247,6 @@ def prop1_divergence(a_values: Iterable[float]) -> List[dict]:
             "nonlinear_ub": math.exp(log_nonlin),
             "ratio": math.exp(log_lin - log_nonlin),
         })
+    if not rows:
+        raise ValueError("requires at least one gain a")
     return rows

@@ -11,7 +11,6 @@ in one of the width-w boxes centered on the spacing-d lattice points,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,13 +81,9 @@ def q_tail(x):
     Computed via erfc; for x > 37 the analytic upper bracket is substituted
     to avoid underflow to zero, and beyond _Q_TAIL_ZERO, where the bracket
     underflows too, the result is an exact 0 without evaluating either.
-    Elementwise on arrays.
+    Elementwise on arrays; a float for a scalar.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if x > _Q_TAIL_SWITCH:
-            return float(_q_tail_upper_pos(x)) if x < _Q_TAIL_ZERO else 0.0
-        return float(0.5 * _erfc(x / _SQRT2))
     big = x > _Q_TAIL_SWITCH
     body = ~big  # NaN and -inf included
     out = np.zeros(x.shape)
@@ -96,7 +91,7 @@ def q_tail(x):
     mid = big & (x < _Q_TAIL_ZERO)
     if mid.any():
         out[mid] = _q_tail_upper_pos(x[mid])
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def q_tail_upper(x):
@@ -106,31 +101,20 @@ def q_tail_upper(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CombBound:
-    """(d, w, o) comb-lattice membership claim; d may be +inf."""
-
-    d: float
-    w: float
-    o: float
-
-    def __post_init__(self):
-        if self.w < 0:
-            raise ValueError("w must be >= 0")
-        if math.isfinite(self.d) and self.d <= self.w:
-            raise ValueError("finite spacing requires d > w")
-        if not 0 <= self.o <= 1:
-            raise ValueError("o must be in [0, 1]")
-
-
-def gaussian_comb(w: float, sigma: float) -> CombBound:
-    """A zero-mean Gaussian with variance <= sigma^2 lies in the single
-    width-w box except with probability 2 Q(w / (2 sigma))."""
-    if sigma == 0:
-        o = 0.0 if w > 0 else 1.0
-    else:
-        o = min(1.0, 2.0 * q_tail(w / (2.0 * sigma)))
-    return CombBound(math.inf, w, o)
+def gaussian_comb(w, sigma):
+    """Outage rate of a zero-mean Gaussian with variance <= sigma^2 from
+    the single width-w box centered on 0: min(1, 2 Q(w / (2 sigma))), and
+    1 where that is NaN; at sigma = 0 it is 0 where w > 0, else 1.  A float
+    for scalars, an array for arrays; broadcasts."""
+    w, sigma = np.asarray(w, dtype=float), np.asarray(sigma, dtype=float)
+    noiseless = sigma == 0
+    # a Python float's division: inf or NaN without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = w / (2.0 * np.where(noiseless, 1.0, sigma))
+    # fmin, not minimum: it keeps 1.0 against NaN, as min(1.0, nan) does
+    o = np.where(noiseless, np.where(w > 0, 0.0, 1.0),
+                 np.fmin(1.0, 2.0 * q_tail(x)))
+    return float(o) if o.ndim == 0 else o
 
 
 def truncated_sum(term_fn, rows: int):

@@ -63,15 +63,6 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _mix_int(z: int) -> int:
-    """The splitmix64 finalizer of _mix on one Python int in [0, 2^64)."""
-    z ^= z >> 30
-    z = z * _M1 & _MASK64
-    z ^= z >> 27
-    z = z * _M2 & _MASK64
-    return z ^ (z >> 31)
-
-
 def counter_normals(seed: int, trials: int, step_lo: int, step_hi: int,
                     channel: int) -> np.ndarray:
     """Standard normals of shape (step_hi - step_lo, trials), a pure function
@@ -84,14 +75,15 @@ def counter_normals(seed: int, trials: int, step_lo: int, step_hi: int,
     golden-ratio constant and all integer arithmetic mod 2^64.  The bit
     fields of c are disjoint, so c G = (step << 24) G + (2 channel + j) G
     + (trial << 4) G: a per-step column plus a per-trial row that carries
-    the channel term.  The seed's hash and the channel terms are Python
-    ints; each block of rows is hashed, converted and transformed in
-    place."""
+    the channel term.  The seed is hashed by the same mix on a one-element
+    array, and the channel terms are Python ints; each block of rows is
+    hashed, converted and transformed in place."""
     if not 0 <= channel < _N_CHANNELS:
         raise ValueError(f"channel must be in [0, {_N_CHANNELS})")
     if not 0 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [0, {MAX_TRIALS}]")
-    seed_hash = np.uint64(_mix_int(seed & _MASK64))
+    seed_hash = np.array([seed & _MASK64], dtype=np.uint64)
+    _mix(seed_hash, np.empty_like(seed_hash))
     # (steps, 1) and (2, 1, trials)
     step_g = np.arange(step_lo, step_hi, dtype=np.uint64)[:, None]
     step_g <<= np.uint64(24)

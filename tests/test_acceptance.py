@@ -176,15 +176,15 @@ def test_acceptance_7_lattice_property_suite():
     # (inf, w2, o2) lies on (d, w1 + w2, 0 + o2), the sum rule
     d, w1, w2 = 8.0, 1.0, 0.5
     sigma2 = w2 / 4.0  # so the overflow probability is 2 Q(2)
-    noise = gaussian_comb(w2, sigma2)
-    w, o = w1 + noise.w, min(1.0, 0.0 + noise.o)
+    o2 = gaussian_comb(w2, sigma2)
+    w, o = w1 + w2, min(1.0, 0.0 + o2)
     x1 = rng.integers(-4, 5, 500_000) * d + rng.uniform(-w1 / 2, w1 / 2,
                                                         500_000)
     x2 = rng.normal(0, sigma2, 500_000)
     y = x1 + x2
     dist = np.abs(y - quantize(d, y))
     emp_out = float(np.mean(dist > w / 2))
-    comb_ok = noise.o == 2 * q_tail(2.0) and emp_out <= o * 1.05
+    comb_ok = o2 == 2 * q_tail(2.0) and emp_out <= o * 1.05
 
     # tail brackets on a 200-point grid
     x = np.linspace(0.1, 40.0, 200)

@@ -197,6 +197,12 @@ def test_prop1_rejects_small_a():
         prop1_divergence([100.0])
 
 
+@pytest.mark.parametrize("a_values", [[], iter([])])
+def test_prop1_rejects_an_empty_gain_list(a_values):
+    with pytest.raises(ValueError, match="at least one gain"):
+        prop1_divergence(a_values)
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf])
 def test_prop1_rejects_non_finite_a(a):
     # NaN passed the a >= 1e4 check and printed a nan row; inf a NaN ratio

@@ -541,6 +541,9 @@ def _sim(spec):
      "t2a overflows"),
     (["sweep", "--a", "1e160", "--l-max", "1"], "must be finite floats"),
     (["prop1", "--a", "1e4,x"], "could not convert"),
+    # an empty gain list: before, the header alone and exit 0
+    (["prop1", "--a", ","], "at least one gain"),
+    (["prop1", "--a", ""], "at least one gain"),
 ])
 def test_rejected_input_is_one_error_line(monkeypatch, capsys, args,
                                           message):

@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
                              SERIES_MAX_TERMS, SERIES_REL_TOL, SERIES_ROWS,
-                             CombBound, SeriesNonConvergent,
+                             SeriesNonConvergent, _Q_TAIL_ZERO,
                              comb_miss_terms, comb_outage_terms,
                              gaussian_comb, q_tail, q_tail_upper,
                              quantize, truncated_sum)
@@ -157,16 +157,50 @@ def test_q_tail_bracket_on_grid():
     assert np.all(q <= hi * (1 + 1e-12))
 
 
-def test_comb_width_validation():
-    with pytest.raises(ValueError):
-        CombBound(1.0, 2.0, 0.0)
+#: q_tail at its edges: NaN, the infinities, the switch to the bracket and
+#: the float above it, the point where the bracket is an exact 0, and 0
+_Q_TAIL_EDGES = [
+    (math.nan, "nan"), (-math.inf, "0x1.0000000000000p+0"),
+    (math.inf, "0x0.0p+0"), (37.0, "0x1.eaccc6bfeb483p-995"),
+    (math.nextafter(37.0, math.inf), "0x1.eb286bd8f2776p-995"),
+    (_Q_TAIL_ZERO, "0x0.0p+0"), (0.0, "0x1.0000000000000p-1")]
+
+
+def test_q_tail_edges():
+    # the values recorded when q_tail had a separate 0-d branch
+    x, want = zip(*_Q_TAIL_EDGES)
+    scalars = [q_tail(t) for t in x]
+    assert all(type(v) is float for v in scalars)
+    assert [v.hex() for v in scalars] == list(want)
+    assert [v.hex() for v in q_tail(np.array(x)).tolist()] == list(want)
+    assert [q_tail(np.float64(t)).hex() for t in x] == list(want)
 
 
 def test_gaussian_comb():
-    b = gaussian_comb(2.0, 1.0)
-    assert math.isinf(b.d)
-    assert b.o == pytest.approx(2 * q_tail(1.0))
-    assert gaussian_comb(1.0, 0.0).o == 0.0
+    o = gaussian_comb(2.0, 1.0)
+    assert type(o) is float and o == 2 * q_tail(1.0)
+    assert gaussian_comb(1.0, 0.0) == 0.0
+    # broadcasts: a column of widths against a row of deviations
+    w, sigma = np.array([[0.5], [2.0], [50.0]]), np.array([0.25, 1.0, 4.0])
+    got = gaussian_comb(w, sigma)
+    assert got.shape == (3, 3)
+    for i, j in np.ndindex(got.shape):
+        assert got[i, j] == gaussian_comb(float(w[i, 0]), float(sigma[j]))
+        assert got[i, j] == min(1.0, 2.0 * q_tail(w[i, 0] / (2 * sigma[j])))
+    # sigma = 0: no outage for a box of positive width, certain outage
+    # otherwise; no RuntimeWarning (an error here)
+    w = np.array([1.0, 1e-300, 0.0, -1.0, math.nan, math.inf])
+    assert gaussian_comb(w, 0.0).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+    assert gaussian_comb(w, -0.0).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+    # a NaN rate is capped to 1, as min(1.0, nan) is; an empty box too
+    for w, sigma in [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf),
+                     (-1.0, 0.5), (0.0, 1.0), (1.0, math.inf)]:
+        assert gaussian_comb(w, sigma) == 1.0
+        assert gaussian_comb(np.array([w]), sigma).tolist() == [1.0]
+    assert gaussian_comb(1e300, 1e-300) == 0.0
+    # the rates recorded when gaussian_comb built a comb claim
+    assert gaussian_comb(2.0, 1.0).hex() == "0x1.44ed0bb7cb20cp-2"
+    assert gaussian_comb(0.5, 1.0).hex() == "0x1.9aecba9d22528p-1"
 
 
 def one_row_sum(term_fn):
