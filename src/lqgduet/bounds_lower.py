@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, check_weights, classify, \
-    noise_floor
+from .core import A_MIN_CERTIFIED, ProblemParams, check_weightings, \
+    classify, noise_floor
 
 #: geometric slicing ratio used by the converse bounds
 RCONST = 2.5
@@ -747,58 +747,100 @@ class LowerBoundEvaluator:
                     self.left_out.append(str(err))
 
     def slicing_bound(self, q: float, r1: float, r2: float) -> float:
-        """Largest family bound on min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at
-        least q times the dl3 floor): per cell, q D at its upper corner plus
-        the powers at its lower corner (D is nonincreasing), and the tail
-        beyond the grid; all-NaN families are skipped.
+        """slicing_bound_many at the one weighting (q, r1, r2)."""
+        return self.slicing_bound_many([(q, r1, r2)])[0]
+
+    def slicing_bound_many(self, weights: Sequence[Tuple[float, float,
+                                                          float]]
+                           ) -> List[float]:
+        """For each weighting (q, r1, r2), the largest family bound on
+        min_{P1,P2 >= 0} q D + r1 P1 + r2 P2 (at least q times the dl3
+        floor): per cell, (q D + r1 P1) + r2 P2 with D at its upper corner
+        and the powers at its lower corner (D is nonincreasing), and the
+        tail beyond the grid; all-NaN families are skipped.
 
         For q > 0 and r1, r2 >= 0 every step (q D, + r lo, fmin over the
         cells, the tail terms, np.minimum) is monotone in IEEE arithmetic,
         so a dominated row's family value never exceeds its dominator's
         and reducing only the undominated rows leaves the fmax
-        bit-identical.  A negative or non-finite weight raises
-        ValueError."""
-        check_weights(q, r1, r2)
+        bit-identical.
+
+        The cell minimum is taken in two steps: over P1 of q D + r1 P1,
+        once per distinct (q, r1), then over P2 after adding r2 P2 to
+        each column's minimum.  Rounding is monotone, so x + r2 P2 is
+        nondecreasing in x: a column's minimum plus r2 P2 is the minimum
+        of the column's sums, with a NaN cell skipped either way, and each
+        bound is the cell-by-cell bound bit for bit.  A negative or
+        non-finite weight raises ValueError before any weighting is
+        answered."""
+        weights = list(weights)
+        check_weightings(weights)
+        w = np.array(weights, dtype=float).reshape(len(weights), 3)
         D, tail = self._D, self._tail
         lo = self.grid[:-1]
         g_hi = self.grid[-1]
+        # each distinct (q, r1), told apart by its bits, numbered in the
+        # order first seen, and each weighting's number
+        seen: Dict[bytes, int] = {}
+        pair = [seen.setdefault(qr1.tobytes(), len(seen))
+                for qr1 in w[:, :2]]
+        cols = np.empty((len(seen), len(D), lo.size))
+        work = np.empty(D.shape)
+        q, r1, r2 = w[:, 0, None], w[:, 1, None], w[:, 2, None]
         # a weight near the float limit overflows a term to +inf, which is
         # the bound's value there
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.multiply(D, q)
-            vals += r1 * lo[:, None]
-            vals += r2 * lo[None, :]
-            cell = np.fmin.reduce(vals, axis=(1, 2))
+            for k, (qk, r1k) in enumerate(
+                    np.frombuffer(b"".join(seen)).reshape(len(seen), 2)):
+                np.multiply(D, qk, out=work)
+                work += r1k * lo[:, None]
+                np.fmin.reduce(work, axis=1, out=cols[k])
+            cols = cols[pair]
+            cols += (r2 * lo)[:, None, :]
+            cell = np.fmin.reduce(cols, axis=2)
             fam = np.minimum(cell, np.minimum(q * tail + r1 * g_hi,
                                               q * tail + r2 * g_hi))
-        return float(np.fmax.reduce(fam, initial=q * self.dl3_best))
+            # the dl3 floor first, as fmax.reduce's initial value
+            fam = np.concatenate((q * self.dl3_best, fam), axis=1)
+        return np.fmax.reduce(fam, axis=1).tolist()
 
     def weighted(self, q: float, r1: float, r2: float,
                  with_label: bool = False):
-        """Valid lower bound on the infimum weighted average cost.
+        """weighted_many at the one weighting (q, r1, r2)."""
+        return self.weighted_many([(q, r1, r2)], with_label)[0]
+
+    def weighted_many(self, weights: Sequence[Tuple[float, float, float]],
+                      with_label: bool = False) -> list:
+        """For each weighting (q, r1, r2), a valid lower bound on the
+        infimum weighted average cost.
 
         Combines the universal disturbance floor (E[x^2] >= 1), the
         region-wise corollary floors, and the slicing families (cell-wise
-        minimized so the result bounds the continuum minimum).  Outside
-        |a| >= 2.5 only the universal floor is used.  With with_label, also
-        returns the binding route: 'floor', 'slicing', a region label, or
-        'degenerate' for q = 0.  A negative or non-finite weight raises
-        ValueError.
+        minimized so the result bounds the continuum minimum; one
+        slicing_bound_many call for all weightings).  Outside |a| >= 2.5
+        only the universal floor is used.  With with_label, each bound
+        comes with its binding route: 'floor', 'slicing', a region label,
+        or 'degenerate' for q = 0.  A negative or non-finite weight raises
+        ValueError before any weighting is answered.
         """
-        check_weights(q, r1, r2)
-        if q == 0:
-            return (0.0, "degenerate") if with_label else 0.0
-        best, label = q * 1.0, "floor"
-        if self.certified:
-            val, lab = self.partition.corollary(q, r1, r2)
-            if val > best:
-                best, label = val, lab
-            val = self.slicing_bound(q, r1, r2)
-            if val > best:
-                best, label = val, "slicing"
-        if with_label:
-            return best, label
-        return best
+        weights = list(weights)
+        check_weightings(weights)
+        slicing = self.slicing_bound_many(weights) if self.certified \
+            else None
+        out = []
+        for k, (q, r1, r2) in enumerate(weights):
+            if q == 0:
+                best, label = 0.0, "degenerate"
+            else:
+                best, label = q * 1.0, "floor"
+                if self.certified:
+                    val, lab = self.partition.corollary(q, r1, r2)
+                    if val > best:
+                        best, label = val, lab
+                    if slicing[k] > best:
+                        best, label = slicing[k], "slicing"
+            out.append((best, label) if with_label else best)
+        return out
 
 
 def lower_weighted_cost(p: ProblemParams, with_label: bool = False):

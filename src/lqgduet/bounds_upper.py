@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds_lower import SIG_DECAY_COEF, RegionPartition
 from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
-    check_weights, classify, noise_floor
+    check_weightings, classify, noise_floor
 from .lattice import SERIES_GUARD_TERMS, SERIES_MAX_TERMS, \
     SeriesNonConvergent, comb_miss_terms, comb_outage_terms, gaussian_comb, \
     truncated_sum
@@ -275,24 +275,49 @@ def sig_candidate_points(p: ProblemParams) -> List[Tuple[SigDesign,
     return list(zip(designs, du1_outcomes(p, designs)))
 
 
-def _first_min(costs) -> int:
-    """The index the loop `if best is None or cost < best` keeps: the
-    first candidate when its cost is NaN (nothing compares below NaN),
-    else the first minimum of the other costs (NaN never improves)."""
-    costs = np.asarray(costs)
-    if np.isnan(costs.flat[0]):
-        return 0
-    return int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
+def _first_min(costs: np.ndarray) -> np.ndarray:
+    """Per row of costs, the index the loop `if best is None or cost <
+    best` keeps: the first candidate when its cost is NaN (nothing compares
+    below NaN), else the first minimum of the other costs (NaN never
+    improves)."""
+    picks = np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)
+    picks[np.isnan(costs[:, 0])] = 0
+    return picks
+
+
+#: the linear bang-bang strategies, controller 1 then 2
+_LINBB_SPECS = (StrategySpec("linbb", controller=1),
+                StrategySpec("linbb", controller=2))
+
+#: the triple that stands in for a failed design in a walk's cost table
+_NO_POINT = TradeoffPoint(0.0, 0.0, 0.0)
+
+
+def _weighted_rows(points: TradeoffPoint, w: np.ndarray) -> np.ndarray:
+    """points.weighted(q, r1, r2) for each weighting (q, r1, r2), a row of
+    w.  Fields of shape (points,) give (weightings x points) costs; fields
+    of shape (weightings, candidates) give each weighting's row its own
+    candidates.  Term by term as in weighted, so each cost keeps its bits,
+    and a zero weight's term is 0.0 (not 0 * inf)."""
+    # a weight near the float limit overflows a cost to +inf, its intended
+    # value
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, r1, r2 = terms = [w[:, k, None] * field
+                             for k, field in enumerate(points)]
+        if not w.all():
+            for term, zero in zip(terms, (w == 0).T):
+                term[zero] = 0.0
+        return (q + r1) + r2
 
 
 class UpperBoundEvaluator:
     """Weight-independent part of the achievable bound for one system
     (a, sigma0_sq, sigmav1_sq, sigmav2_sq): the linear bang-bang triples,
     the grid designs' triples as arrays, and a memo from each design
-    evaluated so far to its du1 outcome.  Each weighting picks the best
-    grid design with one array reduction and evaluates only the designs
-    of its refinement the memo lacks, in one du1_outcomes batch (the grid
-    is one batch too)."""
+    evaluated so far to its du1 outcome.  best_many answers a sequence of
+    weightings together: one cost array picks every weighting's grid
+    design, and the refinements of all the picks that the memo lacks are
+    evaluated in one du1_outcomes batch (the grid is one batch too)."""
 
     def __init__(self, p: ProblemParams):
         self.p = p
@@ -308,46 +333,84 @@ class UpperBoundEvaluator:
             if ok else None
 
     def best(self, q: float, r1: float, r2: float) -> UpperResult:
-        """Minimize q D + r1 P1 + r2 P2 over the linear bang-bang triples
-        and the signaling designs: the best grid design, then its REFINE
-        neighbours, keeping only strict improvements in that order.  The
-        neighbours the memo lacks are evaluated together first.  A negative
-        or non-finite weight raises ValueError."""
-        check_weights(q, r1, r2)
-        failures = Counter(self.grid_failures)
-        best = None
-        for controller, point in enumerate(self.linbb, 1):
-            cost = point.weighted(q, r1, r2)
-            if best is None or cost < best[0]:
-                best = (cost, StrategySpec("linbb", controller=controller),
-                        point, None)
-        if self.designs:
-            a = self.p.a
-            # a weight near the float limit overflows a design's cost to
-            # +inf, its intended value
-            with np.errstate(over="ignore"):
-                costs = self.points.weighted(q, r1, r2)
-            base = self.designs[_first_min(costs)]
-            point = self._memo[base]
-            sig = (point.weighted(q, r1, r2), point, base)
-            refine = [design for design in (
-                SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
-                for fd, fw in REFINE) if design.margin(a) > 0]
-            new = [design for design in refine if design not in self._memo]
-            self._memo.update(zip(new, du1_outcomes(self.p, new)))
-            for design in refine:
-                out = self._memo[design]
-                if isinstance(out, str):
-                    failures[out] += 1
-                    continue
-                cost = out.weighted(q, r1, r2)
-                if cost < sig[0]:
-                    sig = (cost, out, design)
-            cost, point, design = sig
-            if cost < best[0]:
-                best = (cost, StrategySpec("sig", s=design.s, d=design.d),
-                        point, design)
-        return UpperResult(*best, failures=dict(failures))
+        """best_many at the one weighting (q, r1, r2)."""
+        return self.best_many([(q, r1, r2)])[0]
+
+    def best_many(self, weights: Sequence[Tuple[float, float, float]]
+                  ) -> List[UpperResult]:
+        """For each weighting (q, r1, r2), minimize q D + r1 P1 + r2 P2
+        over the linear bang-bang triples and the signaling designs: the
+        best grid design, then its REFINE neighbours, keeping only strict
+        improvements in that order.  A negative or non-finite weight
+        raises ValueError before any weighting is answered.
+
+        One (weightings x grid designs) cost array picks each weighting's
+        grid design.  The neighbours of every distinct pick that the memo
+        lacks are evaluated in one du1_outcomes batch, and one
+        (weightings x [pick] + neighbours) cost array walks the
+        refinements; a failed neighbour's cost is NaN, which never
+        improves.  So each result, failures included, is that of the
+        one-weighting loop, bit for bit."""
+        weights = list(weights)
+        check_weightings(weights)
+        sig = self._refined(weights) if self.designs and weights else None
+        results = []
+        for k, (q, r1, r2) in enumerate(weights):
+            best = None
+            for spec, point in zip(_LINBB_SPECS, self.linbb):
+                cost = point.weighted(q, r1, r2)
+                if best is None or cost < best[0]:
+                    best = (cost, spec, point, None)
+            failures = self.grid_failures
+            if sig is not None:
+                cost, design, failures = sig[k]
+                if cost < best[0]:
+                    best = (cost, StrategySpec("sig", s=design.s, d=design.d),
+                            self._memo[design], design)
+            results.append(UpperResult(*best, failures=dict(failures)))
+        return results
+
+    def _refined(self, weights) -> List[Tuple[float, SigDesign, Counter]]:
+        """Per weighting, the signaling search's best cost and design, and
+        the failures it considered (grid and refinement)."""
+        w = np.array(weights, dtype=float).reshape(len(weights), 3)
+        picks = _first_min(_weighted_rows(self.points, w)).tolist()
+        a = self.p.a
+        # each distinct pick's walk, [pick] + its feasible neighbours in
+        # REFINE order, by first pick; rows[k] is weighting k's walk
+        slot: Dict[int, int] = {}
+        walks: List[List[SigDesign]] = []
+        for i in picks:
+            if i not in slot:
+                slot[i] = len(walks)
+                base = self.designs[i]
+                walks.append([base] + [design for design in (
+                    SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
+                    for fd, fw in REFINE) if design.margin(a) > 0])
+        rows = [slot[i] for i in picks]
+        new = list(dict.fromkeys(design for walk in walks for design in walk
+                                 if design not in self._memo))
+        self._memo.update(zip(new, du1_outcomes(self.p, new)))
+        # one row of candidate triples per walk, padded to 1 + len(REFINE);
+        # ok marks the designs that did not fail
+        table, ok, failures = [], [], []
+        for walk in walks:
+            outs = [self._memo[design] for design in walk]
+            fails = Counter(self.grid_failures)
+            fails.update(out for out in outs if isinstance(out, str))
+            failures.append(fails)
+            pad = 1 + len(REFINE) - len(outs)
+            ok.append([not isinstance(out, str) for out in outs]
+                      + [False] * pad)
+            table.append([_NO_POINT if isinstance(out, str) else out
+                          for out in outs] + [_NO_POINT] * pad)
+        cand = np.array(table)[rows]
+        costs = _weighted_rows(TradeoffPoint(*cand.transpose(2, 0, 1)), w)
+        costs[~np.array(ok)[rows]] = np.nan
+        choice = _first_min(costs).tolist()
+        best = costs[range(len(rows)), choice].tolist()
+        return [(cost, walks[b][j], failures[b])
+                for cost, b, j in zip(best, rows, choice)]
 
 
 def optimize_upper(p: ProblemParams,
@@ -396,9 +459,7 @@ def sweep_labels(a: float, l_values) -> List[dict]:
         except OverflowError:
             raise ValueError(f"r1 = |a|^l overflows a float at a = {a:g}, "
                              f"l = {l:g}") from None
-    upper = UpperBoundEvaluator(base)
-    rows = []
-    for l, r1 in weights:
-        p = replace(base, r1=r1)
-        rows.append({"l": l, "params": p, "result": optimize_upper(p, upper)})
-    return rows
+    results = UpperBoundEvaluator(base).best_many(
+        [(base.q, r1, base.r2) for _, r1 in weights])
+    return [{"l": l, "params": replace(base, r1=r1), "result": res}
+            for (l, r1), res in zip(weights, results)]

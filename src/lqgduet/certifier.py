@@ -11,14 +11,15 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, Regime, classify
+from .core import A_MIN_CERTIFIED, ProblemParams, Regime, \
+    check_weightings, classify
 from .bounds_lower import FLOOR_COEF, IV_M_COEF, IV_SIG_COEF, \
     STRONG_II_COEF, STRONG_T1HI_DIV, STRONG_T2A_DIV, T2C_M_COEF, \
     T2C_SIG_COEF, WEAK_II_COEF, WEAK_T_DIV, LowerBoundEvaluator, \
     RegionPartition
 from .bounds_upper import ENV_D_M_COEF, ENV_D_SIG_COEF, ENV_P1_COEF, \
-    ENV_P2_M_COEF, ENV_P2_SIG_COEF, UpperBoundEvaluator, optimize_upper, \
-    simplified_upper, upper_envelope_D
+    ENV_P2_M_COEF, ENV_P2_SIG_COEF, UpperBoundEvaluator, UpperResult, \
+    optimize_upper, simplified_upper, upper_envelope_D
 
 #: default certification caps by regime
 CAP_WEAK = 1200.0
@@ -28,7 +29,7 @@ CAP_STRONG = 1.5e5
 PROP1_A_MIN = 1.0e4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertReport:
     params: ProblemParams
     regime: Regime
@@ -129,30 +130,19 @@ def _check_cap(cap: Optional[float]) -> None:
         raise ValueError(f"cap must be > 0, got {cap!r}")
 
 
-def certify_point(p: ProblemParams,
-                  cap: Optional[float] = None,
-                  evaluator: Optional[LowerBoundEvaluator] = None,
-                  upper: Optional[UpperBoundEvaluator] = None
-                  ) -> CertReport:
-    """Certify the upper/lower weighted-cost ratio at one parameter point
-    against the regime's cap.  The lower and upper evaluators, when given,
-    must be built for p's system (ValueError otherwise); certify_grid
-    shares them across a base's weightings.  A cap, when given, must be
-    > 0 (+inf allowed)."""
+def _check_gain(p: ProblemParams) -> None:
     if abs(p.a) < A_MIN_CERTIFIED:
         raise ValueError(f"certification requires |a| >= {A_MIN_CERTIFIED}")
-    _check_cap(cap)
-    if evaluator is None:
-        evaluator = LowerBoundEvaluator(p)
-    else:
-        evaluator.p.check_base(p)
-    partition = evaluator.partition
+
+
+def _report(p: ProblemParams, res: UpperResult, lower: float,
+            partition: RegionPartition, cap: Optional[float]) -> CertReport:
+    """The certificate at p from its achievable result and its lower bound
+    against cap, or the regime's cap when cap is None."""
     regime = partition.regime
     if cap is None:
         cap = CAP_WEAK if regime.kind == "weak" else CAP_STRONG
-    res = optimize_upper(p, upper)
     cost = res.cost
-    lower = evaluator.weighted(p.q, p.r1, p.r2)
     degenerate = lower == 0 and cost > 0
     if lower > 0:
         ratio = cost / lower
@@ -169,6 +159,27 @@ def certify_point(p: ProblemParams,
                       degenerate)
 
 
+def certify_point(p: ProblemParams,
+                  cap: Optional[float] = None,
+                  evaluator: Optional[LowerBoundEvaluator] = None,
+                  upper: Optional[UpperBoundEvaluator] = None
+                  ) -> CertReport:
+    """Certify the upper/lower weighted-cost ratio at one parameter point
+    against the regime's cap: certify_grid's report at one weighting.  The
+    lower and upper evaluators, when given, must be built for p's system
+    (ValueError otherwise).  A cap, when given, must be > 0 (+inf
+    allowed)."""
+    _check_gain(p)
+    _check_cap(cap)
+    if evaluator is None:
+        evaluator = LowerBoundEvaluator(p)
+    else:
+        evaluator.p.check_base(p)
+    return _report(p, optimize_upper(p, upper),
+                   evaluator.weighted(p.q, p.r1, p.r2), evaluator.partition,
+                   cap)
+
+
 def default_weight_grid() -> List[Tuple[float, float, float]]:
     """27-point logarithmic (q, r1, r2) grid."""
     vals = (1e-2, 1.0, 1e2)
@@ -180,21 +191,25 @@ def certify_grid(param_list: Sequence[ProblemParams],
                  = None,
                  cap: Optional[float] = None) -> List[CertReport]:
     """Certify every (params, weights) combination; deterministic order.
-    A cap outside certify_point's domain is rejected before any evaluator
-    is built."""
+    Each base's weightings are answered by one best_many and one
+    weighted_many call, and each report is certify_point's.  A cap or a
+    weighting outside certify_point's domain is rejected before any
+    evaluator is built."""
     _check_cap(cap)
-    if weights is None:
-        weights = default_weight_grid()
+    weights = default_weight_grid() if weights is None else list(weights)
+    check_weightings(weights)
     reports = []
     for base in param_list:
+        _check_gain(base)
         evaluator = LowerBoundEvaluator(base)
-        upper = UpperBoundEvaluator(base)
-        for q, r1, r2 in weights:
+        results = UpperBoundEvaluator(base).best_many(weights)
+        lowers = evaluator.weighted_many(weights)
+        for (q, r1, r2), res, lower in zip(weights, results, lowers):
             p = ProblemParams(a=base.a, q=q, r1=r1, r2=r2,
                               sigma0_sq=base.sigma0_sq,
                               sigmav1_sq=base.sigmav1_sq,
                               sigmav2_sq=base.sigmav2_sq)
-            reports.append(certify_point(p, cap, evaluator, upper))
+            reports.append(_report(p, res, lower, evaluator.partition, cap))
     return reports
 
 

@@ -211,12 +211,11 @@ def sweep(a, l_min, l_max, l_steps, output):
     its cost, and the matching lower bound per l."""
     _check_output(output)
     swept = sweep_labels(a, np.linspace(l_min, l_max, l_steps))
-    lower_ev = LowerBoundEvaluator(swept[0]["params"])
-    rows = []
-    for row in swept:
-        p = row["params"]
-        rows.append({**_param_cells(p), **_upper_cells(row["result"]),
-                     "lower": lower_ev.weighted(p.q, p.r1, p.r2)})
+    params = [row["params"] for row in swept]
+    lowers = LowerBoundEvaluator(params[0]).weighted_many(
+        [(p.q, p.r1, p.r2) for p in params])
+    rows = [{**_param_cells(p), **_upper_cells(row["result"]),
+             "lower": lower} for p, row, lower in zip(params, swept, lowers)]
     _write_csv(output, {"command": "sweep", "l_min": l_min,
                         "l_max": l_max, "l_steps": l_steps}, rows,
                columns=SWEEP_COLUMNS)

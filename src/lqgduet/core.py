@@ -39,6 +39,13 @@ def check_weights(q: float, r1: float, r2: float) -> None:
             raise ValueError(f"{name} must be >= 0")
 
 
+def check_weightings(weights) -> None:
+    """check_weights on every weighting (q, r1, r2) of weights, so that a
+    bad one raises before any is answered."""
+    for q, r1, r2 in weights:
+        check_weights(q, r1, r2)
+
+
 class TradeoffPoint(NamedTuple):
     """A power-disturbance triple (D, P1, P2) on the extended reals."""
 
@@ -86,7 +93,7 @@ class RawParams:
         check_weights(self.q, self.r1, self.r2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemParams:
     """Canonical problem parameters (sigmaw_sq = 1 implicit)."""
 

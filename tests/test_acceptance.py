@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from lqgduet.core import ProblemParams, classify, noise_floor
-from lqgduet.bounds_lower import LowerBoundEvaluator, lower_weighted_cost
+from lqgduet.bounds_lower import LowerBoundEvaluator, RegionPartition, \
+    lower_weighted_cost
 from lqgduet.bounds_upper import SigDesign, du1, sweep_labels
 from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, appendix_region_checks,
                                certify_grid, prop1_divergence,
@@ -135,8 +136,12 @@ def test_acceptance_5_grid_certification():
     strong = certify_grid(strong_grid_params())
     weak_ok = all(r.passed and r.cap == CAP_WEAK for r in weak)
     strong_ok = all(r.passed and r.cap == CAP_STRONG for r in strong)
+    # no grid base has a strong-iv bracket (t1 < t1hi); this one does, so
+    # the strong-iv constant is checked too
+    iv_base = ProblemParams(a=1e4, sigmav1_sq=0.0, sigmav2_sq=1e4)
+    assert RegionPartition(iv_base).iv_p1.size > 0
     region_ok = True
-    for p in weak_grid_params() + strong_grid_params():
+    for p in weak_grid_params() + strong_grid_params() + [iv_base]:
         checks = appendix_region_checks(p)
         if not all(checks.values()):
             region_ok = False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from lqgduet.bounds_lower import LowerBoundEvaluator, RegionPartition
 from lqgduet.bounds_upper import UpperBoundEvaluator
 from lqgduet.core import ProblemParams, Regime
-from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, _region_grid,
+from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, CertReport, _region_grid,
                                appendix_region_checks, certify_grid,
                                certify_point, default_weight_grid,
                                prop1_divergence, ratio_transfer_check,
                                region_constants, strong_grid_params,
                                weak_grid_params)
+from test_bounds_lower import _BAD_WEIGHTS
+from test_bounds_upper import _random_strong_bases
 
 
 def test_ratio_transfer_trivial_equality():
@@ -234,3 +237,140 @@ def test_certify_grid_rejects_a_cap_before_building_an_evaluator(
     monkeypatch.setattr(certifier, "UpperBoundEvaluator", must_not_build)
     with pytest.raises(ValueError, match="cap must be > 0"):
         certify_grid(weak_grid_params()[:1], cap=cap)
+
+
+def test_certify_grid_rejects_a_weighting_before_building_an_evaluator(
+        monkeypatch):
+    # before, both evaluators were built and the first weighting certified
+    # before the second raised
+    from lqgduet import certifier
+
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("built an evaluator before checking the "
+                             "weightings")
+
+    monkeypatch.setattr(certifier, "LowerBoundEvaluator", must_not_build)
+    monkeypatch.setattr(certifier, "UpperBoundEvaluator", must_not_build)
+    for weights, name in _BAD_WEIGHTS:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            certify_grid([strong_grid_params()[4]],
+                         weights=[(1.0, 1.0, 1.0), weights])
+
+
+def test_certify_grid_makes_one_refinement_batch_per_base(monkeypatch):
+    # each strong base: its grid's du1_outcomes batch, then one batch for
+    # the refinements of all 27 weightings; a weak base has no signaling
+    # design and makes none
+    from lqgduet import bounds_upper
+    calls = []
+    real = bounds_upper.du1_outcomes
+
+    def counting(p, designs):
+        calls.append(p)
+        return real(p, designs)
+
+    monkeypatch.setattr(bounds_upper, "du1_outcomes", counting)
+    strong = strong_grid_params()
+    certify_grid(weak_grid_params() + strong)
+    assert calls == [p for p in strong for _ in range(2)]
+
+
+#: weightings at the edges of the domain: zero weights, q = 0, all zeros,
+#: and weights near the float maximum, whose costs overflow to +inf
+EDGE_WEIGHTS = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                (0.0, 1e-2, 1e-2), (0.0, 0.0, 0.0), (1e308, 1e308, 1e308),
+                (1.7e308, 0.0, 1.0), (1.0, 1.7e308, 0.0),
+                (0.0, 1e308, 1e308), (1e-300, 1.0, 1e300)]
+
+
+#: weightings at which signaling designs win on the a = 100 grid bases,
+#: each weighting's from its own refinement walk (sweep's family: q = 1,
+#: r1 = a^l, little or no r2)
+SIG_WEIGHTS = [(1.0, 100.0 ** l, r2) for l in (0.25, 0.5, 0.75, 1.0, 1.25)
+               for r2 in (0.0, 1e-8, 1e-6)]
+
+
+def _bits(x):
+    """x with every float as its type name and float.hex, through
+    dataclasses, tuples, lists and dicts (in order); a NumPy scalar shows
+    as its own type."""
+    if isinstance(x, float):
+        return type(x).__name__, x.hex()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, [(f.name, _bits(getattr(x, f.name)))
+                                  for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, [_bits(v) for v in x]
+    if isinstance(x, dict):
+        return [(_bits(k), _bits(v)) for k, v in x.items()]
+    return type(x).__name__, x
+
+
+def _with_weights(base, q, r1, r2):
+    return ProblemParams(a=base.a, q=q, r1=r1, r2=r2,
+                         sigma0_sq=base.sigma0_sq,
+                         sigmav1_sq=base.sigmav1_sq,
+                         sigmav2_sq=base.sigmav2_sq)
+
+
+def test_batch_answers_equal_one_weighting_at_a_time():
+    # every grid base and seeded random strong bases, at the 27 grid
+    # weightings, the edge weightings and weightings where signaling wins:
+    # each base's batch gives every CertReport and UpperResult field, and
+    # every lower bound, that the one-weighting calls give, to the last
+    # bit and with the same types, and leaves the same memo
+    weights = default_weight_grid() + EDGE_WEIGHTS + SIG_WEIGHTS
+    bases = weak_grid_params() + strong_grid_params() \
+        + _random_strong_bases(12, 5)
+    sig_designs = []
+    for base in bases:
+        lower, upper = LowerBoundEvaluator(base), UpperBoundEvaluator(base)
+        singles = [certify_point(_with_weights(base, *w), None, lower, upper)
+                   for w in weights]
+        assert _bits(certify_grid([base], weights)) == _bits(singles), base
+        batch = UpperBoundEvaluator(base)
+        results = batch.best_many(weights)
+        assert _bits(results) \
+            == _bits([upper.best(*w) for w in weights]), base
+        assert _bits(batch._memo) == _bits(upper._memo), base
+        sig_designs.append({r.design for r in results} - {None})
+        assert _bits(lower.weighted_many(weights, with_label=True)) == _bits(
+            [lower.weighted(*w, with_label=True) for w in weights]), base
+        assert _bits(lower.slicing_bound_many(weights)) \
+            == _bits([lower.slicing_bound(*w) for w in weights]), base
+    # the cases the extra weightings are there for: one batch's
+    # weightings won by signaling designs of different walks, overflowing
+    # costs and degenerate weightings
+    assert max(map(len, sig_designs)) > 1
+    reports = certify_grid(bases[:1] + bases[-1:], EDGE_WEIGHTS)
+    assert any(r.upper == math.inf for r in reports)
+    assert any(r.case_label == "Degenerate" for r in reports)
+
+
+def test_batch_queries_take_no_weighting():
+    base = strong_grid_params()[4]
+    assert certify_grid([base], []) == []
+    assert UpperBoundEvaluator(base).best_many([]) == []
+    assert LowerBoundEvaluator(base).weighted_many([]) == []
+
+
+def test_reports_have_no_instance_dict():
+    # slots keep a retained report small; replace, ==, hash and repr work
+    # as for the plain dataclass
+    p = ProblemParams(a=2.5, q=1.0, r1=0.5, sigmav1_sq=0.0, sigmav2_sq=1.0)
+    rep = CertReport(p, Regime("weak"), 3.0, 1.5, 2.0, "weak-ii", 1200.0,
+                     True)
+    assert not hasattr(rep, "__dict__")
+    assert repr(rep) == (
+        "CertReport(params=ProblemParams(a=2.5, q=1.0, r1=0.5, r2=0.0, "
+        "sigma0_sq=0.0, sigmav1_sq=0.0, sigmav2_sq=1.0), "
+        "regime=Regime(kind='weak', s=None), upper=3.0, lower=1.5, "
+        "ratio=2.0, case_label='weak-ii', cap=1200.0, passed=True, "
+        "degenerate=False)")
+    failed = dataclasses.replace(rep, passed=False)
+    assert failed != rep and not failed.passed and failed.params is p
+    assert dataclasses.replace(failed, passed=True) == rep
+    assert hash(rep) == hash(tuple(getattr(rep, f.name)
+                                   for f in dataclasses.fields(rep)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.passed = False

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -155,3 +155,23 @@ def test_classify_bracket_property(a, sv1, extra):
         assert sv2 <= m
     else:
         assert a ** (2 * (r.s - 1)) * m < sv2 <= a ** (2 * r.s) * m
+
+
+def test_problem_params_have_no_instance_dict():
+    # slots keep the params a retained report holds small; replace, ==,
+    # hash and repr work as for the plain dataclass, and replace still
+    # validates
+    p = ProblemParams(a=3.0, q=2.0, r1=0.5, sigmav1_sq=0.25, sigmav2_sq=4.0)
+    assert not hasattr(p, "__dict__")
+    assert repr(p) == ("ProblemParams(a=3.0, q=2.0, r1=0.5, r2=0.0, "
+                       "sigma0_sq=0.0, sigmav1_sq=0.25, sigmav2_sq=4.0)")
+    assert replace(p, q=1.0) == ProblemParams(a=3.0, r1=0.5,
+                                              sigmav1_sq=0.25,
+                                              sigmav2_sq=4.0)
+    assert replace(p, q=1.0) != p
+    with pytest.raises(ValueError, match="q must be >= 0"):
+        replace(p, q=-1.0)
+    assert hash(p) == hash(tuple(getattr(p, f.name) for f in fields(p)))
+    assert hash(replace(p)) == hash(p) and replace(p) == p
+    with pytest.raises(FrozenInstanceError):
+        p.q = 1.0
