@@ -8,11 +8,11 @@ from .core import (A_MIN_CERTIFIED, ProblemParams, RawParams, Regime,
 from .strategies import StrategySpec, parse_strategy
 from .simulator import SimConfig, SimResult, run
 from .bounds_upper import (SigDesign, UpperResult, du1, linbb_bound,
-                           optimize_upper, simplified_upper, sweep_labels)
+                           optimize_upper, sweep_labels)
 from .bounds_lower import (SliceParams, dl1, dl2, dl3, dl4, info_mmse,
                            lower_weighted_cost)
 from .certifier import (CertReport, certify_grid, certify_point,
-                        prop1_divergence, ratio_transfer_check)
+                        prop1_divergence)
 from .detmodel import DetParams, det_radner, det_witsen, run_det
 
 __version__ = "0.1.0"
@@ -23,11 +23,10 @@ __all__ = [
     "StrategySpec", "parse_strategy",
     "SimConfig", "SimResult", "run",
     "SigDesign", "UpperResult", "du1", "linbb_bound", "optimize_upper",
-    "simplified_upper", "sweep_labels",
+    "sweep_labels",
     "SliceParams", "dl1", "dl2", "dl3", "dl4", "info_mmse",
     "lower_weighted_cost",
     "CertReport", "certify_grid", "certify_point", "prop1_divergence",
-    "ratio_transfer_check",
     "DetParams", "det_radner", "det_witsen", "run_det",
     "__version__",
 ]

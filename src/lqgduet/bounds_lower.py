@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import A_MIN_CERTIFIED, ProblemParams, check_weightings, \
-    classify, noise_floor
+from .core import A_MIN_CERTIFIED, ProblemParams, check_certified, \
+    check_weightings, classify, noise_floor
 
 #: geometric slicing ratio used by the converse bounds
 RCONST = 2.5
@@ -114,11 +114,6 @@ def _check_sigma(p: ProblemParams, k1: int, Sigma: float) -> None:
         raise ValueError(f"Sigma outside [0, {cap}]")
 
 
-def _check_certified(p: ProblemParams) -> None:
-    if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
-
-
 def _geo(a: float, k_exp: int, count: int):
     """a^{2 k_exp} (1 - (2.5 a^{-2})^count) / (1 - 2.5 a^{-2});
     zero for count <= 0."""
@@ -171,7 +166,7 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
     sps = [sp] if single else list(sp)
     for s in sps:
         s.check(p)
-    _check_certified(p)
+    check_certified(p)
     if p.sigmav2_sq == 0:
         raise ValueError("requires sigmav2_sq > 0")
     P1, P2, shape = _power_axes(P1t, P2t)
@@ -339,7 +334,7 @@ def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
         if kc < k1c + 1:
             raise ValueError("require k >= k1 + 1")
         _check_sigma(p, k1c, Sig)
-    _check_certified(p)
+    check_certified(p)
     P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
     sv1_sq, sv2_sq = p.sigmav1_sq, p.sigmav2_sq
@@ -387,7 +382,7 @@ def dl4(p: ProblemParams, k, P1t, P2t, out=None):
     ks = [k] if single else list(k)
     if any(kk < 2 for kk in ks):
         raise ValueError("k must be >= 2")
-    _check_certified(p)
+    check_certified(p)
     P1, P2, shape = _power_axes(P1t, P2t)
     A = abs(p.a)
     rows = [(_power(A, kk - 1),

@@ -1,7 +1,7 @@
 """Analytic achievability bounds: the signaling tradeoff triple, the linear
-bang-bang triples, the simplified signaling envelope, and the weighted-cost
-optimizer over those candidates (UpperBoundEvaluator: built once per
-system, asked once per weighting).
+bang-bang triples, and the weighted-cost optimizer over those candidates
+(UpperBoundEvaluator: built once per system, asked for any number of
+weightings).
 """
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bounds_lower import SIG_DECAY_COEF, RegionPartition
-from .core import A_MIN_CERTIFIED, ProblemParams, Regime, TradeoffPoint, \
-    check_weightings, classify, noise_floor
+from .core import ProblemParams, TradeoffPoint, check_weightings, classify
 from .lattice import SERIES_GUARD_TERMS, SERIES_MAX_TERMS, \
     SeriesNonConvergent, comb_miss_terms, comb_outage_terms, gaussian_comb, \
     truncated_sum
@@ -27,13 +25,6 @@ D_GRID_POINTS = 200
 
 #: w1 refinement multipliers around the base pairing w1 = |a|^s d / 6
 W1_REFINE = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
-
-#: coefficients of the simplified signaling envelope (simplified_upper)
-ENV_D_SIG_COEF = 832.0
-ENV_D_M_COEF = 63.0
-ENV_P1_COEF = 80000.0
-ENV_P2_SIG_COEF = 6656.0
-ENV_P2_M_COEF = 564.0
 
 
 @dataclass(frozen=True)
@@ -91,43 +82,6 @@ def linbb_bound(p: ProblemParams, controller: int) -> TradeoffPoint:
     if controller == 1:
         return TradeoffPoint(D, P, 0.0)
     return TradeoffPoint(D, 0.0, P)
-
-
-def simplified_bracket(p: ProblemParams, s: int) -> Tuple[float, float]:
-    """Validity bracket [t1, t1hi] of the simplified signaling envelope: the
-    stage-s signaling bracket of the region partition,
-    sv2^2/(70 a^{2(s-1)}) <= P <= max(a^2, a^4 sv1^2)/20000.  Raises unless
-    p is strongly degraded at stage s."""
-    part = RegionPartition(p)
-    if part.regime != Regime("strong", s):
-        raise ValueError("s does not bracket sigmav2_sq")
-    return part.t1, part.t1hi
-
-
-def simplified_upper(p: ProblemParams, s: int, P: float) -> TradeoffPoint:
-    """Closed-form signaling envelope at design power P:
-
-        D  = 832 a^{2s} P e^{-50 a^{2(s-1)} P / sv2^2} + 63 a^{2s} m
-        P1 = 80000 P
-        P2 = 6656 a^{2(s+1)} P e^{...} + 564 a^{2(s+1)} m
-
-    with m = max(1, a^2 sv1^2), valid on the bracket of simplified_bracket.
-    """
-    A = abs(p.a)
-    if A < A_MIN_CERTIFIED:
-        raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
-    lo, hi = simplified_bracket(p, s)
-    if not (lo <= P <= hi):
-        raise ValueError(f"P outside the validity bracket [{lo}, {hi}]")
-    m = noise_floor(p)
-    decay = math.exp(-SIG_DECAY_COEF * A ** (2 * (s - 1)) * P
-                     / p.sigmav2_sq)
-    A2s = A ** (2 * s)
-    A2s1 = A ** (2 * (s + 1))
-    return TradeoffPoint(
-        ENV_D_SIG_COEF * A2s * P * decay + ENV_D_M_COEF * A2s * m,
-        ENV_P1_COEF * P,
-        ENV_P2_SIG_COEF * A2s1 * P * decay + ENV_P2_M_COEF * A2s1 * m)
 
 
 @dataclass(frozen=True)
@@ -413,36 +367,13 @@ class UpperBoundEvaluator:
                 for cost, b, j in zip(best, rows, choice)]
 
 
-def optimize_upper(p: ProblemParams,
-                   upper: Optional[UpperBoundEvaluator] = None
-                   ) -> UpperResult:
+def optimize_upper(p: ProblemParams) -> UpperResult:
     """Minimize q D + r1 P1 + r2 P2 over the linear bang-bang triples and
     the signaling designs (stage fixed by the regime) at p's own weights;
     falls back to the linear candidates when no feasible signaling design
-    exists.  upper, when given, must be built for p's system; reusing it
-    across weightings evaluates each design once."""
-    if upper is None:
-        upper = UpperBoundEvaluator(p)
-    else:
-        upper.p.check_base(p)
-    return upper.best(p.q, p.r1, p.r2)
-
-
-def upper_envelope_D(p: ProblemParams, P1: float, P2: float,
-                     sig_points: Optional[List[TradeoffPoint]] = None
-                     ) -> float:
-    """Best achievable disturbance among candidates whose power components
-    fit under (P1, P2); +inf when none fits."""
-    best = math.inf
-    for controller in (1, 2):
-        point = linbb_bound(p, controller)
-        if point.P1 <= P1 and point.P2 <= P2:
-            best = min(best, point.D)
-    if sig_points:
-        for point in sig_points:
-            if point.P1 <= P1 and point.P2 <= P2:
-                best = min(best, point.D)
-    return best
+    exists.  To answer several weightings of one system, build one
+    UpperBoundEvaluator and ask its best or best_many."""
+    return UpperBoundEvaluator(p).best(p.q, p.r1, p.r2)
 
 
 def sweep_labels(a: float, l_values) -> List[dict]:

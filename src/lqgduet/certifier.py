@@ -1,25 +1,17 @@
-"""Constant-ratio certification: ratio-transfer hypothesis checks over the
-region partition of the power plane with the closed-form region constants,
-grid certification reports, and the large-a linear/nonlinear divergence
-table.
+"""Constant-ratio certification: upper/lower ratio reports at one point
+and over the certification grids, each labelled with the region of the
+power plane its achieving strategy lands in, and the large-a
+linear/nonlinear divergence table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .core import A_MIN_CERTIFIED, ProblemParams, Regime, \
-    check_weightings, classify
-from .bounds_lower import FLOOR_COEF, IV_M_COEF, IV_SIG_COEF, \
-    STRONG_II_COEF, STRONG_T1HI_DIV, STRONG_T2A_DIV, T2C_M_COEF, \
-    T2C_SIG_COEF, WEAK_II_COEF, WEAK_T_DIV, LowerBoundEvaluator, \
-    RegionPartition
-from .bounds_upper import ENV_D_M_COEF, ENV_D_SIG_COEF, ENV_P1_COEF, \
-    ENV_P2_M_COEF, ENV_P2_SIG_COEF, UpperBoundEvaluator, UpperResult, \
-    optimize_upper, simplified_upper, upper_envelope_D
+from .core import ProblemParams, Regime, check_certified, check_weightings
+from .bounds_lower import LowerBoundEvaluator, RegionPartition
+from .bounds_upper import UpperBoundEvaluator, UpperResult, optimize_upper
 
 #: default certification caps by regime
 CAP_WEAK = 1200.0
@@ -42,97 +34,9 @@ class CertReport:
     degenerate: bool = False
 
 
-def ratio_transfer_check(DU: Callable[[float, float], float],
-                         DL: Callable[[float, float], float],
-                         c: float,
-                         grid: Iterable[Tuple[float, float]]) -> bool:
-    """Hypothesis of the ratio-transfer lemma on a sampled grid:
-    DU(c x1, c x2) <= c DL(x1, x2) at every grid point.  When it holds
-    everywhere, the lemma gives the weighted-cost ratio cap for every
-    (q, r1, r2); only the hypothesis is checked here."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    for x1, x2 in grid:
-        dl = DL(x1, x2)
-        if math.isinf(dl):
-            continue
-        if DU(c * x1, c * x2) > c * dl * (1 + 1e-12):
-            return False
-    return True
-
-
-def _envelope_DU(part: RegionPartition) -> Callable[[float, float], float]:
-    """Achievable disturbance at a power budget: upper_envelope_D over the
-    two linear candidates and (strong regime) the closed-form signaling
-    envelope sampled on its bracket."""
-    p = part.p
-    sig: List = []
-    if part.regime.kind == "strong" and part.t1 <= part.t1hi:
-        sig = [simplified_upper(p, part.regime.s, float(P))
-               for P in np.geomspace(part.t1, part.t1hi, 120)]
-    return lambda P1, P2: upper_envelope_D(p, P1, P2, sig)
-
-
-def region_constants(p: ProblemParams) -> dict:
-    """Closed-form per-region ratio constants (regions whose lower bound is
-    +inf need no constant and are listed with 1)."""
-    regime = classify(p)
-    if regime.kind == "weak":
-        return {"weak-i": 1.0,
-                "weak-ii": max(1.0 / WEAK_II_COEF, 3 * WEAK_T_DIV),
-                "weak-iii": max(2.0 / FLOOR_COEF, 1200.0)}
-    return {"strong-i": 1.0,
-            "strong-ii": max(1.0 / STRONG_II_COEF, 1.32 * STRONG_T2A_DIV),
-            "strong-iii": 1.0,
-            "strong-iv": max(ENV_D_SIG_COEF / IV_SIG_COEF,
-                             ENV_D_M_COEF / IV_M_COEF, ENV_P1_COEF,
-                             ENV_P2_SIG_COEF / T2C_SIG_COEF,
-                             ENV_P2_M_COEF / T2C_M_COEF),
-            "strong-v": max(2.0 / FLOOR_COEF, 3 * STRONG_T1HI_DIV)}
-
-
-def _region_grid(part: RegionPartition, label: str,
-                 n: int = 8) -> List[Tuple[float, float]]:
-    """Sample points inside one region of the partition (none for the
-    unstable regions i and iii and an empty signaling bracket)."""
-    mults_hi = np.geomspace(1.01, 1e4, n)
-    mults_lo = np.geomspace(1e-6, 0.99, n)
-    mults_all = np.geomspace(1e-6, 1e4, n)
-    region = part.labels.index(label)
-    if region == 1:
-        return [(part.t1 * f1, part.t2a * f2)
-                for f1 in mults_lo for f2 in mults_hi]
-    if region == 4:
-        return [(part.v_edge * f1, part.t2a * f2)
-                for f1 in mults_hi for f2 in mults_all]
-    if region == 3 and part.iv_p1.size:
-        return [(float(P1), float(part.t2c(P1)) * f2)
-                for P1 in np.geomspace(part.t1 * 1.001, part.t1hi * 0.999, n)
-                for f2 in mults_hi]
-    return []
-
-
-def appendix_region_checks(p: ProblemParams) -> dict:
-    """Run the ratio-transfer hypothesis check region by region with the
-    closed-form constants; returns {region label: bool}."""
-    part = RegionPartition(p)
-    DU = _envelope_DU(part)
-    out = {}
-    for label, c in region_constants(p).items():
-        grid = _region_grid(part, label)
-        out[label] = not grid or ratio_transfer_check(
-            DU, part.floor, max(c, 1.0), grid)
-    return out
-
-
 def _check_cap(cap: Optional[float]) -> None:
     if cap is not None and not cap > 0:
         raise ValueError(f"cap must be > 0, got {cap!r}")
-
-
-def _check_gain(p: ProblemParams) -> None:
-    if abs(p.a) < A_MIN_CERTIFIED:
-        raise ValueError(f"certification requires |a| >= {A_MIN_CERTIFIED}")
 
 
 def _report(p: ProblemParams, res: UpperResult, lower: float,
@@ -160,22 +64,14 @@ def _report(p: ProblemParams, res: UpperResult, lower: float,
 
 
 def certify_point(p: ProblemParams,
-                  cap: Optional[float] = None,
-                  evaluator: Optional[LowerBoundEvaluator] = None,
-                  upper: Optional[UpperBoundEvaluator] = None
-                  ) -> CertReport:
+                  cap: Optional[float] = None) -> CertReport:
     """Certify the upper/lower weighted-cost ratio at one parameter point
-    against the regime's cap: certify_grid's report at one weighting.  The
-    lower and upper evaluators, when given, must be built for p's system
-    (ValueError otherwise).  A cap, when given, must be > 0 (+inf
-    allowed)."""
-    _check_gain(p)
+    against the regime's cap: certify_grid's report at one weighting.  A
+    cap, when given, must be > 0 (+inf allowed)."""
+    check_certified(p)
     _check_cap(cap)
-    if evaluator is None:
-        evaluator = LowerBoundEvaluator(p)
-    else:
-        evaluator.p.check_base(p)
-    return _report(p, optimize_upper(p, upper),
+    evaluator = LowerBoundEvaluator(p)
+    return _report(p, optimize_upper(p),
                    evaluator.weighted(p.q, p.r1, p.r2), evaluator.partition,
                    cap)
 
@@ -200,7 +96,7 @@ def certify_grid(param_list: Sequence[ProblemParams],
     check_weightings(weights)
     reports = []
     for base in param_list:
-        _check_gain(base)
+        check_certified(base)
         evaluator = LowerBoundEvaluator(base)
         results = UpperBoundEvaluator(base).best_many(weights)
         lowers = evaluator.weighted_many(weights)

@@ -29,6 +29,13 @@ def _check_finite(params) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
+def check_certified(p: ProblemParams) -> None:
+    """Raise ValueError unless |a| >= A_MIN_CERTIFIED, the domain of the
+    converse machinery and of certification."""
+    if abs(p.a) < A_MIN_CERTIFIED:
+        raise ValueError(f"requires |a| >= {A_MIN_CERTIFIED}")
+
+
 def check_weights(q: float, r1: float, r2: float) -> None:
     """Raise ValueError unless the cost weights q, r1, r2 are finite and
     >= 0, the domain every weighted cost and bound is defined on."""
@@ -117,15 +124,6 @@ class ProblemParams:
 
     def weighted(self, point: TradeoffPoint) -> float:
         return point.weighted(self.q, self.r1, self.r2)
-
-    def check_base(self, other: "ProblemParams") -> None:
-        """Raise ValueError unless other has this system (a, sigma0_sq,
-        sigmav1_sq, sigmav2_sq): an evaluator built for one system answers
-        weightings of that system only."""
-        base = ("a", "sigma0_sq", "sigmav1_sq", "sigmav2_sq")
-        if any(getattr(self, n) != getattr(other, n) for n in base):
-            raise ValueError("evaluator was built for another system "
-                             "(a, sigma0_sq, sigmav1_sq, sigmav2_sq)")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,15 @@ from lqgduet.core import ProblemParams, classify, noise_floor
 from lqgduet.bounds_lower import LowerBoundEvaluator, RegionPartition, \
     lower_weighted_cost
 from lqgduet.bounds_upper import SigDesign, du1, sweep_labels
-from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, appendix_region_checks,
-                               certify_grid, prop1_divergence,
-                               strong_grid_params, weak_grid_params)
+from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, certify_grid,
+                               prop1_divergence, strong_grid_params,
+                               weak_grid_params)
 from lqgduet.detmodel import DetParams, det_witsen, run_det, steady_level
 from lqgduet.lattice import (comb_miss_terms, comb_outage_terms,
                              gaussian_comb, q_tail, q_tail_upper, quantize)
 from lqgduet.simulator import SimConfig, run
 from lqgduet.strategies import StrategySpec
+from test_bounds_upper import appendix_region_checks
 from test_lattice import one_row_sum
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from lqgduet import bounds_lower
-from lqgduet.bounds_upper import UpperBoundEvaluator, optimize_upper
+from lqgduet.bounds_upper import UpperBoundEvaluator
 from lqgduet.certifier import (certify_grid, default_weight_grid,
                                strong_grid_params, weak_grid_params)
 from lqgduet.core import ProblemParams, classify, noise_floor
@@ -78,7 +78,7 @@ def test_lower_stays_below_upper_where_info_mmse_products_overflow():
         ev, up = LowerBoundEvaluator(base), UpperBoundEvaluator(base)
         for q, r1, r2 in weights:
             p = dataclasses.replace(base, q=q, r1=r1, r2=r2)
-            assert ev.weighted(q, r1, r2) <= optimize_upper(p, up).cost, p
+            assert ev.weighted(q, r1, r2) <= up.best(q, r1, r2).cost, p
 
 
 def test_recipe_leaves_out_a_k1_whose_cap_overflows():

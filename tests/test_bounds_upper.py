@@ -10,12 +10,13 @@ from lqgduet import bounds_upper
 from lqgduet.certifier import (default_weight_grid, strong_grid_params,
                                weak_grid_params)
 from lqgduet.core import ProblemParams, TradeoffPoint, classify
+from lqgduet.bounds_lower import FLOOR_COEF, IV_M_COEF, IV_SIG_COEF, \
+    SIG_DECAY_COEF, STRONG_II_COEF, STRONG_T1HI_DIV, STRONG_T2A_DIV, \
+    T2C_M_COEF, T2C_SIG_COEF, WEAK_II_COEF, WEAK_T_DIV, RegionPartition
 from lqgduet.bounds_upper import (D_GRID_HI, D_GRID_LO, D_GRID_POINTS,
                                   W1_REFINE, SigDesign, UpperBoundEvaluator,
-                                  UpperResult, du1,
-                                  linbb_bound, optimize_upper,
-                                  simplified_bracket, simplified_upper,
-                                  sweep_labels, upper_envelope_D)
+                                  UpperResult, du1, linbb_bound,
+                                  optimize_upper, sweep_labels)
 from lqgduet.lattice import SERIES_BLOCK, SeriesNonConvergent, q_tail
 from lqgduet.strategies import StrategySpec
 from test_bounds_lower import _BAD_WEIGHTS
@@ -100,39 +101,82 @@ def test_linbb_bound_noiseless_side_pays_a_squared():
             == (a2 * 0.0 + 1.0, a2 * a2 * 0.0 + a2 * 0.0 + a2, 0.0)
 
 
-def test_simplified_upper_validity():
-    p = ProblemParams(a=4.0, sigmav1_sq=0.0, sigmav2_sq=8.0)  # stage 1
-    lo, hi = simplified_bracket(p, 1)
-    assert lo == pytest.approx(8.0 / 70.0)
-    assert hi == pytest.approx(16.0 / 20000.0)
-    # bracket is empty here; any P is rejected
-    with pytest.raises(ValueError):
-        simplified_upper(p, 1, (lo + hi) / 2)
-    # wrong stage rejected
-    with pytest.raises(ValueError):
-        simplified_upper(p, 2, lo)
+#: coefficients of the appendix's closed-form signaling envelope at design
+#: power P, with e = exp(-50 a^{2(s-1)} P / sv2^2) and m = max(1, a^2 sv1^2):
+#: D = 832 a^{2s} P e + 63 a^{2s} m, P1 = 80000 P and
+#: P2 = 6656 a^{2(s+1)} P e + 564 a^{2(s+1)} m
+ENV_D_SIG, ENV_D_M, ENV_P1, ENV_P2_SIG, ENV_P2_M = \
+    832.0, 63.0, 80000.0, 6656.0, 564.0
 
 
-def test_simplified_upper_formula():
-    # large a so the bracket is nonempty
-    a = 1000.0
-    p = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=a)
-    lo, hi = simplified_bracket(p, 1)
-    assert lo < hi
-    P = math.sqrt(lo * hi)
-    pt = simplified_upper(p, 1, P)
-    decay = math.exp(-50.0 * P / a)
-    assert pt.D == pytest.approx(832 * a * a * P * decay + 63 * a * a)
-    assert pt.P1 == pytest.approx(80000 * P)
-    assert pt.P2 == pytest.approx(6656 * a ** 4 * P * decay + 564 * a ** 4)
+def appendix_envelope(part, P):
+    """The closed-form envelope at design power P, for P in the strong
+    regime's signaling bracket [part.t1, part.t1hi]."""
+    A, s = abs(part.p.a), part.regime.s
+    decay = math.exp(-SIG_DECAY_COEF * A ** (2 * (s - 1)) * P
+                     / part.p.sigmav2_sq)
+    A2s, A2s1 = A ** (2 * s), A ** (2 * (s + 1))
+    return TradeoffPoint(ENV_D_SIG * A2s * P * decay + ENV_D_M * A2s * part.m,
+                         ENV_P1 * P,
+                         ENV_P2_SIG * A2s1 * P * decay
+                         + ENV_P2_M * A2s1 * part.m)
+
+
+def appendix_regions(p):
+    """p's region partition, and each region's label, closed-form ratio
+    constant (1 where the floor is +inf) and 8x8 sample points (none in
+    the unstable regions i and iii or an empty signaling bracket)."""
+    part = RegionPartition(p)
+    if part.regime.kind == "weak":
+        constants = [1.0, max(1.0 / WEAK_II_COEF, 3 * WEAK_T_DIV), None, None,
+                     max(2.0 / FLOOR_COEF, 1200.0)]
+    else:
+        constants = [1.0, max(1.0 / STRONG_II_COEF, 1.32 * STRONG_T2A_DIV),
+                     1.0, max(ENV_D_SIG / IV_SIG_COEF, ENV_D_M / IV_M_COEF,
+                              ENV_P1, ENV_P2_SIG / T2C_SIG_COEF,
+                              ENV_P2_M / T2C_M_COEF),
+                     max(2.0 / FLOOR_COEF, 3 * STRONG_T1HI_DIV)]
+    hi, lo, wide = (np.geomspace(*span, 8) for span in
+                    ((1.01, 1e4), (1e-6, 0.99), (1e-6, 1e4)))
+    points = [[], [(part.t1 * f1, part.t2a * f2) for f1 in lo for f2 in hi],
+              [], [], [(part.v_edge * f1, part.t2a * f2)
+                       for f1 in hi for f2 in wide]]
+    if part.iv_p1.size:
+        points[3] = [(float(P1), float(part.t2c(P1)) * f2) for P1 in
+                     np.geomspace(part.t1 * 1.001, part.t1hi * 0.999, 8)
+                     for f2 in hi]
+    return part, [(label, c, pts) for label, c, pts
+                  in zip(part.labels, constants, points) if label]
+
+
+def appendix_region_checks(p):
+    """The ratio-transfer lemma's hypothesis DU(c x) <= c floor(x), region
+    by region with its closed-form constant c (at least 1), at the sample
+    points where the floor is finite; {region label: bool}.  DU(P1, P2) is
+    the least D among the linear bang-bang triples and (strong regime) the
+    closed-form envelope at 120 powers across the signaling bracket whose
+    powers fit under (P1, P2)."""
+    part, regions = appendix_regions(p)
+    cands = [linbb_bound(p, 1), linbb_bound(p, 2)]
+    if part.regime.kind == "strong" and part.t1 <= part.t1hi:
+        cands += [appendix_envelope(part, float(P))
+                  for P in np.geomspace(part.t1, part.t1hi, 120)]
+
+    def holds(c, P1, P2):
+        floor = part.floor(P1, P2)
+        DU = min([math.inf] + [pt.D for pt in cands
+                               if pt.P1 <= c * P1 and pt.P2 <= c * P2])
+        return math.isinf(floor) or DU <= c * floor * (1 + 1e-12)
+
+    return {label: all(holds(max(c, 1.0), *x) for x in pts)
+            for label, c, pts in regions}
 
 
 def test_appendix_design_matches_power():
     a = 1000.0
-    p = ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=a)
-    lo, hi = simplified_bracket(p, 1)
-    P = math.sqrt(lo * hi)
-    # the appendix's design pairing behind the simplified envelope:
+    part = RegionPartition(ProblemParams(a=a, sigmav1_sq=0.0, sigmav2_sq=a))
+    P = math.sqrt(part.t1 * part.t1hi)
+    # the appendix's design pairing behind the closed-form envelope:
     # d = sqrt(320000 P / a^2), so that P1 = a^2 d^2 / 4 = 80000 P, and
     # w1 = |a|^s d / 6
     d = math.sqrt(320000.0 * P / (a * a))
@@ -140,9 +184,9 @@ def test_appendix_design_matches_power():
     des.check(a)
     # the analytic triple of the concrete design is dominated by the
     # closed-form envelope componentwise
-    pt = du1(p, des)
+    pt = du1(part.p, des)
     assert pt.P1 == pytest.approx(80000 * P)
-    env = simplified_upper(p, 1, P)
+    env = appendix_envelope(part, P)
     assert pt.D <= env.D
     assert pt.P1 <= env.P1
     assert pt.P2 <= env.P2
@@ -175,13 +219,6 @@ def test_optimize_upper_nonlinear_beats_cubic_scaling():
     res = optimize_upper(p)
     assert res.cost <= 3297.0 * a * a * math.log(a)
     assert res.cost < a ** 3 / 66.0
-
-
-def test_upper_envelope_requires_fitting_powers():
-    p = ProblemParams(a=2.5, sigmav1_sq=1.0, sigmav2_sq=4.0)
-    pt = linbb_bound(p, 1)
-    assert upper_envelope_D(p, pt.P1, 0.0) == pt.D
-    assert math.isinf(upper_envelope_D(p, pt.P1 * 0.5, 0.0))
 
 
 def test_sweep_label_sequence_has_two_changes():
@@ -307,7 +344,7 @@ def test_evaluator_matches_reference_loop_across_weights(base):
     weights = default_weight_grid() + ZERO_WEIGHTS
     for q, r1, r2 in weights + weights[::-1]:
         p = _with_weights(base, q, r1, r2)
-        _assert_same(optimize_upper(p, upper),
+        _assert_same(upper.best(q, r1, r2),
                      _reference_optimize_upper(p, grid))
 
 
@@ -526,16 +563,6 @@ def test_du1_outcomes_match_du1_on_a_non_finite_term(monkeypatch):
     points = [(h, key) for h, key in zip(hit, got) if not isinstance(key, str)]
     assert sum(h for h, _ in points) > 1
     assert all((key[0] == "inf") == h for h, key in points)
-
-
-def test_evaluator_rejects_another_system():
-    base = strong_grid_params()[3]
-    other = _with_weights(strong_grid_params()[4], 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="another system"):
-        optimize_upper(other, UpperBoundEvaluator(base))
-    # same system, other weights: accepted
-    p = _with_weights(base, 1e-2, 1.0, 1e2)
-    assert optimize_upper(p, UpperBoundEvaluator(base)) == optimize_upper(p)
 
 
 def test_best_rejects_weights_outside_the_domain():

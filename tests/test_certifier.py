@@ -7,33 +7,13 @@ import pytest
 from lqgduet.bounds_lower import LowerBoundEvaluator, RegionPartition
 from lqgduet.bounds_upper import UpperBoundEvaluator
 from lqgduet.core import ProblemParams, Regime
-from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, CertReport, _region_grid,
-                               appendix_region_checks, certify_grid,
-                               certify_point, default_weight_grid,
-                               prop1_divergence, ratio_transfer_check,
-                               region_constants, strong_grid_params,
-                               weak_grid_params)
+from lqgduet.certifier import (CAP_STRONG, CAP_WEAK, CertReport,
+                               certify_grid, certify_point,
+                               default_weight_grid, prop1_divergence,
+                               strong_grid_params, weak_grid_params)
 from test_bounds_lower import _BAD_WEIGHTS
-from test_bounds_upper import _random_strong_bases
-
-
-def test_ratio_transfer_trivial_equality():
-    DL = lambda x1, x2: 10.0 / (1 + x1 + x2)
-    grid = [(a, b) for a in (0.0, 1.0, 5.0) for b in (0.0, 2.0)]
-    # DU = DL nonincreasing, c = 1: DU(x) <= DL(x) holds with equality
-    assert ratio_transfer_check(DL, DL, 1.0, grid)
-
-
-def test_ratio_transfer_scaled_constant():
-    DL = lambda x1, x2: 3.0
-    DU = lambda x1, x2: 6.0
-    assert ratio_transfer_check(DU, DL, 2.0, [(0.1, 0.2), (5, 5)])
-    assert not ratio_transfer_check(DU, DL, 1.0, [(0.1, 0.2)])
-
-
-def test_ratio_transfer_requires_c_at_least_one():
-    with pytest.raises(ValueError):
-        ratio_transfer_check(lambda a, b: 1, lambda a, b: 1, 0.5, [(1, 1)])
+from test_bounds_upper import _random_strong_bases, appendix_region_checks, \
+    appendix_regions
 
 
 def test_region_label_partition_covers_quadrant():
@@ -51,19 +31,17 @@ def test_region_label_partition_covers_quadrant():
 
 def test_region_grid_points_lie_in_their_region():
     for p in weak_grid_params() + strong_grid_params():
-        part = RegionPartition(p)
-        for label in region_constants(p):
-            for P1, P2 in _region_grid(part, label):
+        part, regions = appendix_regions(p)
+        for label, _, points in regions:
+            for P1, P2 in points:
                 assert part.label(P1, P2) == label, (p, label, P1, P2)
 
 
 def test_region_constants_within_caps():
-    weak = region_constants(ProblemParams(a=4.0, sigmav1_sq=0.0,
-                                          sigmav2_sq=1.0))
-    assert max(weak.values()) <= CAP_WEAK
-    strong = region_constants(ProblemParams(a=4.0, sigmav1_sq=0.0,
-                                            sigmav2_sq=100.0))
-    assert max(strong.values()) <= CAP_STRONG
+    for sv2, cap in ((1.0, CAP_WEAK), (100.0, CAP_STRONG)):
+        _, regions = appendix_regions(ProblemParams(a=4.0, sigmav1_sq=0.0,
+                                                    sigmav2_sq=sv2))
+        assert max(c for _, c, _ in regions) <= cap
 
 
 @pytest.mark.parametrize("p", [
@@ -109,26 +87,6 @@ def test_certify_point_at_large_gain(a, s):
         a * a * (1 - a ** -2) / (1 + r), rel=1e-12)
 
 
-def test_certify_point_rejects_evaluators_of_another_system():
-    # an evaluator answers weightings of the system it was built for only
-    p = ProblemParams(a=5.0, q=1.0, r1=0.1, r2=0.1, sigmav1_sq=0.0,
-                      sigmav2_sq=20.0)
-    others = [ProblemParams(a=5.0, sigmav1_sq=0.0, sigmav2_sq=21.0),
-              ProblemParams(a=6.0, sigmav1_sq=0.0, sigmav2_sq=20.0),
-              ProblemParams(a=5.0, sigmav1_sq=0.5, sigmav2_sq=20.0),
-              ProblemParams(a=5.0, sigma0_sq=1.0, sigmav1_sq=0.0,
-                            sigmav2_sq=20.0)]
-    for other in others:
-        with pytest.raises(ValueError, match="another system"):
-            certify_point(p, evaluator=LowerBoundEvaluator(other))
-        with pytest.raises(ValueError, match="another system"):
-            certify_point(p, upper=UpperBoundEvaluator(other))
-    # the same system at other weights is what certify_grid shares
-    same = ProblemParams(a=5.0, q=100.0, sigmav1_sq=0.0, sigmav2_sq=20.0)
-    assert certify_point(p, None, LowerBoundEvaluator(same),
-                         UpperBoundEvaluator(same)) == certify_point(p)
-
-
 def test_certify_point_degenerate():
     p = ProblemParams(a=2.5, q=0.0, r1=0.0, r2=0.0, sigmav1_sq=0.0,
                       sigmav2_sq=1.0)
@@ -138,7 +96,7 @@ def test_certify_point_degenerate():
 
 
 def test_certify_point_rejects_small_gain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"requires \|a\| >= 2\.5"):
         certify_point(ProblemParams(a=2.0, sigmav1_sq=0.0, sigmav2_sq=1.0))
 
 
@@ -313,20 +271,26 @@ def _with_weights(base, q, r1, r2):
                          sigmav2_sq=base.sigmav2_sq)
 
 
-def test_batch_answers_equal_one_weighting_at_a_time():
+def test_batch_answers_equal_one_weighting_at_a_time(monkeypatch):
     # every grid base and seeded random strong bases, at the 27 grid
     # weightings, the edge weightings and weightings where signaling wins:
     # each base's batch gives every CertReport and UpperResult field, and
     # every lower bound, that the one-weighting calls give, to the last
     # bit and with the same types, and leaves the same memo
+    from lqgduet import bounds_upper, certifier
     weights = default_weight_grid() + EDGE_WEIGHTS + SIG_WEIGHTS
     bases = weak_grid_params() + strong_grid_params() \
         + _random_strong_bases(12, 5)
     sig_designs = []
     for base in bases:
         lower, upper = LowerBoundEvaluator(base), UpperBoundEvaluator(base)
-        singles = [certify_point(_with_weights(base, *w), None, lower, upper)
-                   for w in weights]
+        # certify_point at each weighting, with the base's two evaluators
+        # built once, as certify_grid builds them
+        with monkeypatch.context() as m:
+            m.setattr(certifier, "LowerBoundEvaluator", lambda p: lower)
+            m.setattr(bounds_upper, "UpperBoundEvaluator", lambda p: upper)
+            singles = [certify_point(_with_weights(base, *w))
+                       for w in weights]
         assert _bits(certify_grid([base], weights)) == _bits(singles), base
         batch = UpperBoundEvaluator(base)
         results = batch.best_many(weights)
