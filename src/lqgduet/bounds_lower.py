@@ -6,13 +6,15 @@ All families are nonincreasing in the power arguments, which the weighted
 optimizer exploits: on each grid cell the objective q D + r1 P1 + r2 P2 is
 lower-bounded by q D(upper corner) + r (lower corner), so the reported value
 is a valid lower bound on the minimum over the whole quadrant, not just on
-the grid.
+the grid.  In floats dl1 and dl4 stay nonincreasing, but dl2 does not quite:
+the rounding of its inner minimum lets a row rise by up to 8 ulps from one
+power to the next at some bases.  Directed rounding of each family's value
+(ROADMAP direction 5) is the fix.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,11 +126,14 @@ def _geo(a: float, k_exp: int, count: int):
     return _power(A2, float(k_exp)) * (1 - r ** count) / (1 - r)
 
 
-# The families broadcast over a leading candidate axis: each candidate's
-# coefficients are Python scalars, computed and grouped as in the scalar
-# formula, stacked into (F, 1, ..., 1) columns; only the power-array work
-# runs over (F, ...).  Elementwise IEEE arithmetic does not depend on the
-# batch, so row f equals the one-candidate call bit for bit.
+# Each family has one call form, family(p, candidates, P1t, P2t, out=None):
+# it broadcasts over a leading axis of its F candidates and the power
+# arrays, and returns the stacked (F,) + shape rows (written into out when
+# given).  Each candidate's coefficients are Python scalars, computed and
+# grouped as in the scalar formula, stacked into (F, 1, ..., 1) columns;
+# only the power-array work runs over (F, ...).  Elementwise IEEE
+# arithmetic does not depend on the batch, so row f equals the length-1
+# stack of candidate f bit for bit.
 
 def _power_axes(P1t, P2t):
     """P1t and P2t as float arrays with a leading unit candidate axis, and
@@ -148,23 +153,12 @@ def _columns(rows, width: int, nd: int) -> np.ndarray:
     return cols.T.reshape((width, len(rows)) + (1,) * nd)
 
 
-def _result(out: np.ndarray, single: bool):
-    """The stacked result, or the one candidate's row (a float for scalar
-    powers)."""
-    if not single:
-        return out
-    return float(out[0]) if out.ndim == 1 else out[0]
-
-
-def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
+def dl1(p: ProblemParams, cands: Sequence[SliceParams], P1t, P2t,
+        out=None) -> np.ndarray:
     """First lower-bound family (signaling converse), evaluated exactly as
-    the two (.)_+^2 branches weighted by alpha, plus 1.  Broadcasts over
-    power arrays.  sp is one SliceParams, or a sequence of them evaluated
-    in one broadcast over a leading candidate axis (written into out when
-    given)."""
-    single = isinstance(sp, SliceParams)
-    sps = [sp] if single else list(sp)
-    for s in sps:
+    the two (.)_+^2 branches weighted by alpha, plus 1, at each
+    SliceParams of cands."""
+    for s in cands:
         s.check(p)
     check_certified(p)
     if p.sigmav2_sq == 0:
@@ -176,7 +170,7 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
     log2A = math.log2(A)
     d = (1 - RCONST / A ** 2) * (1 - _BETA)
     rows = []
-    for s in sps:
+    for s in cands:
         k1, k2, k = s.k1, s.k2, s.k
         Sig, sv2p_sq = s.Sigma, s.sigmav2p_sq
         sv2p = math.sqrt(sv2p_sq)
@@ -207,7 +201,7 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
     (m_pos, i2m, i2c, i2s, i2p, p_pos, i1c, i1s, i1p, same, r1c, r1e, r2c,
      r3c, r4c, b1c, b1e, b2c, alpha, beta) = _columns(rows, 20, len(shape))
     if out is None:
-        out = np.empty((len(sps),) + shape)
+        out = np.empty((len(cands),) + shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         I2 = np.multiply(i2p, P1)
         np.divide(I2, d, out=I2)
@@ -263,7 +257,7 @@ def dl1(p: ProblemParams, sp, P1t, P2t, out=None):
         np.multiply(beta, branch2, out=branch2)
         np.add(out, branch2, out=out)
         np.add(out, 1.0, out=out)
-    return _result(out, single)
+    return out
 
 
 #: one-time downward rounding of the closed-form dl2 inner minimum: its
@@ -322,14 +316,11 @@ def _dl2_inner(A: float, Sigma, sv1_sq: float, sv2_sq: float, C1, C2):
     return best
 
 
-def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
+def dl2(p: ProblemParams, cands: Sequence[Tuple[int, int, float]], P1t,
+        P2t, out=None) -> np.ndarray:
     """Second family (simultaneous-action converse): the clamped-radical
-    form built on the constrained two-sensor estimation game.  k1, k and
-    Sigma are scalars, or equal-length sequences evaluated in one
-    broadcast over a leading candidate axis (written into out when
-    given)."""
-    single = np.ndim(k1) == 0
-    cands = [(k1, k, Sigma)] if single else list(zip(k1, k, Sigma))
+    form built on the constrained two-sensor estimation game, at each
+    (k1, k, Sigma) triple of cands."""
     for k1c, kc, Sig in cands:
         if kc < k1c + 1:
             raise ValueError("require k >= k1 + 1")
@@ -358,7 +349,7 @@ def dl2(p: ProblemParams, k1, k, Sigma, P1t, P2t, out=None):
         np.fmax(out, 0.0, out=out)
         np.square(out, out=out)
         np.add(out, 1.0, out=out)
-    return _result(out, single)
+    return out
 
 
 def dl3(p: ProblemParams, k1: int) -> float:
@@ -369,17 +360,15 @@ def dl3(p: ProblemParams, k1: int) -> float:
     return max(mmse_floor(p.a, p.sigmav1_sq, p.sigmav2_sq, k1), 1.0)
 
 
-def dl4(p: ProblemParams, k, P1t, P2t, out=None):
+def dl4(p: ProblemParams, ks: Sequence[int], P1t, P2t,
+        out=None) -> np.ndarray:
     """Fourth family: the direct disturbance-vs-power race
 
         ( a^{k-1} - sqrt(a^{2(k-2)}/(1 - 2.5 a^{-2}) P1/(1 - 2.5^{-1}))
-                  - sqrt(... P2 ...) )_+^2.
+                  - sqrt(... P2 ...) )_+^2
 
-    k is one race length, or a sequence of them evaluated in one broadcast
-    over a leading candidate axis (written into out when given).
+    at each race length k of ks.
     """
-    single = np.ndim(k) == 0
-    ks = [k] if single else list(k)
     if any(kk < 2 for kk in ks):
         raise ValueError("k must be >= 2")
     check_certified(p)
@@ -397,7 +386,7 @@ def dl4(p: ProblemParams, k, P1t, P2t, out=None):
         np.subtract(race, np.sqrt(np.multiply(g, P2)), out=out)
         np.fmax(out, 0.0, out=out)
         np.square(out, out=out)
-    return _result(out, single)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +555,17 @@ class RegionPartition:
 # ---------------------------------------------------------------------------
 
 def _slicing_candidates(p: ProblemParams, part: RegionPartition
-                        ) -> Tuple[List[SliceParams],
-                                   List[Tuple[int, int, float]], List[str]]:
-    """Parameter recipes (with perturbations) for the dl1 and dl2 families,
-    and why each k1 left out of them was left out: a k1 whose Sigma cap
-    needs a power of a that overflows a float offers no candidate.
+                        ) -> Tuple[List[tuple], List[str]]:
+    """The slicing recipe: the (family, candidates, tail) groups whose
+    rows make LowerBoundEvaluator's table, in row order, and why each k1
+    left out of them was left out (a k1 whose Sigma cap needs a power of a
+    that overflows a float offers no candidate).  Each family is called
+    as family(p, candidates, P1, P2); tail lower-bounds its rows beyond
+    the power grid, where dl1 and dl2 are at least 1 and dl4 at least 0.
+    The families are looked up by name at every call, so a wrapper put in
+    their place in this module (perfbench's tracer) sees each family call.
 
-    Two slices of the recipe are left out because they never bind:
+    Three slices of the recipe are left out because they never bind:
 
     - dl1's sv2p^2 = (100/70) sv2^2 option.  Its row is <= the
       sv2p^2 = sv2^2 row with the same (k1, k2, k, Sigma) on every cell.
@@ -587,6 +580,9 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
       objective (a - c1 - c2)^2 Sigma + ... grows with Sigma and the box
       |c_i| <= C_i ~ (Sigma + sv_i^2)^{-1/2} shrinks, so its minimum does
       not fall, and the rest of the row does not depend on Sigma.
+    - dl4's races shorter than k = 8.  dl4(k) = a^{2(k-2)} (a - sqrt(c P1)
+      - sqrt(c P2))_+^2 is nondecreasing in k for |a| > 1, and every dl4
+      tail is 0, so a shorter race never binds where k = 8 is offered.
     """
     a2sv1 = p.a * p.a * p.sigmav1_sq
     A = abs(p.a)
@@ -619,13 +615,8 @@ def _slicing_candidates(p: ProblemParams, part: RegionPartition
                     dl1_cands += [SliceParams(k1, k2, k, sv2p_sq, 1.0, Sigma)
                                   for sv2p_sq in sv2p_options]
         dl2_cands += [(k1, k1 + k_off, cap) for k_off in (1, 2, 4)]
-    return dl1_cands, dl2_cands, left_out
-
-
-#: race lengths k of the dl4 candidates: dl4(k) = a^{2(k-2)} (a - sqrt(c P1)
-#: - sqrt(c P2))_+^2 is nondecreasing in k for |a| > 1 and every dl4 tail
-#: is 0, so a shorter race never binds where k = 8 is offered
-_DL4_KS = (8,)
+    return [(dl1, dl1_cands, 1.0), (dl2, dl2_cands, 1.0),
+            (dl4, (8,), 0.0)], left_out
 
 
 def _undominated(D: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -662,11 +653,11 @@ class LowerBoundEvaluator:
 
     D_hi[f, i, j] is family f at the upper corner (grid[i+1], grid[j+1]) of
     cell [grid[i], grid[i+1]] x [grid[j], grid[j+1]] (the grid includes 0);
-    tail[f] lower-bounds family f beyond the grid.  Each family is built by
-    one stacked call over all of its recipe's candidates, in candidate
-    order; the recipe builds them inside their family's domain, so a
-    candidate that fails the family's checks is a recipe bug and raises
-    ValueError.  A candidate whose coefficients need a power of a that
+    tail[f] lower-bounds family f beyond the grid.  The rows are the
+    recipe's (family, candidates, tail) groups in order, each group built
+    by one stacked call over its candidates; the recipe builds them inside
+    their family's domain, so a candidate that fails the family's checks
+    is a recipe bug and raises ValueError.  A candidate whose coefficients need a power of a that
     overflows a float is left out instead: its D_hi row is NaN, which
     slicing_bound skips, and left_out keeps its message; so does a k1 of
     the recipe whose Sigma cap overflows, which offers no candidate.  The
@@ -701,27 +692,21 @@ class LowerBoundEvaluator:
                     self.dl3_best = max(self.dl3_best, dl3(p, k1))
                 except _PowerOverflow:
                     break
-            dl1_cands, dl2_cands, self.left_out = _slicing_candidates(
-                p, self.partition)
-            n1 = len(dl1_cands)
-            n2 = n1 + len(dl2_cands)
-            self.D_hi = np.empty((n2 + len(_DL4_KS), n, n))
-            # beyond the grid dl1 and dl2 are at least 1, dl4 at least 0
-            self.tail = np.repeat([1.0, 1.0, 0.0],
-                                  [n1, n2 - n1, len(_DL4_KS)])
-            # one stacked call per family
-            self._fill(partial(dl1, p), dl1_cands, self.D_hi[:n1])
-            self._fill(lambda c, P1, P2, out: dl2(p, *zip(*c), P1, P2,
-                                                  out=out),
-                       dl2_cands, self.D_hi[n1:n2])
-            self._fill(partial(dl4, p), _DL4_KS, self.D_hi[n2:])
+            groups, self.left_out = _slicing_candidates(p, self.partition)
+            sizes = [len(cands) for _, cands, _ in groups]
+            self.D_hi = np.empty((sum(sizes), n, n))
+            self.tail = np.repeat([tail for _, _, tail in groups], sizes)
+            # one stacked call per group, into the group's rows
+            for (family, cands, _), rows in zip(
+                    groups, np.split(self.D_hi, np.cumsum(sizes)[:-1])):
+                self._fill(family, cands, rows)
         # the rows slicing_bound reduces
         keep = _undominated(self.D_hi, self.tail)
         self._D, self._tail = self.D_hi[keep], self.tail[keep]
 
     def _fill(self, family, cands, out: np.ndarray) -> None:
         """Write the rows of cands at the grid's upper corners into out
-        by one stacked call family(cands, P1, P2, out=out).  Where a
+        by one stacked call family(p, cands, P1, P2, out=out).  Where a
         candidate's power of a overflows, one call per candidate instead:
         each candidate that overflows gets a NaN row and a left_out
         message, and every other row is the stacked call's.  No cands
@@ -732,11 +717,12 @@ class LowerBoundEvaluator:
         hi1 = self.grid[1:, None]
         hi2 = self.grid[None, 1:]
         try:
-            family(cands, hi1, hi2, out=out)
+            family(self.p, cands, hi1, hi2, out=out)
         except _PowerOverflow:
             for f in range(len(cands)):
                 try:
-                    family(cands[f:f + 1], hi1, hi2, out=out[f:f + 1])
+                    family(self.p, cands[f:f + 1], hi1, hi2,
+                           out=out[f:f + 1])
                 except _PowerOverflow as err:
                     out[f] = np.nan
                     self.left_out.append(str(err))

@@ -88,15 +88,17 @@ def certify_grid(param_list: Sequence[ProblemParams],
                  cap: Optional[float] = None) -> List[CertReport]:
     """Certify every (params, weights) combination; deterministic order.
     Each base's weightings are answered by one best_many and one
-    weighted_many call, and each report is certify_point's.  A cap or a
-    weighting outside certify_point's domain is rejected before any
-    evaluator is built."""
+    weighted_many call, and each report is certify_point's.  A cap, a
+    weighting or a base outside certify_point's domain is rejected before
+    any evaluator is built."""
     _check_cap(cap)
     weights = default_weight_grid() if weights is None else list(weights)
     check_weightings(weights)
-    reports = []
+    param_list = list(param_list)
     for base in param_list:
         check_certified(base)
+    reports = []
+    for base in param_list:
         evaluator = LowerBoundEvaluator(base)
         results = UpperBoundEvaluator(base).best_many(weights)
         lowers = evaluator.weighted_many(weights)

@@ -181,38 +181,44 @@ def test_certify_point_rejects_caps_outside_the_domain(cap):
     assert rep.passed and rep.cap == math.inf
 
 
-@pytest.mark.parametrize("cap", [math.nan, 0.0, -5.0])
-def test_certify_grid_rejects_a_cap_before_building_an_evaluator(
-        monkeypatch, cap):
-    # before, the first base's two evaluators were built, then
-    # certify_point rejected the cap
+@pytest.fixture
+def no_evaluator(monkeypatch):
+    """certify_grid fails the test if it builds an evaluator."""
     from lqgduet import certifier
 
     def must_not_build(*args, **kwargs):
-        raise AssertionError("built an evaluator before checking the cap")
+        raise AssertionError("built an evaluator before checking the input")
 
     monkeypatch.setattr(certifier, "LowerBoundEvaluator", must_not_build)
     monkeypatch.setattr(certifier, "UpperBoundEvaluator", must_not_build)
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -5.0])
+def test_certify_grid_rejects_a_cap_before_building_an_evaluator(
+        no_evaluator, cap):
+    # before, the first base's two evaluators were built, then
+    # certify_point rejected the cap
     with pytest.raises(ValueError, match="cap must be > 0"):
         certify_grid(weak_grid_params()[:1], cap=cap)
 
 
 def test_certify_grid_rejects_a_weighting_before_building_an_evaluator(
-        monkeypatch):
+        no_evaluator):
     # before, both evaluators were built and the first weighting certified
     # before the second raised
-    from lqgduet import certifier
-
-    def must_not_build(*args, **kwargs):
-        raise AssertionError("built an evaluator before checking the "
-                             "weightings")
-
-    monkeypatch.setattr(certifier, "LowerBoundEvaluator", must_not_build)
-    monkeypatch.setattr(certifier, "UpperBoundEvaluator", must_not_build)
     for weights, name in _BAD_WEIGHTS:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             certify_grid([strong_grid_params()[4]],
                          weights=[(1.0, 1.0, 1.0), weights])
+
+
+def test_certify_grid_rejects_a_base_before_building_an_evaluator(
+        no_evaluator):
+    # before, the good first base's evaluators were built and its
+    # weightings answered before the second base raised
+    with pytest.raises(ValueError, match=r"requires \|a\| >= 2.5"):
+        certify_grid([strong_grid_params()[4],
+                      ProblemParams(a=2.0, sigmav2_sq=1.0)])
 
 
 def test_certify_grid_makes_one_refinement_batch_per_base(monkeypatch):
