@@ -126,13 +126,19 @@ def _du1_rows(p: ProblemParams, designs: Sequence[SigDesign]
     """Each design's du1 triple, or the exception du1 raises for it.
 
     A design's coarse comb has spacing step = |a|^s d and width
-    B = |a|^{s-1} d |a|/(|a|-1) + w1, and its outage rate o1 is
-    gaussian_comb(w1, spread), one call for all designs.  D's two tail
-    series on that comb under noise sv2 are summed for all designs as the
-    rows of one truncated_sum each: the miss series of comb_miss_terms,
-    each term scaled by 4 a^2, then the outage series of
-    comb_outage_terms.  A row's sum does not depend on the rows beside
-    it.
+    B = |a|^{s-1} d |a|/(|a|-1) + w1.  D's two tail series on that comb
+    under noise sv2 are summed for all designs as the rows of one
+    truncated_sum each: the miss series of comb_miss_terms, each term
+    scaled by 4 a^2, then the outage series of comb_outage_terms where
+    the miss series settled.  A row's sum does not depend on the rows
+    beside it.  The miss series passes truncated_sum the bound
+    4 a^2 (n step + B/2)^2 on its terms 1..n, written as comb_miss_terms
+    writes the factor before its Q <= 1: rounding is monotone, so the
+    factor is nondecreasing in i and no term exceeds it.  A design whose
+    miss series provably fails the guard is so settled from two term
+    values, with no block summed.  The outage rate o1 =
+    gaussian_comb(w1, spread) is one call for the designs whose series
+    both settled.
     """
     A = abs(p.a)
     A2 = A * A
@@ -159,13 +165,13 @@ def _du1_rows(p: ProblemParams, designs: Sequence[SigDesign]
     if not parts:
         return outs
     rows, steps, Bs, line1s, w1s, spreads = zip(*parts)
-    # Python floats: D's sum below stays in float arithmetic
-    o1s = gaussian_comb(np.array(w1s), np.array(spreads)).tolist()
     if sv2 > 0:
         step, B = np.array(steps)[:, None], np.array(Bs)[:, None]
+        # each miss term is this nondecreasing factor times a Q <= 1
         series1, failed = truncated_sum(
             lambda i, live: comb_miss_terms(i, step[live], B[live], sv2,
-                                            4.0 * A2), len(rows))
+                                            4.0 * A2), len(rows),
+            bound=lambda n: 4.0 * A2 * (n * step + B / 2) ** 2)
         # the outage series only where the miss series settled
         ok = np.flatnonzero(~failed)
         series2 = np.full(len(rows), math.nan)
@@ -177,7 +183,13 @@ def _du1_rows(p: ProblemParams, designs: Sequence[SigDesign]
         # only the outage series' i = 1 term survives (Q(0) = 1/2)
         series1 = [0.0] * len(rows)
         series2 = [(1.5 * step) ** 2 * 0.5 for step in steps]
-        failed = [False] * len(rows)
+        failed = np.zeros(len(rows), dtype=bool)
+    # the outage rates of the rows that settled, as Python floats: D's sum
+    # below stays in float arithmetic
+    o1s = np.full(len(rows), math.nan)
+    o1s[~failed] = gaussian_comb(np.array(w1s)[~failed],
+                                 np.array(spreads)[~failed])
+    o1s = o1s.tolist()
     for j, k in enumerate(rows):
         if failed[j]:
             outs[k] = SeriesNonConvergent(
@@ -203,12 +215,16 @@ def du1_outcomes(p: ProblemParams,
     """Each design's du1 outcome, its triple or the name of the exception
     du1 raises.  One batch evaluation sums the tail series of all designs
     as rows of one array; du1 is the same evaluation on one row, so every
-    triple is du1's bit for bit."""
+    triple is du1's bit for bit.  A failed design is evaluated once more
+    through du1, which raises; a miss-series guard failure that
+    truncated_sum's bound check settles (every one on the strong grid)
+    stops at that check there too, before any block is summed."""
     outcomes: List[Outcome] = []
     for design, out in zip(designs, _du1_rows(p, designs)):
         if isinstance(out, Exception):
-            # evaluated once more through du1: perfbench counts failures
-            # as raised du1 spans (test_child_spans_fit_inside_their_parent)
+            # the re-raise exists only for perfbench, which counts failures
+            # as raised du1 spans (test_child_spans_fit_inside_their_parent);
+            # it can go once the benchmark counts UpperResult.failures
             try:
                 out = du1(p, design)
             except _FAILURES as exc:

@@ -117,7 +117,7 @@ def gaussian_comb(w, sigma):
     return float(o) if o.ndim == 0 else o
 
 
-def truncated_sum(term_fn, rows: int):
+def truncated_sum(term_fn, rows: int, bound=None):
     """Sum rows independent series, SERIES_ROWS at a time: each row's terms
     for i = 1, 2, ... until the running term falls below SERIES_REL_TOL
     times the accumulated sum.  term_fn(i, live) returns the
@@ -129,14 +129,57 @@ def truncated_sum(term_fn, rows: int):
     decreasing after SERIES_GUARD_TERMS terms, or that reaches the cap
     SERIES_MAX_TERMS, fails.  Returns (totals, failed): each row's sum,
     NaN where its series failed, and the mask of the failed rows.
+
+    bound(n), if given, returns per row a bound M on each of that row's
+    terms 1..n, all of them nonnegative.  The guard block is the first
+    block after the first whose end reaches SERIES_GUARD_TERMS; call its
+    end G (1024 today).  Before any block is summed, the rows that
+    provably fail the guard there are marked failed from their terms at
+    the block ends up to G (512 and 1024 today), and only the other rows
+    are summed.  See _fails_guard for the rule and its proof.
     """
-    totals, failed = np.empty(rows), np.empty(rows, dtype=bool)
+    totals = np.full(rows, math.nan)
+    failed = np.zeros(rows, dtype=bool)
     # a term that overflows is such a non-finite term, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, rows, SERIES_ROWS):
-            live = np.arange(r0, min(r0 + SERIES_ROWS, rows))
+        if bound is not None:
+            failed = _fails_guard(term_fn, rows, bound)
+        todo = np.flatnonzero(~failed)
+        for r0 in range(0, todo.size, SERIES_ROWS):
+            live = todo[r0:r0 + SERIES_ROWS]
             totals[live], failed[live] = _sum_rows(term_fn, live)
     return totals, failed
+
+
+def _fails_guard(term_fn, rows, bound):
+    """The rows that _sum_rows would mark failed at the guard block, told
+    from the terms at the block ends e_1 < ... < e_g = G alone.
+
+    A row is marked when, with its bound M = bound(G), every end term t_j
+    lies in (2 SERIES_REL_TOL max(G M, 1e-300), M] (for G = 1024 that is
+    above 2.048e-9 M and 2e-312, so M is finite), and t_g >= t_{g-1}.
+    Then, as G <= SERIES_MAX_TERMS:
+    - every term 1..G is finite, since it lies in [0, M];
+    - a float sum of n <= G nonnegative terms, in any order, is at most
+      n M (1 + u)^(n-1) <= G M (1 + G u), u = 2**-53, and so is each
+      running total; SERIES_REL_TOL times it, rounded, stays below the
+      lower end of t_j's interval, so no block ending at e_j is done;
+    - no stuck test runs before the guard block: each earlier block is
+      the first (stuck against +inf) or ends below SERIES_GUARD_TERMS;
+    - at the guard block t_g >= t_{g-1}, the previous block's last term,
+      so the stuck test fires.
+    Elementwise IEEE results do not depend on the shape of the arrays
+    they are computed in, so each t_j is the last term the loop would see
+    in block j, and this is the mask the full loop returns.
+    """
+    ends = SERIES_BLOCK * np.arange(
+        1, max(math.ceil(SERIES_GUARD_TERMS / SERIES_BLOCK), 2) + 1)
+    M = np.ravel(bound(ends[-1]))[:, None]
+    t = np.asarray(term_fn(ends, np.arange(rows)), dtype=float)
+    # NaN compares false, and low is +inf where G M overflows: such a row
+    # is left to the loop
+    low = 2.0 * SERIES_REL_TOL * np.maximum(ends[-1] * M, 1e-300)
+    return ((t > low) & (t <= M)).all(axis=1) & (t[:, -1] >= t[:, -2])
 
 
 def _sum_rows(term_fn, live):

@@ -565,6 +565,57 @@ def test_du1_outcomes_match_du1_on_a_non_finite_term(monkeypatch):
     assert all((key[0] == "inf") == h for h, key in points)
 
 
+def test_failed_designs_settle_before_any_block_is_summed(monkeypatch):
+    # the strong grid bases' designs with REFINE neighbours: the miss
+    # series' bound changes no outcome, result or failure count, and each
+    # design that fails its guard is asked for the two block-end terms of
+    # truncated_sum's check only, in the batch and again in du1, which
+    # still raises for it
+    real_sum, real_du1 = bounds_upper.truncated_sum, bounds_upper.du1
+    mode = {"bound": True}
+    miss_calls, raised = [], Counter()
+
+    def switchable_sum(term_fn, rows, bound=None):
+        columns = np.zeros(rows, dtype=int)
+
+        def counting(i, live):
+            columns[live] += i.size
+            return term_fn(i, live)
+
+        out = real_sum(counting, rows, bound=bound if mode["bound"] else None)
+        if bound is not None and mode["bound"]:
+            miss_calls.append((columns, out[1]))
+        return out
+
+    def counting_du1(p, design):
+        try:
+            return real_du1(p, design)
+        except SeriesNonConvergent:
+            raised[mode["bound"]] += 1
+            raise
+
+    monkeypatch.setattr(bounds_upper, "truncated_sum", switchable_sum)
+    monkeypatch.setattr(bounds_upper, "du1", counting_du1)
+    weights = default_weight_grid()
+    failed_designs = 0
+    for p in strong_grid_params():
+        designs = _batch_designs(p, every=20)
+        runs = {}
+        for mode["bound"] in (False, True):
+            outs = [_outcome_key(out)
+                    for out in bounds_upper.du1_outcomes(p, designs)]
+            results = [(r.cost.hex(), r.spec, r.point, r.design, r.failures)
+                       for r in UpperBoundEvaluator(p).best_many(weights)]
+            runs[mode["bound"]] = outs, results
+        assert runs[True] == runs[False], p
+        failed_designs += runs[True][0].count("SeriesNonConvergent")
+    assert raised[True] == raised[False] > failed_designs > 1000
+    columns = np.concatenate([c for c, _ in miss_calls])
+    failed = np.concatenate([f for _, f in miss_calls])
+    assert (columns[failed] == 2).all()
+    assert (columns[~failed] >= 2 + SERIES_BLOCK).all()
+
+
 def test_best_rejects_weights_outside_the_domain():
     # before the check, best(nan, 1, 1).cost was 675.0 on this base
     upper = UpperBoundEvaluator(ProblemParams(a=5.0, sigmav1_sq=1.0,

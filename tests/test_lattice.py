@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
+from lqgduet import lattice
 from lqgduet.lattice import (SERIES_BLOCK, SERIES_GUARD_TERMS,
                              SERIES_MAX_TERMS, SERIES_REL_TOL, SERIES_ROWS,
                              SeriesNonConvergent, _Q_TAIL_ZERO,
@@ -335,6 +336,54 @@ def test_comb_series_sum_their_term_functions():
             lambda i: comb_miss_terms(i, d[r], w[r], sigma, scale))
         assert outage[r] == _reference_truncated_sum(
             lambda i: comb_outage_terms(i, d[r], sigma))
+
+
+@pytest.mark.parametrize("block,guard", [
+    (SERIES_BLOCK, SERIES_GUARD_TERMS), (256, 600), (512, 400)])
+def test_bounded_sum_equals_the_full_sum(monkeypatch, block, guard):
+    # seeded comb miss rows with sv2/step from 1e-2 to 1e5, across the
+    # ~600 edge where the guard starts to fail, across SERIES_ROWS chunks
+    monkeypatch.setattr(lattice, "SERIES_BLOCK", block)
+    monkeypatch.setattr(lattice, "SERIES_GUARD_TERMS", guard)
+    rng = np.random.default_rng(29)
+    n = 2 * SERIES_ROWS + 40
+    ratio = 10.0 ** rng.uniform(-2.0, 5.0, n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    # the first rows' bound overflows a float; one failing row's terms
+    # are +inf from i = 300 on
+    ratio[:16], scale[:16] = 10.0 ** rng.uniform(-2.0, -1.5, 16), 1e300
+    inf_row = n // 2
+    ratio[inf_row] = 1e4
+    d, scale = (1.0 / ratio)[:, None], scale[:, None]
+    w = d * rng.uniform(0.2, 0.9, (n, 1))
+    columns = np.zeros(n, dtype=int)
+    bounds = []
+
+    def terms(i, live):
+        columns[live] += i.size
+        t = comb_miss_terms(i, d[live], w[live], 1.0, scale[live])
+        return np.where((live[:, None] == inf_row) & (i >= 300), np.inf, t)
+
+    def bound(m):
+        bounds.append(np.ravel(scale * (m * d + w / 2) ** 2))
+        return bounds[-1]
+
+    plain = truncated_sum(terms, n)
+    columns[:] = 0
+    totals, failed = truncated_sum(terms, n, bound=bound)
+    assert [x.hex() for x in totals] == [x.hex() for x in plain[0]]
+    assert failed.tolist() == plain[1].tolist()
+    # failed rows, and rows that settle though their sv2/step is near the
+    # edge
+    assert failed.any() and (~failed & (ratio > 300)).any()
+    assert totals[inf_row] == math.inf and not failed[inf_row]
+    # a failed row with a finite bound is settled from the block ends up
+    # to the guard block's alone; a row whose bound overflows is summed
+    finite = np.isfinite(bounds[0])
+    ends = max(math.ceil(guard / block), 2)
+    assert (columns[failed & finite] == ends).all()
+    assert not finite[:16].any() and (columns[:16] > ends).all()
+    assert (failed & finite).sum() == failed.sum() > 10
 
 
 @pytest.mark.parametrize("d,w,sigma,scale", [
