@@ -9,7 +9,7 @@ is a valid lower bound on the minimum over the whole quadrant, not just on
 the grid.  In floats dl1 and dl4 stay nonincreasing, but dl2 does not quite:
 the rounding of its inner minimum lets a row rise by up to 8 ulps from one
 power to the next at some bases.  Directed rounding of each family's value
-(ROADMAP direction 5) is the fix.
+(the ROADMAP's directed-rounding item) is the fix.
 """
 from __future__ import annotations
 

@@ -215,10 +215,12 @@ def du1_outcomes(p: ProblemParams,
     """Each design's du1 outcome, its triple or the name of the exception
     du1 raises.  One batch evaluation sums the tail series of all designs
     as rows of one array; du1 is the same evaluation on one row, so every
-    triple is du1's bit for bit.  A failed design is evaluated once more
-    through du1, which raises; a miss-series guard failure that
-    truncated_sum's bound check settles (every one on the strong grid)
-    stops at that check there too, before any block is summed."""
+    triple is du1's bit for bit.  UpperBoundEvaluator asks it for the grid
+    at construction and for its picks' refinements in each best_many.  A
+    failed design is evaluated once more through du1, which raises; a
+    miss-series guard failure that truncated_sum's bound check settles
+    (every one on the strong grid) stops at that check there too, before
+    any block is summed."""
     outcomes: List[Outcome] = []
     for design, out in zip(designs, _du1_rows(p, designs)):
         if isinstance(out, Exception):
@@ -255,52 +257,34 @@ def _first_min(costs: np.ndarray) -> np.ndarray:
     return picks
 
 
-#: the linear bang-bang strategies, controller 1 then 2
+#: the linear bang-bang strategies, controller 1 then 2: the first two
+#: columns of every weighting's candidate row
 _LINBB_SPECS = (StrategySpec("linbb", controller=1),
                 StrategySpec("linbb", controller=2))
 
-#: the triple that stands in for a failed design in a walk's cost table
+#: the triple that stands in for a failed design in a walk's row
 _NO_POINT = TradeoffPoint(0.0, 0.0, 0.0)
-
-
-def _weighted_rows(points: TradeoffPoint, w: np.ndarray) -> np.ndarray:
-    """points.weighted(q, r1, r2) for each weighting (q, r1, r2), a row of
-    w.  Fields of shape (points,) give (weightings x points) costs; fields
-    of shape (weightings, candidates) give each weighting's row its own
-    candidates.  Term by term as in weighted, so each cost keeps its bits,
-    and a zero weight's term is 0.0 (not 0 * inf)."""
-    # a weight near the float limit overflows a cost to +inf, its intended
-    # value
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, r1, r2 = terms = [w[:, k, None] * field
-                             for k, field in enumerate(points)]
-        if not w.all():
-            for term, zero in zip(terms, (w == 0).T):
-                term[zero] = 0.0
-        return (q + r1) + r2
 
 
 class UpperBoundEvaluator:
     """Weight-independent part of the achievable bound for one system
     (a, sigma0_sq, sigmav1_sq, sigmav2_sq): the linear bang-bang triples,
-    the grid designs' triples as arrays, and a memo from each design
-    evaluated so far to its du1 outcome.  best_many answers a sequence of
-    weightings together: one cost array picks every weighting's grid
-    design, and the refinements of all the picks that the memo lacks are
-    evaluated in one du1_outcomes batch (the grid is one batch too)."""
+    and the grid designs with their du1 triples, also as arrays.
+    best_many answers a sequence of weightings together: one cost array
+    picks every weighting's grid design, one du1_outcomes batch evaluates
+    the refinements of all the picks (the grid is one batch too), and one
+    table of candidate costs gives every weighting's best."""
 
     def __init__(self, p: ProblemParams):
         self.p = p
         self.linbb = (linbb_bound(p, 1), linbb_bound(p, 2))
         grid = sig_candidate_points(p)
-        self._memo: Dict[SigDesign, Outcome] = dict(grid)
         self.grid_failures = Counter(out for _, out in grid
                                      if isinstance(out, str))
-        ok = [(design, out) for design, out in grid
-              if not isinstance(out, str)]
-        self.designs = [design for design, _ in ok]
-        self.points = TradeoffPoint(*np.array([out for _, out in ok]).T) \
-            if ok else None
+        self.grid = [(design, out) for design, out in grid
+                     if not isinstance(out, str)]
+        self.points = TradeoffPoint(*np.array([out for _, out in self.grid])
+                                    .T) if self.grid else None
 
     def best(self, q: float, r1: float, r2: float) -> UpperResult:
         """best_many at the one weighting (q, r1, r2)."""
@@ -314,73 +298,76 @@ class UpperBoundEvaluator:
         improvements in that order.  A negative or non-finite weight
         raises ValueError before any weighting is answered.
 
-        One (weightings x grid designs) cost array picks each weighting's
-        grid design.  The neighbours of every distinct pick that the memo
-        lacks are evaluated in one du1_outcomes batch, and one
-        (weightings x [pick] + neighbours) cost array walks the
-        refinements; a failed neighbour's cost is NaN, which never
-        improves.  So each result, failures included, is that of the
-        one-weighting loop, bit for bit."""
+        Each weighting gets one row of candidate costs (TradeoffPoint.
+        weighted): linbb1, linbb2, then the walk of its grid pick, [pick]
+        and the pick's feasible REFINE neighbours, padded.  A failed design
+        costs NaN, and so does the whole walk when the pick costs NaN (the
+        loop never leaves a NaN pick).  One _first_min per row then keeps
+        what the one-weighting loop keeps, linear candidates first, so
+        each result, failures included, is that loop's bit for bit."""
         weights = list(weights)
         check_weightings(weights)
-        sig = self._refined(weights) if self.designs and weights else None
+        if not weights:
+            return []
+        q, r1, r2 = np.array(weights, dtype=float).T[:, :, None]
+        costs = TradeoffPoint(*np.array(self.linbb).T).weighted(q, r1, r2)
+        walks, rows, failures = [], [0] * len(weights), [self.grid_failures]
+        if self.grid:
+            walks, rows, failures, walk_costs = self._walks(q, r1, r2)
+            costs = np.hstack([costs, walk_costs])
+        choice = _first_min(costs).tolist()
+        best = costs[range(len(weights)), choice].tolist()
         results = []
-        for k, (q, r1, r2) in enumerate(weights):
-            best = None
-            for spec, point in zip(_LINBB_SPECS, self.linbb):
-                cost = point.weighted(q, r1, r2)
-                if best is None or cost < best[0]:
-                    best = (cost, spec, point, None)
-            failures = self.grid_failures
-            if sig is not None:
-                cost, design, failures = sig[k]
-                if cost < best[0]:
-                    best = (cost, StrategySpec("sig", s=design.s, d=design.d),
-                            self._memo[design], design)
-            results.append(UpperResult(*best, failures=dict(failures)))
+        for cost, j, b in zip(best, choice, rows):
+            if j < len(_LINBB_SPECS):
+                spec, point, design = _LINBB_SPECS[j], self.linbb[j], None
+            else:
+                design, point = walks[b][j - len(_LINBB_SPECS)]
+                spec = StrategySpec("sig", s=design.s, d=design.d)
+            results.append(UpperResult(cost, spec, point, design,
+                                       dict(failures[b])))
         return results
 
-    def _refined(self, weights) -> List[Tuple[float, SigDesign, Counter]]:
-        """Per weighting, the signaling search's best cost and design, and
-        the failures it considered (grid and refinement)."""
-        w = np.array(weights, dtype=float).reshape(len(weights), 3)
-        picks = _first_min(_weighted_rows(self.points, w)).tolist()
+    def _walks(self, q, r1, r2):
+        """The signaling columns of best_many's rows.  Each distinct grid
+        pick's walk, its (design, outcome) pairs in search order; rows[k],
+        the walk of weighting k; each walk's failures (grid and
+        refinement); and the (weightings x 1 + len(REFINE)) walk costs."""
+        picks = _first_min(self.points.weighted(q, r1, r2)).tolist()
         a = self.p.a
-        # each distinct pick's walk, [pick] + its feasible neighbours in
-        # REFINE order, by first pick; rows[k] is weighting k's walk
+        # each distinct pick's [pick] + feasible neighbours, by first pick
         slot: Dict[int, int] = {}
         walks: List[List[SigDesign]] = []
         for i in picks:
             if i not in slot:
                 slot[i] = len(walks)
-                base = self.designs[i]
+                base = self.grid[i][0]
                 walks.append([base] + [design for design in (
                     SigDesign(base.s, base.d * fd, base.w1 * fd * fw)
                     for fd, fw in REFINE) if design.margin(a) > 0])
         rows = [slot[i] for i in picks]
-        new = list(dict.fromkeys(design for walk in walks for design in walk
-                                 if design not in self._memo))
-        self._memo.update(zip(new, du1_outcomes(self.p, new)))
+        outcome = dict(self.grid[i] for i in slot)
+        new = list(dict.fromkeys(design for walk in walks
+                                 for design in walk if design not in outcome))
+        outcome.update(zip(new, du1_outcomes(self.p, new)))
         # one row of candidate triples per walk, padded to 1 + len(REFINE);
         # ok marks the designs that did not fail
-        table, ok, failures = [], [], []
+        pairs, table, ok, failures = [], [], [], []
         for walk in walks:
-            outs = [self._memo[design] for design in walk]
-            fails = Counter(self.grid_failures)
-            fails.update(out for out in outs if isinstance(out, str))
-            failures.append(fails)
+            outs = [outcome[design] for design in walk]
+            pairs.append(list(zip(walk, outs)))
+            failures.append(self.grid_failures + Counter(
+                out for out in outs if isinstance(out, str)))
             pad = 1 + len(REFINE) - len(outs)
             ok.append([not isinstance(out, str) for out in outs]
                       + [False] * pad)
             table.append([_NO_POINT if isinstance(out, str) else out
                           for out in outs] + [_NO_POINT] * pad)
         cand = np.array(table)[rows]
-        costs = _weighted_rows(TradeoffPoint(*cand.transpose(2, 0, 1)), w)
+        costs = TradeoffPoint(*cand.transpose(2, 0, 1)).weighted(q, r1, r2)
         costs[~np.array(ok)[rows]] = np.nan
-        choice = _first_min(costs).tolist()
-        best = costs[range(len(rows)), choice].tolist()
-        return [(cost, walks[b][j], failures[b])
-                for cost, b, j in zip(best, rows, choice)]
+        costs[np.isnan(costs[:, 0])] = np.nan
+        return pairs, rows, failures, costs
 
 
 def optimize_upper(p: ProblemParams) -> UpperResult:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 #: Threshold on |a| below which the converse machinery is not certified:
 #: the value the closed-form constants were derived for.  A constant of the
 #: derivation, not a setting; changing it does not re-derive the constants.
@@ -60,14 +62,20 @@ class TradeoffPoint(NamedTuple):
     P1: float
     P2: float
 
-    def weighted(self, q: float, r1: float, r2: float) -> float:
-        """Weighted cost (q*D + r1*P1) + r2*P2 with +inf propagation (a
-        zero weight drops its term).  Elementwise when the fields are
-        arrays; the explicit order gives a scalar point and an array of
-        points the same bits (sum() compensates from Python 3.12 on)."""
-        return ((q * self.D if q > 0 else 0.0)
-                + (r1 * self.P1 if r1 > 0 else 0.0)) \
-            + (r2 * self.P2 if r2 > 0 else 0.0)
+    def weighted(self, q, r1, r2):
+        """Weighted cost (q*D + r1*P1) + r2*P2 with +inf propagation: a zero
+        weight drops its term (0 * inf is 0.0, not NaN), and a cost that
+        overflows is +inf, its intended value.  Elementwise over array
+        weights and array fields, broadcast together: weights of shape
+        (W, 1) against fields of shape (P,) give (W, P) costs.  The
+        explicit order gives scalars and arrays the same bits (sum()
+        compensates from Python 3.12 on).  A Python float when every input
+        is a scalar."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, r1, r2 = (np.where(w > 0, w * field, 0.0)
+                         for w, field in zip((q, r1, r2), self))
+            cost = (q + r1) + r2
+        return float(cost) if np.ndim(cost) == 0 else cost
 
 
 @dataclass(frozen=True)

@@ -337,8 +337,9 @@ EVALUATOR_BASES = [weak_grid_params()[4]] + [
                          ids=lambda b: f"a{b.a}-sv1{b.sigmav1_sq}"
                                        f"-sv2{b.sigmav2_sq:g}")
 def test_evaluator_matches_reference_loop_across_weights(base):
-    # one evaluator and its memo serve every weighting, in grid order and
-    # again in reverse (the memo then holds every refinement already)
+    # one evaluator serves every weighting, in grid order and again in
+    # reverse: each best call walks its own pick's refinements, so no
+    # answer depends on the weightings asked before it
     upper = UpperBoundEvaluator(base)
     grid = _reference_grid(base)
     weights = default_weight_grid() + ZERO_WEIGHTS
@@ -393,6 +394,62 @@ def test_nan_grid_cost_follows_the_loop(monkeypatch, where):
     ref = _reference_optimize_upper(p)
     # the NaN moves the result, so the case tells the rules apart
     assert (ref[0].spec, ref[0].design) != (clean.spec, clean.design)
+    _assert_same(optimize_upper(p), ref)
+
+
+@pytest.mark.parametrize("case", ["nan pick", "tie", "nan linbb1"])
+def test_cross_family_rules_follow_the_loop(monkeypatch, case):
+    # the rules between the linear and the signaling candidates, on a base
+    # where sig1 wins cleanly: a NaN grid pick keeps its whole walk out,
+    # even a neighbour cheaper than both linear triples; a signaling cost
+    # equal to the best linear cost does not replace it; a NaN linbb1 is
+    # kept, as nothing compares below it
+    p = ProblemParams(a=100.0, q=1.0, r1=100.0, r2=0.0, sigmav1_sq=0.0,
+                      sigmav2_sq=100.0)
+    clean, _ = _reference_optimize_upper(p)
+    assert clean.spec.label == "sig1"
+    linear = min((linbb_bound(p, 1), linbb_bound(p, 2)), key=p.weighted)
+    first = next(d for d, out in _reference_grid(p)
+                 if not isinstance(out, str))
+    neighbour = SigDesign(first.s, first.d * 1.0, first.w1 * 1.0 * 0.5)
+    assert neighbour.margin(p.a) > 0
+
+    def patch(design, point):
+        if case == "nan pick":
+            if design == first:
+                return point._replace(D=math.nan)
+            if design == neighbour:
+                return TradeoffPoint(0.5, 0.0, 0.0)
+        elif case == "tie":
+            # every design twice the best linear triple (its cost doubles
+            # exactly), the neighbour of the first pick equal to it
+            if design == neighbour:
+                return linear
+            return TradeoffPoint(*(2.0 * x for x in linear))
+        return point
+
+    real, real_batch = bounds_upper.du1, bounds_upper.du1_outcomes
+    real_linbb = bounds_upper.linbb_bound
+    monkeypatch.setattr(bounds_upper, "du1",
+                        lambda p, design: patch(design, real(p, design)))
+    monkeypatch.setattr(bounds_upper, "du1_outcomes", lambda p, designs: [
+        out if isinstance(out, str) else patch(design, out)
+        for design, out in zip(designs, real_batch(p, designs))])
+    if case == "nan linbb1":
+        monkeypatch.setattr(bounds_upper, "linbb_bound", lambda p, c: (
+            real_linbb(p, c)._replace(D=math.nan) if c == 1
+            else real_linbb(p, c)))
+        res = optimize_upper(p)
+        assert res.spec == StrategySpec("linbb", controller=1)
+        assert math.isnan(res.cost) and math.isnan(res.point.D)
+        assert res.design is None
+        return
+    ref = _reference_optimize_upper(p)
+    assert ref[0].spec.variant == "linbb" and ref[0].design is None
+    assert ref[0].cost == p.weighted(linear)
+    if case == "nan pick":
+        # the neighbour alone would win: the rule decides the case
+        assert p.weighted(TradeoffPoint(0.5, 0.0, 0.0)) < ref[0].cost
     _assert_same(optimize_upper(p), ref)
 
 

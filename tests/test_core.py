@@ -39,6 +39,56 @@ def test_tradeoff_weighted_array_matches_scalar_bit_for_bit():
     assert TradeoffPoint(1e16, 1.0, 1.0).weighted(1.0, 1.0, 1.0) == 1e16
 
 
+def _plain_weighted(pt, q, r1, r2):
+    """The weighted cost in Python float arithmetic, term by term."""
+    return ((q * pt.D if q > 0 else 0.0)
+            + (r1 * pt.P1 if r1 > 0 else 0.0)) \
+        + (r2 * pt.P2 if r2 > 0 else 0.0)
+
+
+def test_tradeoff_weighted_broadcasts_over_array_weights():
+    # (W, 1) weights against (P,) fields and against (W, C) fields give,
+    # cell by cell, the bits of the one-weighting scalar call, also where
+    # a zero weight meets an inf field and where a weight near the float
+    # limit overflows the cost to inf; scalars give a Python float
+    rng = np.random.default_rng(11)
+    big = 1.7e308
+    weights = [(1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 3.0),
+               (0.0, 0.0, 0.0), (big, 1.0, 0.0), (1.0, big, big),
+               (big, big, big), (0.37, 1.3, 0.011)]
+    weights += [tuple(map(float, 10.0 ** rng.uniform(-4, 4, 3)))
+                for _ in range(12)]
+    points = [TradeoffPoint(math.inf, 1.0, math.inf),
+              TradeoffPoint(0.0, 0.0, 0.0), TradeoffPoint(1e16, 1.0, 1.0),
+              TradeoffPoint(1.0, 1e-300, 1e300),
+              TradeoffPoint(math.inf, math.inf, math.inf)]
+    points += [TradeoffPoint(*map(float, 10.0 ** rng.uniform(-3, 12, 3)))
+               for _ in range(20)]
+    W, C = len(weights), 7
+    q, r1, r2 = np.array(weights).T[:, :, None]
+    for q_, r1_, r2_ in weights:
+        for pt in points:
+            one = pt.weighted(q_, r1_, r2_)
+            assert type(one) is float
+            assert one.hex() == _plain_weighted(pt, q_, r1_, r2_).hex()
+    # (W, 1) x (P,)
+    arrays = TradeoffPoint(*(np.array(col) for col in zip(*points)))
+    costs = arrays.weighted(q, r1, r2)
+    assert costs.shape == (W, len(points))
+    assert [[c.hex() for c in row] for row in costs.tolist()] == [
+        [pt.weighted(*w).hex() for pt in points] for w in weights]
+    # (W, 1) x (W, C): each weighting's row its own candidates
+    cells = [[points[j] for j in rng.integers(len(points), size=C)]
+             for _ in weights]
+    table = TradeoffPoint(*np.array(cells).transpose(2, 0, 1))
+    costs = table.weighted(q, r1, r2)
+    assert costs.shape == (W, C)
+    assert [[c.hex() for c in row] for row in costs.tolist()] == [
+        [pt.weighted(*w).hex() for pt in row]
+        for w, row in zip(weights, cells)]
+    assert math.inf in costs and 0.0 in costs
+
+
 def test_normalize_identity_on_canonical():
     raw = RawParams(a=3.0, q=1.0, r1=2.0, r2=3.0, sigmav1_sq=1.0,
                     sigmav2_sq=4.0)
